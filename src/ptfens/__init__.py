@@ -42,6 +42,7 @@ from .ensemble import (
     predict_with_model,
     read_replica_table,
     read_weights,
+    samples_theta,
     write_replica_table,
     write_weights,
 )
@@ -93,11 +94,8 @@ from .retention import (
     CampbellParams,
     RetentionParams,
     VanGenuchtenParams,
-    bc_theta,
-    campbell_theta,
     derived_points,
     theta_at,
     theta_many,
-    vg_theta,
 )
 from .texture import USDA_CLASSES, classify_texture, classify_texture_array

@@ -1,10 +1,4 @@
-"""Hot numeric kernels with numba-compiled and pure-numpy implementations.
-
-The numba path is used by default; set the environment variable
-``PTFENS_NO_NUMBA=1`` before import to force the numpy path (the numpy path
-is also selected automatically when numba is not importable). Both
-implementations of every kernel are importable by name so they can be
-benchmarked against each other; see benchmarks/bench_kernels.py.
+"""Hot numeric kernels, vectorized with numpy.
 
 Retention parameters are handled in packed form: an int8 family code per
 record plus a float64 row of up to four parameters,
@@ -12,10 +6,10 @@ record plus a float64 row of up to four parameters,
     family 0 (van Genuchten): theta_r, theta_s, alpha, n
     family 1 (Brooks-Corey):  theta_r, theta_s, psi_b, lambda
     family 2 (Campbell):      theta_s, psi_e, b, unused
-"""
 
-import os
-import warnings
+theta_points is the one implementation of the three curve formulas; the
+scalar evaluator retention.theta_at and every batch path call it.
+"""
 
 import numpy as np
 
@@ -23,10 +17,8 @@ FAMILY_VG = 0
 FAMILY_BC = 1
 FAMILY_CMP = 2
 
-_DISABLE_ENV = "PTFENS_NO_NUMBA"
 
-
-def theta_points_numpy(codes, params, psi):
+def theta_points(codes, params, psi):
     """Water content for record i at suction psi[i], vectorized per family."""
     psi = np.asarray(psi, dtype=np.float64)
     out = np.empty(psi.shape, dtype=np.float64)
@@ -37,6 +29,7 @@ def theta_points_numpy(codes, params, psi):
         al, n = params[vg, 2], params[vg, 3]
         with np.errstate(over="ignore"):
             se = (1.0 + (al * psi[vg]) ** n) ** (1.0 / n - 1.0)
+        # convex-combination form evaluates the endpoints exactly
         out[vg] = ts * se + tr * (1.0 - se)
 
     bc = codes == FAMILY_BC
@@ -60,7 +53,7 @@ def theta_points_numpy(codes, params, psi):
     return out
 
 
-def chi2_population_numpy(pop, preds, observed):
+def chi2_population(pop, preds, observed):
     """Sum of squared ensemble residuals for each weight genome in pop.
 
     pop: (n_genomes, n_members) nonnegative, normalized internally.
@@ -74,7 +67,7 @@ def chi2_population_numpy(pop, preds, observed):
     return np.einsum("ij,ij->i", resid, resid)
 
 
-def replica_mean_std_numpy(est):
+def replica_mean_std(est):
     """Across-replica mean and sample standard deviation (ddof=1).
 
     est: (n_replicas, n_points) with n_replicas >= 2. Columns whose replicas
@@ -89,130 +82,3 @@ def replica_mean_std_numpy(est):
         sd[same] = 0.0
     return mean, sd
 
-
-_USING_NUMBA = False
-
-if os.environ.get(_DISABLE_ENV, "").strip().lower() not in ("", "0", "false", "no"):
-    _numba = None
-else:
-    try:
-        import numba as _numba
-    except ImportError:  # pragma: no cover - depends on environment
-        _numba = None
-        warnings.warn(
-            "numba unavailable; falling back to pure-numpy kernels "
-            f"(silence by setting {_DISABLE_ENV}=1)",
-            RuntimeWarning,
-        )
-
-if _numba is not None:
-    _njit = _numba.njit
-    _prange = _numba.prange
-
-    @_njit(cache=True, parallel=True)
-    def theta_points_numba(codes, params, psi):
-        out = np.empty(psi.size, dtype=np.float64)
-        for i in _prange(psi.size):
-            c = codes[i]
-            p = psi[i]
-            if c == 0:
-                tr = params[i, 0]
-                ts = params[i, 1]
-                al = params[i, 2]
-                n = params[i, 3]
-                se = (1.0 + (al * p) ** n) ** (1.0 / n - 1.0)
-                out[i] = ts * se + tr * (1.0 - se)
-            elif c == 1:
-                tr = params[i, 0]
-                ts = params[i, 1]
-                pb = params[i, 2]
-                lam = params[i, 3]
-                if p <= pb:
-                    out[i] = ts
-                else:
-                    se = (pb / p) ** lam
-                    out[i] = ts * se + tr * (1.0 - se)
-            else:
-                ts = params[i, 0]
-                pe = params[i, 1]
-                b = params[i, 2]
-                if p <= pe:
-                    out[i] = ts
-                else:
-                    out[i] = ts * (pe / p) ** (1.0 / b)
-        return out
-
-    @_njit(cache=True, parallel=True)
-    def chi2_population_numba(pop, preds, observed):
-        n_gen, n_mem = pop.shape
-        n_pts = observed.size
-        norm = np.empty((n_gen, n_mem), dtype=np.float64)
-        for k in range(n_gen):
-            s = 0.0
-            for j in range(n_mem):
-                s += pop[k, j]
-            for j in range(n_mem):
-                norm[k, j] = (pop[k, j] / s) if s > 0.0 else (1.0 / n_mem)
-        ens = np.dot(norm, preds)  # BLAS handles the matmul-shaped part
-        out = np.empty(n_gen, dtype=np.float64)
-        for k in _prange(n_gen):
-            acc = 0.0
-            for i in range(n_pts):
-                d = ens[k, i] - observed[i]
-                acc += d * d
-            out[k] = acc
-        return out
-
-    @_njit(cache=True, parallel=True)
-    def replica_mean_std_numba(est):
-        n_rep, n_pts = est.shape
-        mean = np.empty(n_pts, dtype=np.float64)
-        sd = np.empty(n_pts, dtype=np.float64)
-        for i in _prange(n_pts):
-            m = 0.0
-            mn = est[0, i]
-            mx = est[0, i]
-            for r in range(n_rep):
-                v = est[r, i]
-                m += v
-                if v < mn:
-                    mn = v
-                if v > mx:
-                    mx = v
-            if mn == mx:  # exact agreement must give exactly zero spread
-                mean[i] = mn
-                sd[i] = 0.0
-                continue
-            m /= n_rep
-            acc = 0.0
-            for r in range(n_rep):
-                d = est[r, i] - m
-                acc += d * d
-            mean[i] = m
-            sd[i] = np.sqrt(acc / (n_rep - 1))
-        return mean, sd
-
-    theta_points = theta_points_numba
-    chi2_population = chi2_population_numba
-    replica_mean_std = replica_mean_std_numba
-    _USING_NUMBA = True
-else:
-    theta_points = theta_points_numpy
-    chi2_population = chi2_population_numpy
-    replica_mean_std = replica_mean_std_numpy
-
-
-def using_numba():
-    """True when the selected kernels are the numba-compiled ones."""
-    return _USING_NUMBA
-
-
-def warmup():
-    """Trigger JIT compilation of the selected kernels on tiny inputs."""
-    codes = np.array([0, 1, 2], dtype=np.int8)
-    params = np.array(
-        [[0.1, 0.5, 0.01, 2.0], [0.1, 0.5, 10.0, 0.5], [0.4, 5.0, 4.0, 0.0]]
-    )
-    theta_points(codes, params, np.array([0.0, 330.0, 15000.0]))
-    chi2_population(np.ones((2, 3)), np.ones((3, 4)), np.zeros(4))
-    replica_mean_std(np.ones((2, 4)))

@@ -1,11 +1,12 @@
 """Command line interface.
 
 Subcommands: ingest, evaluate, calibrate, predict, map. Global flags:
---config (key = value file), --seed, --out, --threads. Explicit flags win
-over config-file values, which win over defaults. Every run writes a
-manifest.json into the output directory recording the settings, the sha256
-of each input file, and the sha256 of every shipped coefficient file; the
-manifest carries no timestamps so identical runs produce identical bytes.
+--config (key = value file), --seed, --out, --threads (validated, has no
+effect). Explicit flags win over config-file values, which win over
+defaults. Every run writes a manifest.json into the output directory
+recording the settings, the sha256 of each input file, and the sha256 of
+every shipped coefficient file; the manifest carries no timestamps so
+identical runs produce identical bytes.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 bad input data,
 3 internal error.
@@ -17,7 +18,7 @@ import json
 import os
 import sys
 
-from . import __version__, _kernels, coeffs, dataset, ensemble, mapping, metrics
+from . import __version__, coeffs, dataset, ensemble, mapping, metrics
 from .ensemble import GaConfig, WeightVector
 from .errors import ConfigError, DataError
 from .ptf import ALL_PTFS, GROUPS, PredictorRecord, PtfId, load_rosetta_weights
@@ -321,13 +322,10 @@ def cmd_predict(settings, out_dir):
     data = settings.get("data")
     if data:
         _require_file(data, "input data file (--data)")
-        for s in dataset.read_samples(data):
-            rec = PredictorRecord(sand=s.sand, silt=s.silt, clay=s.clay,
-                                  bulk_density=s.bulk_density,
-                                  organic_carbon=s.organic_carbon, topsoil=topsoil)
-            for psi in psi_values:
-                theta = ensemble.ensemble_theta(vector, rec, psi)
-                rows.append((s.sample_id, psi, theta))
+        samples = dataset.read_samples(data)
+        theta = ensemble.samples_theta(vector, samples, psi_values, topsoil)
+        for s, sample_theta in zip(samples, theta.tolist()):
+            rows.extend((s.sample_id, psi, t) for psi, t in zip(psi_values, sample_theta))
     else:
         rec = PredictorRecord(
             sand=settings.get("sand", None, float),
@@ -409,7 +407,8 @@ def build_parser():
     common.add_argument("--config", help="key = value settings file")
     common.add_argument("--seed", type=int, help="master random seed (default 0)")
     common.add_argument("--out", help="output directory (default .)")
-    common.add_argument("--threads", type=int, help="cap compute threads")
+    common.add_argument("--threads", type=int,
+                        help="validated (must be >= 1); has no effect")
     common.add_argument("--rosetta-dir",
                         help="directory with rosetta_*.ann network weight files")
 
@@ -484,13 +483,9 @@ def main(argv=None):
             raise ConfigError("--seed must be non-negative")
         out_dir = settings.get("out", ".")
         os.makedirs(out_dir, exist_ok=True)
-        threads = settings.get("threads", None, int)
-        if threads is not None:
-            if threads < 1:
-                raise ConfigError("--threads must be at least 1")
-            if _kernels.using_numba():
-                import numba
-                numba.set_num_threads(threads)
+        threads = settings.get("threads", None, int)  # validated, has no effect
+        if threads is not None and threads < 1:
+            raise ConfigError("--threads must be at least 1")
 
         if args.command == "ingest":
             return cmd_ingest(settings, out_dir)

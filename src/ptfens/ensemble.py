@@ -30,7 +30,7 @@ from . import _kernels
 from .dataset import DEFAULT_OC_EDGES, bootstrap_split, stratify, stratum_key
 from .errors import ConfigError, InputError, MemberPredictionError, PtfensError
 from .ptf import PtfId, predict, predict_batch, required_inputs
-from .retention import FIELD_CAPACITY_HEAD, WILTING_POINT_HEAD, theta_at
+from .retention import FIELD_CAPACITY_HEAD, WILTING_POINT_HEAD, _check_psi, theta_at
 
 GLOBAL_STRATUM = "global"
 
@@ -50,7 +50,7 @@ class WeightVector:
         if len(self.weights) != len(self.members):
             raise InputError("one weight per member required")
         w = np.asarray(self.weights, dtype=np.float64)
-        if np.any(w < 0.0) or np.any(w > 1.0 + 1e-12):
+        if not np.all((w >= 0.0) & (w <= 1.0 + 1e-12)):  # NaN fails too
             raise InputError("weights must lie in [0, 1]")
         if abs(float(w.sum()) - 1.0) > 1e-9:
             raise InputError(f"weights must sum to 1, got {w.sum()!r}")
@@ -219,6 +219,50 @@ def optimize_weights(member_preds, observed, config=None, rng=None, members=None
 # ---------------------------------------------------------------------------
 # point-set assembly
 
+def _predictor_arrays(members, samples, topsoil=True):
+    """predict_batch keyword arrays, one value per sample, for every predictor
+    the members need; a sample lacking one fails naming the sample."""
+    needed = sorted({f for m in members for f in required_inputs(m)})
+    for f in needed:
+        for s in samples:
+            if getattr(s, f) is None:
+                raise InputError(
+                    f"sample {s.sample_id!r} is missing predictor {f!r} "
+                    f"required by the selected members")
+    arrays = {f: np.array([getattr(s, f) for s in samples], dtype=np.float64)
+              for f in needed}
+    arrays["topsoil"] = np.full(len(samples), 1.0 if topsoil else 0.0)
+    return arrays
+
+
+def _member_matrix(members, arrays, owner, psi):
+    """(members, points) water contents: point i is the curve of sample
+    owner[i] evaluated at psi[i], one predict_batch call per member."""
+    preds = np.empty((len(members), psi.size))
+    for k, m in enumerate(members):
+        try:
+            batch = predict_batch(m, **arrays)
+        except PtfensError as exc:
+            raise MemberPredictionError(f"member {m}: {exc}") from exc
+        preds[k] = _kernels.theta_points(batch.codes[owner], batch.rows[owner], psi)
+    return preds
+
+
+def samples_theta(weights, samples, heads, topsoil=True):
+    """Weighted-mean water content of every sample at every head.
+
+    The batch form of ensemble_theta: returns a (samples, heads) array from
+    the same predict_batch and theta_points calls that calibration uses.
+    """
+    samples = tuple(samples)
+    heads = _check_psi(heads).reshape(-1)
+    arrays = _predictor_arrays(weights.members, samples, topsoil)
+    owner = np.repeat(np.arange(len(samples)), heads.size)
+    psi = np.tile(heads, len(samples))
+    preds = _member_matrix(weights.members, arrays, owner, psi)
+    return (weights.as_array() @ preds).reshape(len(samples), heads.size)
+
+
 class _PointSet:
     """Member predictions and targets over every observation of a sample set."""
 
@@ -232,16 +276,7 @@ class _PointSet:
         if not self.samples:
             raise InputError("no samples to calibrate on")
 
-        needed = sorted({f for m in self.members for f in required_inputs(m)})
-        for f in needed:
-            for s in self.samples:
-                if getattr(s, f) is None:
-                    raise InputError(
-                        f"sample {s.sample_id!r} is missing predictor {f!r} "
-                        f"required by the selected members")
-
-        arrays = {f: np.array([getattr(s, f) for s in self.samples], dtype=np.float64)
-                  for f in needed}
+        arrays = _predictor_arrays(self.members, self.samples)
         psi, theta, owner = [], [], []
         self.sample_points = []
         for i, s in enumerate(self.samples):
@@ -257,17 +292,8 @@ class _PointSet:
         self.psi = np.asarray(psi, dtype=np.float64)
         self.observed = np.asarray(theta, dtype=np.float64)
         self.point_owner = np.asarray(owner, dtype=np.int64)
-
-        preds = np.empty((len(self.members), self.psi.size))
-        for k, m in enumerate(self.members):
-            try:
-                batch = predict_batch(m, **arrays)
-            except PtfensError as exc:
-                raise MemberPredictionError(f"member {m}: {exc}") from exc
-            codes = batch.codes[self.point_owner]
-            rows = batch.rows[self.point_owner]
-            preds[k] = _kernels.theta_points(codes, rows, self.psi)
-        self.member_preds = np.ascontiguousarray(preds)
+        self.member_preds = _member_matrix(self.members, arrays, self.point_owner,
+                                           self.psi)
 
     def restrict_heads(self, heads):
         """Per-sample point indices restricted to a set of pressure heads."""
@@ -528,24 +554,50 @@ def write_weights(path, vector, meta=None):
             writer.writerow((str(m), repr(float(w))))
 
 
-def read_weights(path):
+def _read_table(path):
+    """# key = value metadata and the tab-split rows, with their line numbers."""
     meta = {}
     rows = []
     with open(path, encoding="utf-8", newline="") as fh:
-        for line in fh:
-            line = line.rstrip("\r\n")
-            if line.startswith("#"):
-                key, _, value = line.lstrip("# ").partition("=")
-                if value:
-                    meta[key.strip()] = value.strip()
-                continue
-            if line.strip():
-                rows.append(line.split("\t"))
-    if not rows or rows[0] != ["ptf_id", "weight"]:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                             f"{exc.start})") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\r\n")
+        if line.startswith("#"):
+            key, _, value = line.lstrip("# ").partition("=")
+            if value:
+                meta[key.strip()] = value.strip()
+        elif line.strip():
+            rows.append((lineno, line.split("\t")))
+    return meta, rows
+
+
+def _parse_field(path, lineno, parse, text, what):
+    try:
+        return parse(text)
+    except ValueError:
+        raise InputError(f"{path}:{lineno}: bad {what} {text!r}") from None
+
+
+def read_weights(path):
+    meta, rows = _read_table(path)
+    if not rows or rows[0][1] != ["ptf_id", "weight"]:
         raise InputError(f"{path}: not a weight table")
-    members = tuple(r[0] for r in rows[1:])
-    weights = tuple(float(r[1]) for r in rows[1:])
-    return WeightVector(members=members, weights=weights), meta
+    members, weights = [], []
+    for lineno, row in rows[1:]:
+        if len(row) != 2:
+            raise InputError(f"{path}:{lineno}: expected 2 tab-separated fields "
+                             f"(ptf_id, weight), found {len(row)}")
+        members.append(_parse_field(path, lineno, PtfId, row[0], "ptf_id"))
+        weights.append(_parse_field(path, lineno, float, row[1], "weight"))
+    try:
+        vector = WeightVector(members=tuple(members), weights=tuple(weights))
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    return vector, meta
 
 
 def write_replica_table(path, calibrations, meta=None):
@@ -570,24 +622,25 @@ def write_replica_table(path, calibrations, meta=None):
 
 def read_replica_table(path):
     """Parse a replica table into members, per-stratum weight stacks and meta."""
-    meta = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
-    body = []
-    for line in lines:
-        if line.startswith("#"):
-            key, _, value = line.lstrip("# ").partition("=")
-            if value:
-                meta[key.strip()] = value.strip()
-        elif line.strip():
-            body.append(line.split("\t"))
-    if not body or body[0][:4] != ["stratum", "replica", "cal_rmse", "val_rmse"]:
+    meta, body = _read_table(path)
+    if not body or body[0][1][:4] != ["stratum", "replica", "cal_rmse", "val_rmse"]:
         raise InputError(f"{path}: not a replica table")
-    members = tuple(c[2:] for c in body[0][4:])
+    lineno, header = body[0]
+    members = tuple(_parse_field(path, lineno, PtfId, c[2:], "member column")
+                    for c in header[4:])
     strata = {}
-    for row in body[1:]:
-        weights = WeightVector.normalized(members, [float(v) for v in row[4:]])
+    for lineno, row in body[1:]:
+        if len(row) != len(header):
+            raise InputError(f"{path}:{lineno}: expected {len(header)} tab-separated "
+                             f"fields, found {len(row)}")
+        index = _parse_field(path, lineno, int, row[1], "replica index")
+        cal_rmse = _parse_field(path, lineno, float, row[2], "cal_rmse")
+        val_rmse = _parse_field(path, lineno, float, row[3], "val_rmse") if row[3] else None
+        raw = [_parse_field(path, lineno, float, v, "weight") for v in row[4:]]
+        try:
+            weights = WeightVector.normalized(members, raw)
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
         strata.setdefault(row[0], []).append(ReplicaResult(
-            index=int(row[1]), weights=weights, cal_rmse=float(row[2]),
-            val_rmse=float(row[3]) if row[3] else None))
+            index=index, weights=weights, cal_rmse=cal_rmse, val_rmse=val_rmse))
     return members, strata, meta

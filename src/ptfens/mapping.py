@@ -6,9 +6,9 @@ ensemble is evaluated once per bootstrap replica at the three standard
 heads (0, 330 and 15000 cm of suction), and the replica spread becomes the
 uncertainty surface: the outputs are a mean grid and a coefficient of
 variation grid (sample std over replicas, ddof=1, divided by the mean) per
-head. Cells where any required layer is nodata, where the texture fractions
-are inconsistent, or where the replica mean is zero are nodata in the
-outputs; zero-mean cells are counted separately.
+head. Cells where any required layer is nodata, where a texture fraction is
+negative or the fractions do not sum to 100, or where the replica mean is
+zero are nodata in the outputs; zero-mean cells are counted separately.
 """
 
 from dataclasses import dataclass
@@ -189,6 +189,8 @@ def apply_ensemble_map(layers, replica_weights, heads=MAP_HEADS, topsoil=True,
         total = block["sand"] + block["silt"] + block["clay"]
         with np.errstate(invalid="ignore"):
             valid &= np.abs(total - 100.0) <= TEXTURE_SUM_TOLERANCE
+            for name in ("sand", "silt", "clay"):
+                valid &= block[name] >= 0.0
         if not np.any(valid):
             continue
         cells = {name: block[name][valid] for name in needed}

@@ -2,8 +2,10 @@
 
 Pressure head psi is a positive suction magnitude in cm of water throughout
 (0 = saturation, larger = drier). All parameter containers are immutable and
-validated on construction; the evaluators are pure functions that accept a
-scalar psi or an array of psi values.
+validated on construction and pack into the kernels' (family code, row)
+form. The curve formulas live only in _kernels.theta_points: theta_at
+evaluates one parameter set through it at a scalar psi or an array of psi
+values, and theta_many evaluates many parameter sets point by point.
 """
 
 from dataclasses import dataclass, field
@@ -114,44 +116,16 @@ def _check_psi(psi):
     return psi
 
 
-def vg_theta(p: VanGenuchtenParams, psi):
-    """Volumetric water content of a van Genuchten curve at suction psi (cm)."""
-    psi = _check_psi(psi)
-    with np.errstate(over="ignore"):
-        se = (1.0 + (p.alpha * psi) ** p.n) ** (1.0 / p.n - 1.0)
-    # convex-combination form evaluates the endpoints exactly
-    out = p.theta_s * se + p.theta_r * (1.0 - se)
-    return float(out) if out.ndim == 0 else out
-
-
-def bc_theta(p: BrooksCoreyParams, psi):
-    """Volumetric water content of a Brooks-Corey curve at suction psi (cm)."""
-    psi = _check_psi(psi)
-    wet = psi <= p.psi_b
-    ratio = p.psi_b / np.where(wet, p.psi_b, psi)
-    se = ratio**p.lambda_
-    out = np.where(wet, p.theta_s, p.theta_s * se + p.theta_r * (1.0 - se))
-    return float(out) if out.ndim == 0 else out
-
-
-def campbell_theta(p: CampbellParams, psi):
-    """Volumetric water content of a Campbell curve at suction psi (cm)."""
-    psi = _check_psi(psi)
-    wet = psi <= p.psi_e
-    ratio = p.psi_e / np.where(wet, p.psi_e, psi)
-    out = np.where(wet, p.theta_s, p.theta_s * ratio ** (1.0 / p.b))
-    return float(out) if out.ndim == 0 else out
-
-
 def theta_at(p: RetentionParams, psi):
-    """Water content at suction psi (cm), dispatched on the parameter family."""
-    if isinstance(p, VanGenuchtenParams):
-        return vg_theta(p, psi)
-    if isinstance(p, BrooksCoreyParams):
-        return bc_theta(p, psi)
-    if isinstance(p, CampbellParams):
-        return campbell_theta(p, psi)
-    raise ParameterError(f"not a retention parameter set: {p!r}")
+    """Water content of one curve at suction psi (cm), a scalar or an array."""
+    if not isinstance(p, (VanGenuchtenParams, BrooksCoreyParams, CampbellParams)):
+        raise ParameterError(f"not a retention parameter set: {p!r}")
+    psi = _check_psi(psi)
+    flat = psi.reshape(-1)
+    codes = np.full(flat.size, FAMILY_CODES[p.family], dtype=np.int8)
+    rows = np.broadcast_to(np.asarray(p.packed(), dtype=np.float64), (flat.size, 4))
+    out = _kernels.theta_points(codes, rows, flat).reshape(psi.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def derived_points(p: RetentionParams):

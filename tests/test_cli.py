@@ -17,9 +17,11 @@ from ptfens import (
     write_samples,
     write_weights,
 )
+from ptfens import _kernels
 from ptfens.cli import main, read_config
-from ptfens.ensemble import GLOBAL_STRATUM
-from helpers import synthetic_population
+from ptfens.ensemble import GLOBAL_STRATUM, ensemble_theta, point_matrix
+from ptfens.ptf import predict_batch
+from helpers import make_sample, synthetic_population
 
 SCHEMA_TEXT = """\
 sample_id = pedon
@@ -249,6 +251,65 @@ def test_predict_batch_and_missing_predictor(capsys, sample_file, tmp_path):
     assert code == 2
     assert "wosten" in err
 
+    no_oc = tmp_path / "no_oc.csv"
+    write_samples(no_oc, [make_sample("has_oc", 40, 40, 20, obs=[(330.0, 0.3)]),
+                          make_sample("lacks_oc", 40, 40, 20, oc=None,
+                                      obs=[(330.0, 0.3)])])
+    code, _, err = run(capsys, "predict", "--weights", needs_oc, "--data", no_oc,
+                       "--out", tmp_path / "predd")
+    assert code == 2
+    assert "'lacks_oc'" in err and "organic_carbon" in err
+
+
+def test_predict_data_is_the_batch_path(capsys, sample_file, tmp_path):
+    vector = WeightVector(members=(PtfId.COSBY1, PtfId.CARSEL, PtfId.RAWLS,
+                                   PtfId.WOSTEN), weights=(0.4, 0.3, 0.2, 0.1))
+    weights = tmp_path / "weights.tsv"
+    write_weights(weights, vector)
+    out = tmp_path / "pred"
+    code, _, _ = run(capsys, "predict", "--weights", weights, "--data", sample_file,
+                     "--psi", "330,15000", "--out", out)
+    assert code == 0
+    rows = [ln.split("\t") for ln in (out / "predictions.tsv").read_text().splitlines()[1:]]
+    got = np.array([float(r[2]) for r in rows])
+
+    # one predict_batch per member, theta_points on the sample-major points
+    samples = read_samples(sample_file)
+    arrays = {f: np.array([getattr(s, f) for s in samples])
+              for f in ("sand", "silt", "clay", "bulk_density", "organic_carbon")}
+    owner = np.repeat(np.arange(len(samples)), 2)
+    psi = np.tile([330.0, 15000.0], len(samples))
+    preds = np.empty((4, psi.size))
+    for k, m in enumerate(vector.members):
+        batch = predict_batch(m, **arrays)
+        preds[k] = _kernels.theta_points(batch.codes[owner], batch.rows[owner], psi)
+    eval_preds, _, eval_psi = point_matrix(vector.members, samples)  # what evaluate uses
+    assert np.array_equal(eval_psi, psi) and np.array_equal(eval_preds, preds)
+    assert [r[0] for r in rows] == [s.sample_id for s in samples for _ in range(2)]
+    assert np.array_equal(got, vector.as_array() @ preds)
+
+    per_record = [ensemble_theta(vector, PredictorRecord(
+        sand=s.sand, silt=s.silt, clay=s.clay, bulk_density=s.bulk_density,
+        organic_carbon=s.organic_carbon), h) for s in samples for h in (330.0, 15000.0)]
+    np.testing.assert_array_max_ulp(got, np.array(per_record), maxulp=1)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("ptf_id\tweight\ncosby1\n", ":2: expected 2 tab-separated fields"),
+    ("ptf_id\tweight\ncosby1\tabc\n", ":2: bad weight 'abc'"),
+    ("# seed = 0\nptf_id\tweight\ncosby1\t0.5\ncarsel\tx\n", ":4: bad weight 'x'"),
+    ("ptf_id\tweight\nbogus\t1.0\n", ":2: bad ptf_id 'bogus'"),
+    ("ptf_id\tweight\ncosby1\tnan\n", "weights must lie in [0, 1]"),
+    ("ptf_id\tweight\ncosby1\t1.0\udcff\n", "not UTF-8 text"),
+])
+def test_predict_malformed_weight_file(capsys, tmp_path, body, message):
+    weights = tmp_path / "weights.tsv"
+    weights.write_bytes(body.encode("utf-8", "surrogateescape"))
+    code, _, err = run(capsys, "predict", "--weights", weights, "--sand", "40",
+                       "--silt", "40", "--clay", "20", "--out", tmp_path / "pred")
+    assert code == 2
+    assert str(weights) in err and message in err
+
 
 def write_layer_grids(tmp_path):
     sand = np.array([[40.0, 65.0], [82.0, 10.0]])
@@ -290,6 +351,50 @@ def test_map_end_to_end(capsys, sample_file, tmp_path):
                        "--clay-grid", tmp_path / "clay.asc",
                        "--out", tmp_path / "maps2")
     assert code == 2 and "texture:clay" in err
+
+
+REPLICA_HEADER = "stratum\treplica\tcal_rmse\tval_rmse\tw_cosby1\tw_carsel\n"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("global\tfirst\t0.01\t\t0.7\t0.3\n", ":3: bad replica index 'first'"),
+    ("global\t1\t0.01\t\t0.7\tabc\n", ":3: bad weight 'abc'"),
+    ("global\t1\t0.01\t\t0.7\n", ":3: expected 6 tab-separated fields"),
+])
+def test_map_malformed_replica_table(capsys, tmp_path, row, message):
+    table = tmp_path / "replicas.tsv"
+    table.write_text(REPLICA_HEADER + "global\t0\t0.01\t\t0.5\t0.5\n" + row)
+    write_layer_grids(tmp_path)
+    code, _, err = run(capsys, "map", "--weights", table,
+                       "--sand-grid", tmp_path / "sand.asc",
+                       "--silt-grid", tmp_path / "silt.asc",
+                       "--clay-grid", tmp_path / "clay.asc", "--out", tmp_path / "maps")
+    assert code == 2
+    assert str(table) in err and message in err
+
+
+def test_map_negative_fraction_cell_is_nodata(capsys, tmp_path):
+    table = tmp_path / "replicas.tsv"
+    table.write_text(REPLICA_HEADER + "global\t0\t0.01\t\t0.7\t0.3\n"
+                     "global\t1\t0.01\t\t0.5\t0.5\n")
+    # the right cell sums to 100 but has a negative sand fraction
+    for name, values in (("sand", [40.0, -0.5]), ("silt", [40.0, 50.5]),
+                         ("clay", [20.0, 50.0])):
+        write_grid(tmp_path / f"{name}.asc", Grid(
+            ncols=2, nrows=1, xllcorner=0.0, yllcorner=0.0, cellsize=100.0,
+            nodata=-9999.0, values=np.array([values])))
+    out = tmp_path / "maps"
+    code, stdout, _ = run(capsys, "map", "--weights", table,
+                          "--sand-grid", tmp_path / "sand.asc",
+                          "--silt-grid", tmp_path / "silt.asc",
+                          "--clay-grid", tmp_path / "clay.asc", "--out", out)
+    assert code == 0
+    assert "valid_cells=1 " in stdout
+    for kind in ("mean", "cv"):
+        for label in ("sat", "fc", "wp"):
+            grid = read_grid(out / f"{kind}_{label}.asc")
+            assert grid.valid_mask().tolist() == [[True, False]]
+            assert grid.values[0, 1] == -9999.0
 
 
 def test_map_refuses_single_replica(capsys, sample_file, tmp_path):

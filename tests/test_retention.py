@@ -9,11 +9,8 @@ from ptfens import (
     InputError,
     ParameterError,
     VanGenuchtenParams,
-    bc_theta,
-    campbell_theta,
     derived_points,
     theta_at,
-    vg_theta,
 )
 from ptfens.retention import pack_params, theta_many
 
@@ -23,33 +20,34 @@ CMP = CampbellParams(theta_s=0.45, psi_e=5.0, b=4.0)
 
 
 def test_vg_known_values():
-    assert vg_theta(VG, 0.0) == 0.5
+    assert theta_at(VG, 0.0) == 0.5
     # (alpha*psi)^n = 1 at psi=100, so theta = 0.1 + 0.4 * 2^-0.5
-    assert vg_theta(VG, 100.0) == pytest.approx(0.1 + 0.4 / np.sqrt(2.0), abs=1e-12)
-    assert vg_theta(VG, 1e9) == pytest.approx(0.1, abs=1e-4)
+    assert theta_at(VG, 100.0) == pytest.approx(0.1 + 0.4 / np.sqrt(2.0), abs=1e-12)
+    assert theta_at(VG, 1e9) == pytest.approx(0.1, abs=1e-4)
 
 
 def test_bc_known_values():
-    assert bc_theta(BC, 5.0) == 0.4
-    assert bc_theta(BC, 40.0) == pytest.approx(0.4 * (10.0 / 40.0) ** 0.5, abs=1e-12)
-    assert bc_theta(BC, 40.0) == pytest.approx(0.2, abs=1e-12)
+    assert theta_at(BC, 5.0) == 0.4
+    assert theta_at(BC, 40.0) == pytest.approx(0.4 * (10.0 / 40.0) ** 0.5, abs=1e-12)
+    assert theta_at(BC, 40.0) == pytest.approx(0.2, abs=1e-12)
     # continuous right at the air entry, nonzero residual too
     p = BrooksCoreyParams(theta_r=0.05, theta_s=0.4, psi_b=10.0, lambda_=0.5)
-    assert bc_theta(p, 10.0) == pytest.approx(0.4, abs=1e-12)
+    assert theta_at(p, 10.0) == pytest.approx(0.4, abs=1e-12)
 
 
 def test_campbell_known_values():
-    assert campbell_theta(CMP, 5.0) == 0.45
-    assert campbell_theta(CMP, 0.0) == 0.45
-    assert campbell_theta(CMP, 80.0) == pytest.approx(0.225, abs=1e-12)
+    assert theta_at(CMP, 5.0) == 0.45
+    assert theta_at(CMP, 0.0) == 0.45
+    assert theta_at(CMP, 80.0) == pytest.approx(0.225, abs=1e-12)
 
 
 def test_theta_at_dispatch():
+    expected = {"vg": 0.1 + 0.4 / np.sqrt(2.0), "bc": 0.2, "cmp": 0.225}
     for p, psi in ((VG, 100.0), (BC, 40.0), (CMP, 80.0)):
-        assert theta_at(p, psi) == {
-            "vg": vg_theta, "bc": bc_theta, "cmp": campbell_theta,
-        }[p.family](p, psi)
-    assert theta_at(BC, 40.0) == pytest.approx(0.2, abs=1e-12)
+        assert theta_at(p, psi) == pytest.approx(expected[p.family], abs=1e-12)
+        assert isinstance(theta_at(p, psi), float)
+    with pytest.raises(ParameterError):
+        theta_at((0.1, 0.5, 0.01, 2.0), 100.0)
 
 
 def test_derived_points_vg():
@@ -136,12 +134,12 @@ def test_air_entry_continuity():
     rng = np.random.default_rng(12)
     eps = 1e-6
     for p in _random_params(rng, "bc", 200):
-        lo = bc_theta(p, p.psi_b * (1.0 - eps))
-        hi = bc_theta(p, p.psi_b * (1.0 + eps))
+        lo = theta_at(p, p.psi_b * (1.0 - eps))
+        hi = theta_at(p, p.psi_b * (1.0 + eps))
         assert abs(lo - hi) < 1e-5
     for p in _random_params(rng, "cmp", 200):
-        lo = campbell_theta(p, p.psi_e * (1.0 - eps))
-        hi = campbell_theta(p, p.psi_e * (1.0 + eps))
+        lo = theta_at(p, p.psi_e * (1.0 - eps))
+        hi = theta_at(p, p.psi_e * (1.0 + eps))
         assert abs(lo - hi) < 1e-5
 
 

@@ -40,6 +40,9 @@ def test_boundaryish_points():
 
 def test_sum_tolerance():
     assert classify_texture(40.0, 40.0, 20.5) == "loam"  # 100.5 accepted
+    assert classify_texture(40.0, 40.0, 20.8) == "loam"  # 100.8 accepted
+    with pytest.raises(InputError):
+        classify_texture(40.0, 40.0, 21.2)  # 101.2
     with pytest.raises(InputError):
         classify_texture(40.0, 40.0, 22.0)  # 102
     with pytest.raises(InputError):
