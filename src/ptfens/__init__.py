@@ -1,7 +1,8 @@
 """Pedotransfer-function ensembles for soil water retention.
 
 Thirteen published point predictors of retention-curve parameters, weighted
-ensembles of them calibrated by a genetic algorithm with bootstrap
+ensembles of them calibrated by exact least squares on the weight simplex
+(or, as an opt-in, the paper's genetic algorithm) with bootstrap
 uncertainty, and application of calibrated ensembles to gridded soil layers.
 """
 
@@ -43,6 +44,7 @@ from .ensemble import (
     read_replica_table,
     read_weights,
     samples_theta,
+    simplex_weights,
     write_replica_table,
     write_weights,
 )

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AnnSpecError
+from .errors import AnnSpecError, open_text
 
 _ACTIVATIONS = {
     "sigmoid": lambda z: 1.0 / (1.0 + np.exp(-z)),
@@ -125,7 +125,7 @@ def _floats(parts, n, what, lineno):
 
 def read_ann_file(path):
     """Parse a network weight file into an AnnSpec."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, AnnSpecError) as fh:
         raw = fh.readlines()
     lines = [
         (i + 1, ln.strip()) for i, ln in enumerate(raw)

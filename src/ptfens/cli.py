@@ -20,7 +20,7 @@ import sys
 
 from . import __version__, coeffs, dataset, ensemble, mapping, metrics
 from .ensemble import GaConfig, WeightVector
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, open_text
 from .ptf import ALL_PTFS, GROUPS, PredictorRecord, PtfId, load_rosetta_weights
 from .retention import FIELD_CAPACITY_HEAD, SATURATION_HEAD, WILTING_POINT_HEAD
 
@@ -43,7 +43,7 @@ def _sha256(path):
 def read_config(path):
     """key = value file; # comments and blank lines ignored."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, ConfigError) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -117,7 +117,23 @@ def _select_members(settings):
     return ALL_PTFS
 
 
-def _ga_config(settings, seed):
+SOLVERS = ("exact", "ga")
+
+
+def _ga_config(settings, solver, seed):
+    """GaConfig under solver ga; None (the exact solver) otherwise.
+
+    ga_* keys tune only the genetic algorithm, so setting one without
+    solver ga is an error rather than a setting silently ignored.
+    """
+    if solver not in SOLVERS:
+        raise ConfigError(f"unknown solver {solver!r}; choose from {SOLVERS}")
+    if solver != "ga":
+        ga_keys = sorted(k for k in settings.config if k.startswith("ga_"))
+        if ga_keys:
+            raise ConfigError(f"config key {ga_keys[0]!r} tunes the genetic algorithm; "
+                              f"it needs solver = ga")
+        return None
     return GaConfig(
         population=settings.get("ga_population", 50, int),
         generations=settings.get("ga_generations", 200, int),
@@ -254,9 +270,11 @@ def cmd_calibrate(settings, out_dir, seed):
     members = _select_members(settings)
     n_replicas = settings.get("replicas", 100, int)
     scheme = settings.get("scheme", "global")
-    ga = _ga_config(settings, seed)
+    solver = settings.get("solver", "exact")
+    ga = _ga_config(settings, solver, seed)
     meta_base = {"members": ",".join(m.value for m in members),
-                 "replicas": n_replicas, "seed": seed, "scheme": scheme}
+                 "replicas": n_replicas, "seed": seed, "scheme": scheme,
+                 "solver": solver}
 
     if scheme == "global":
         result = ensemble.calibrate(members, samples, n_replicas=n_replicas,
@@ -437,6 +455,10 @@ def build_parser():
     p.add_argument("--min-stratum-points", type=int,
                    help="smallest stratum calibrated separately (default 50)")
     p.add_argument("--oc-edges", help="organic-carbon bin edges, percent")
+    p.add_argument("--solver", choices=SOLVERS,
+                   help="exact (default): active-set least squares on the weight "
+                        "simplex; ga: the paper's genetic algorithm, tuned by "
+                        "ga_* config keys")
 
     p = sub.add_parser("predict", parents=[common],
                        help="predict water content with calibrated weights")

@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, InputError, SchemaError
-from .texture import TEXTURE_SUM_TOLERANCE, USDA_CLASSES, classify_texture
+from .errors import ConfigError, InputError, SchemaError, open_text
+from .texture import TEXTURE_SUM_TOLERANCE, USDA_CLASSES, classify_texture_array
 
 ALLOWED_HEADS = (60.0, 100.0, 330.0, 1000.0, 2000.0, 15000.0)
 
@@ -126,7 +126,7 @@ def read_schema(path):
     columns = {}
     theta_columns = {}
     options = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, SchemaError) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -184,7 +184,7 @@ def _sniff_delimiter(sample_line):
 
 def ingest(path, schema):
     """Read a delimited source file into SoilSamples, logging rejected rows."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path, InputError, newline="") as fh:
         first = fh.readline()
         if not first.strip():
             raise InputError(f"{path}: empty input file")
@@ -345,6 +345,22 @@ def stratum_key(scheme, value):
     return f"{scheme}:{value}"
 
 
+def _texture_keys(samples):
+    """Texture stratum key of every sample from one classify_texture_array
+    call; a sample whose fractions are missing, non-finite, negative or off
+    the 100 +/- TEXTURE_SUM_TOLERANCE sum is 'unassigned'."""
+    fractions = np.array([(s.sand, s.silt, s.clay) for s in samples],
+                         dtype=np.float64).reshape(-1, 3)
+    valid = np.all(np.isfinite(fractions) & (fractions >= 0.0), axis=1)
+    sand, silt, clay = np.where(valid[:, None], fractions, 0.0).T
+    valid &= np.abs(sand + silt + clay - 100.0) <= TEXTURE_SUM_TOLERANCE
+    keys = ["unassigned"] * len(samples)
+    codes = classify_texture_array(sand[valid], silt[valid], clay[valid])
+    for i, code in zip(np.flatnonzero(valid).tolist(), codes.tolist()):
+        keys[i] = stratum_key("texture", USDA_CLASSES[code])
+    return keys
+
+
 def stratify(samples, scheme, oc_edges=DEFAULT_OC_EDGES):
     """Partition samples into strata; unresolvable samples go to 'unassigned'.
 
@@ -357,14 +373,13 @@ def stratify(samples, scheme, oc_edges=DEFAULT_OC_EDGES):
     if scheme == "pressure":
         raise ConfigError("the pressure scheme partitions observations, not samples; "
                           "use the stratified calibrator directly")
+    samples = tuple(samples)
+    texture_keys = _texture_keys(samples) if scheme == "texture" else None
     out = {}
-    for s in samples:
+    for i, s in enumerate(samples):
         key = "unassigned"
         if scheme == "texture":
-            try:
-                key = stratum_key(scheme, classify_texture(s.sand, s.silt, s.clay))
-            except InputError:
-                pass
+            key = texture_keys[i]
         elif scheme == "oc":
             idx = oc_bin(s.organic_carbon, oc_edges)
             if idx is not None:

@@ -2,12 +2,14 @@
 
 The ensemble prediction is the weighted mean of its member predictions,
 theta_ens = sum_j a_j theta_j / sum_j a_j, and calibration minimizes the
-sum of squared errors chi2(a) against observed water contents with a
-real-coded genetic algorithm over genomes in [0, 1]^m. Because the search
-space contains every single-member corner, a calibrated ensemble is never
-worse than its best member on the calibration points; the optimizer ends
-with an explicit corner sweep so that holds exactly, not just in
-expectation.
+sum of squared errors chi2(a) against observed water contents over the
+weight simplex. That objective is a convex quadratic, so the default
+calibrator, simplex_weights, solves it exactly with a primal active-set
+method. The paper's real-coded genetic algorithm, optimize_weights, runs
+only when a GaConfig is passed. Both return a vector that is never worse
+than the best single member on the calibration points: the active-set
+method starts from that corner and only descends, and the GA ends with an
+explicit corner sweep.
 
 Uncertainty comes from bootstrap replicas: each replica resamples whole
 samples with replacement, calibrates on the drawn points, and validates on
@@ -15,9 +17,9 @@ the out-of-bag samples. Stratified calibration runs the same procedure per
 stratum and falls back to the global weights for strata with too few points.
 
 All randomness derives from one master seed. Replica r of a calibration
-seeds its bootstrap draw with (seed..., r, 0) and its optimizer with
-(seed..., r, 1); stratum calibrations extend the seed with a crc32 of the
-stratum key. Reruns are bit-identical.
+seeds its bootstrap draw with (seed..., r, 0) and, under the GA, its
+optimizer with (seed..., r, 1); stratum calibrations extend the seed with a
+crc32 of the stratum key. Reruns are bit-identical.
 """
 
 import csv
@@ -28,7 +30,8 @@ import numpy as np
 
 from . import _kernels
 from .dataset import DEFAULT_OC_EDGES, bootstrap_split, stratify, stratum_key
-from .errors import ConfigError, InputError, MemberPredictionError, PtfensError
+from .errors import (ConfigError, InputError, MemberPredictionError, PtfensError,
+                     open_text)
 from .ptf import PtfId, predict, predict_batch, required_inputs
 from .retention import FIELD_CAPACITY_HEAD, WILTING_POINT_HEAD, _check_psi, theta_at
 
@@ -141,6 +144,101 @@ def _seed_path(seed):
     return tuple(int(p) for p in path)
 
 
+def _fit_inputs(member_preds, observed, members):
+    """Contiguous float64 (members, points) predictions, targets and member ids."""
+    member_preds = np.ascontiguousarray(member_preds, dtype=np.float64)
+    observed = np.ascontiguousarray(observed, dtype=np.float64)
+    if member_preds.ndim != 2 or member_preds.shape[1] != observed.size:
+        raise InputError(f"member predictions shape {member_preds.shape} does not match "
+                         f"{observed.size} points")
+    if members is None:
+        members = tuple(f"member_{j}" for j in range(member_preds.shape[0]))
+    if len(members) != member_preds.shape[0]:
+        raise InputError("member id list does not match the prediction rows")
+    return member_preds, observed, members
+
+
+def _support_solution(gram, lin, support):
+    """Weights on the support that minimize w'Gw - 2b'w subject to sum(w) = 1.
+
+    Solves the KKT system [[G_SS, 1], [1', 0]] [w; -mu] = [b_S; 1] by least
+    squares, so duplicate or collinear members (a singular G_SS) still get
+    a solution.
+    """
+    k = support.size
+    kkt = np.ones((k + 1, k + 1))
+    kkt[:k, :k] = gram[np.ix_(support, support)]
+    kkt[k, k] = 0.0
+    rhs = np.append(lin[support], 1.0)
+    return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+
+
+# A multiplier counts as non-negative down to -_KKT_TOL times the largest
+# diagonal entry of G: rounding in G w - b is about m * 1e-16 of G's scale,
+# and a member whose multiplier is this close to zero could lower chi2 by no
+# more than about its square.
+_KKT_TOL = 1e-12
+
+
+def simplex_weights(member_preds, observed, members=None):
+    """Exact least-squares ensemble weights on the simplex.
+
+    Minimizes chi2(w) = ||w @ P - y||^2 = w'Gw - 2b'w + y'y, with G = PP'
+    and b = Py, over w >= 0 and sum(w) = 1 by a primal active-set method
+    (Lawson & Hanson 1974): starting from the best single-member corner, it
+    solves the equality-constrained problem on the current support, steps
+    back to the boundary when a weight would turn negative, and adds the
+    member with the most negative multiplier (G w - b)_j - mu, until every
+    multiplier off the support is non-negative to within 1e-12 of G's
+    largest diagonal entry. Weights off the support are exact zeros, and
+    the result is never worse than the best corner. No random numbers are
+    drawn, so reruns return identical bytes.
+    """
+    member_preds, observed, members = _fit_inputs(member_preds, observed, members)
+    n_members = member_preds.shape[0]
+    gram = member_preds @ member_preds.T
+    lin = member_preds @ observed
+    corner_chi2 = np.sum((member_preds - observed) ** 2, axis=1)
+    best = int(np.argmin(corner_chi2))
+    tol = _KKT_TOL * float(np.max(np.diag(gram)))
+
+    w = np.zeros(n_members)
+    w[best] = 1.0
+    support = np.zeros(n_members, dtype=bool)
+    support[best] = True
+    # each pass either adds a member or drops at least one; the cap only
+    # guards against rounding making the walk cycle
+    for _ in range(10 * n_members):
+        idx = np.flatnonzero(support)
+        z = _support_solution(gram, lin, idx)
+        if np.all(z > 0.0):
+            w[idx] = z  # w is zero off the support throughout
+            grad = gram @ w - lin
+            multipliers = grad - grad[idx].mean()
+            multipliers[idx] = np.inf
+            j = int(np.argmin(multipliers))
+            if multipliers[j] >= -tol:
+                break
+            support[j] = True
+            continue
+        # step from w towards z until the first weight reaches zero
+        cur = w[idx]
+        neg = z <= 0.0
+        gap = cur[neg] - z[neg]
+        ratio = np.divide(cur[neg], gap, out=np.zeros_like(gap), where=gap > 0.0)
+        alpha = ratio.min()
+        if alpha <= 0.0:  # the member just added cannot enter: optimal to rounding
+            break
+        w[idx] = np.maximum(cur + alpha * (z - cur), 0.0)
+        w[idx[neg][ratio <= alpha]] = 0.0
+        support[idx[w[idx] == 0.0]] = False
+
+    result = WeightVector.normalized(members, w)
+    if chi2(result, member_preds, observed) > corner_chi2[best]:
+        result = WeightVector.normalized(members, np.eye(n_members)[best])
+    return result
+
+
 def optimize_weights(member_preds, observed, config=None, rng=None, members=None):
     """Fit ensemble weights to observations with the genetic algorithm.
 
@@ -150,16 +248,8 @@ def optimize_weights(member_preds, observed, config=None, rng=None, members=None
     and the best corner.
     """
     cfg = config or GaConfig()
-    member_preds = np.ascontiguousarray(member_preds, dtype=np.float64)
-    observed = np.ascontiguousarray(observed, dtype=np.float64)
-    if member_preds.ndim != 2 or member_preds.shape[1] != observed.size:
-        raise InputError(f"member predictions shape {member_preds.shape} does not match "
-                         f"{observed.size} points")
+    member_preds, observed, members = _fit_inputs(member_preds, observed, members)
     n_members = member_preds.shape[0]
-    if members is None:
-        members = tuple(f"member_{j}" for j in range(n_members))
-    if len(members) != n_members:
-        raise InputError("member id list does not match the prediction rows")
     if rng is None:
         rng = np.random.default_rng(_seed_path(cfg.seed))
 
@@ -353,10 +443,14 @@ def _calibrate_points(points, sample_points, n_replicas, ga, seed_path, samples)
                                   for sid in rep.calibration_ids])
         if cal_idx.size == 0:
             raise InputError("bootstrap replica drew no observation points")
-        rng = np.random.default_rng(seed_path + (rep.index, 1))
         preds_cal = np.ascontiguousarray(points.member_preds[:, cal_idx])
         obs_cal = np.ascontiguousarray(points.observed[cal_idx])
-        wv = optimize_weights(preds_cal, obs_cal, ga, rng=rng, members=points.members)
+        if ga is None:
+            wv = simplex_weights(preds_cal, obs_cal, members=points.members)
+        else:
+            rng = np.random.default_rng(seed_path + (rep.index, 1))
+            wv = optimize_weights(preds_cal, obs_cal, ga, rng=rng,
+                                  members=points.members)
 
         ens_chi2 = chi2(wv, preds_cal, obs_cal)
         corner = np.min(np.sum((preds_cal - obs_cal) ** 2, axis=1))
@@ -386,8 +480,11 @@ def _calibrate_points(points, sample_points, n_replicas, ga, seed_path, samples)
 
 
 def calibrate(members, samples, n_replicas=100, ga=None, seed=0):
-    """Bootstrap-calibrate ensemble weights on every observation point."""
-    ga = ga or GaConfig()
+    """Bootstrap-calibrate ensemble weights on every observation point.
+
+    Each replica is fitted by simplex_weights, or by the genetic algorithm
+    when a GaConfig is given.
+    """
     points = _PointSet(members, samples)
     return _calibrate_points(points, points.sample_points, n_replicas, ga,
                              _seed_path(seed), points.samples)
@@ -424,9 +521,9 @@ def calibrate_stratified(members, samples, scheme, n_replicas=100, ga=None,
     Sample-level schemes (texture, oc, order, temperature) partition samples;
     the pressure scheme calibrates separate vectors on the observations at
     330 and 15000 cm. Strata with fewer points than min_stratum_points are
-    not calibrated and use the global weights.
+    not calibrated and use the global weights. ga selects the solver as in
+    calibrate.
     """
-    ga = ga or GaConfig()
     seed_path = _seed_path(seed)
     points = _PointSet(members, samples)
     global_result = _calibrate_points(points, points.sample_points, n_replicas,
@@ -558,12 +655,8 @@ def _read_table(path):
     """# key = value metadata and the tab-split rows, with their line numbers."""
     meta = {}
     rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte "
-                             f"{exc.start})") from None
+    with open_text(path, InputError, newline="") as fh:
+        lines = fh.readlines()
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\r\n")
         if line.startswith("#"):

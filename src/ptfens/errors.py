@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the text-file opener
+that turns undecodable bytes into one of these errors.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataError (and
 subclasses) -> 2, anything else -> 3.
 """
+
+import io
 
 
 class PtfensError(Exception):
@@ -47,3 +50,20 @@ class CoregistrationError(DataError):
 
 class MemberPredictionError(DataError):
     """An ensemble member failed to predict; carries the member name."""
+
+
+def open_text(path, error, newline=None):
+    """A UTF-8 text file as a readable stream, decoded up front.
+
+    A byte that is not UTF-8 raises error (a ConfigError or DataError
+    subclass) naming the file and the offset of the byte in it, instead of
+    a UnicodeDecodeError surfacing mid-parse. newline has the meaning it has
+    for open().
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return io.StringIO(text, newline=newline)

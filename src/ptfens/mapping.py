@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import CoregistrationError, GridFormatError, InputError
+from .errors import CoregistrationError, GridFormatError, InputError, open_text
 from .ptf import predict_batch, required_inputs
 from .retention import FIELD_CAPACITY_HEAD, SATURATION_HEAD, WILTING_POINT_HEAD
 from .texture import TEXTURE_SUM_TOLERANCE, classify_texture_array
@@ -66,7 +66,7 @@ class Grid:
 
 def read_grid(path):
     """Parse an ESRI ASCII grid; strict six-line header in canonical order."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, GridFormatError) as fh:
         lines = fh.read().splitlines()
     header = {}
     for i, key in enumerate(_HEADER_KEYS):

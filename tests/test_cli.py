@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from ptfens import (
+    GaConfig,
     Grid,
     PredictorRecord,
     PtfId,
     WeightVector,
+    calibrate,
     predict_theta,
     read_grid,
     read_samples,
@@ -42,6 +44,7 @@ P3,40,40,20,1.3,0.8,0.70,0.20
 """
 
 GA_FAST = """\
+solver = ga
 ga_population = 12
 ga_generations = 8
 ga_stall_generations = 5
@@ -212,6 +215,68 @@ def test_calibrate_stratified_outputs(capsys, tmp_path):
     assert "psi:330" in table and "psi:15000" in table
 
 
+def replica_weights(path):
+    """Replica weight rows of a replicas.tsv, as floats."""
+    rows = [ln.split("\t") for ln in path.read_text().splitlines()
+            if not ln.startswith("#")]
+    return [[float(w) for w in row[4:]] for row in rows[1:]]
+
+
+def test_calibrate_default_solver_is_exact_and_deterministic(capsys, sample_file, tmp_path):
+    argv = ("calibrate", "--data", sample_file, "--members", "cosby1,carsel,wosten",
+            "--replicas", "3", "--seed", "3")
+    names = ("weights_global.tsv", "replicas.tsv", "summary.tsv", "manifest.json")
+    outputs = []
+    for _ in range(2):  # the manifest records --out, so both runs write to one place
+        code, _, _ = run(capsys, *argv, "--out", tmp_path / "a")
+        assert code == 0
+        outputs.append([(tmp_path / "a" / name).read_bytes() for name in names])
+    assert outputs[0] == outputs[1]
+    assert "# solver = exact" in (tmp_path / "a" / "replicas.tsv").read_text()
+    assert json.loads((tmp_path / "a" / "manifest.json").read_text())["settings"]["solver"] \
+        == "exact"
+
+    members = (PtfId.COSBY1, PtfId.CARSEL, PtfId.WOSTEN)
+    result = calibrate(members, read_samples(sample_file), n_replicas=3, seed=3)
+    assert replica_weights(tmp_path / "a" / "replicas.tsv") == \
+        [list(r.weights.weights) for r in result.replicas]
+
+
+def test_calibrate_solver_ga_matches_library(capsys, sample_file, tmp_path):
+    cfg = tmp_path / "ga.cfg"
+    cfg.write_text("ga_population = 10\nga_generations = 6\nga_stall_generations = 4\n")
+    code, _, _ = run(capsys, "calibrate", "--data", sample_file, "--solver", "ga",
+                     "--members", "cosby1,carsel,wosten", "--replicas", "3",
+                     "--seed", "4", "--config", cfg, "--out", tmp_path / "ga")
+    assert code == 0
+    assert "# solver = ga" in (tmp_path / "ga" / "replicas.tsv").read_text()
+
+    members = (PtfId.COSBY1, PtfId.CARSEL, PtfId.WOSTEN)
+    ga = GaConfig(population=10, generations=6, stall_generations=4)
+    result = calibrate(members, read_samples(sample_file), n_replicas=3, ga=ga, seed=4)
+    assert replica_weights(tmp_path / "ga" / "replicas.tsv") == \
+        [list(r.weights.weights) for r in result.replicas]
+    exact = calibrate(members, read_samples(sample_file), n_replicas=3, seed=4)
+    assert [r.weights for r in result.replicas] != [r.weights for r in exact.replicas]
+
+
+def test_calibrate_ga_key_needs_solver_ga(capsys, sample_file, tmp_path):
+    cfg = tmp_path / "ga.cfg"
+    cfg.write_text("replicas = 2\nga_generations = 6\n")
+    code, _, err = run(capsys, "calibrate", "--data", sample_file, "--config", cfg,
+                       "--members", "cosby1,carsel", "--out", tmp_path / "x")
+    assert code == 1 and "'ga_generations'" in err and "solver = ga" in err
+    assert not (tmp_path / "x" / "replicas.tsv").exists()
+
+    code, _, err = run(capsys, "calibrate", "--data", sample_file, "--solver", "newton",
+                       "--out", tmp_path / "y")
+    assert code == 1 and "newton" in err
+    (tmp_path / "bad.cfg").write_text("solver = newton\n")
+    code, _, err = run(capsys, "calibrate", "--data", sample_file,
+                       "--config", tmp_path / "bad.cfg", "--out", tmp_path / "z")
+    assert code == 1 and "newton" in err
+
+
 def test_predict_single_record(capsys, tmp_path):
     weights = tmp_path / "weights.tsv"
     write_weights(weights, WeightVector(members=(PtfId.CARSEL, PtfId.COSBY1),
@@ -309,6 +374,48 @@ def test_predict_malformed_weight_file(capsys, tmp_path, body, message):
                        "--silt", "40", "--clay", "20", "--out", tmp_path / "pred")
     assert code == 2
     assert str(weights) in err and message in err
+
+
+REPLICA_TABLE = ("stratum\treplica\tcal_rmse\tval_rmse\tw_cosby1\tw_carsel\n"
+                 "global\t0\t0.01\t\t0.5\t0.5\nglobal\t1\t0.01\t\t0.4\t0.6\n")
+
+
+def _non_utf8_case(reader, tmp_path, sample_file):
+    """(argv, file given the bad byte, expected exit code) for one reader."""
+    (tmp_path / "raw.csv").write_text(RAW_CSV)
+    (tmp_path / "schema.txt").write_text(SCHEMA_TEXT)
+    (tmp_path / "replicas.tsv").write_text(REPLICA_TABLE)
+    (tmp_path / "nets").mkdir()
+    (tmp_path / "nets" / "rosetta_h2w.ann").write_text("layers 3 2 4\n")
+    (tmp_path / "cfg.txt").write_text("replicas = 2\n")
+    write_layer_grids(tmp_path)
+    grids = ("--sand-grid", tmp_path / "sand.asc", "--silt-grid", tmp_path / "silt.asc",
+             "--clay-grid", tmp_path / "clay.asc")
+    out = ("--out", tmp_path / "out")
+    return {
+        "samples": (("evaluate", "--data", sample_file, *out), sample_file, 2),
+        "ingest": (("ingest", "--data", tmp_path / "raw.csv",
+                    "--schema", tmp_path / "schema.txt", *out), tmp_path / "raw.csv", 2),
+        "schema": (("ingest", "--data", tmp_path / "raw.csv",
+                    "--schema", tmp_path / "schema.txt", *out), tmp_path / "schema.txt", 2),
+        "grid": (("map", "--weights", tmp_path / "replicas.tsv", *grids, *out),
+                 tmp_path / "silt.asc", 2),
+        "ann": (("evaluate", "--data", sample_file, "--rosetta-dir", tmp_path / "nets",
+                 *out), tmp_path / "nets" / "rosetta_h2w.ann", 2),
+        "config": (("calibrate", "--data", sample_file, "--config", tmp_path / "cfg.txt",
+                    *out), tmp_path / "cfg.txt", 1),
+    }[reader]
+
+
+@pytest.mark.parametrize("reader", ["samples", "ingest", "schema", "grid", "ann", "config"])
+def test_non_utf8_input_is_a_reported_error(capsys, tmp_path, sample_file, reader):
+    argv, bad, expected = _non_utf8_case(reader, tmp_path, sample_file)
+    text = bad.read_bytes()
+    offset = text.index(b"\n") + 1  # first byte of the second line
+    bad.write_bytes(text[:offset] + b"\xff" + text[offset:])
+    code, _, err = run(capsys, *argv)
+    assert code == expected
+    assert f"{bad}: not UTF-8 text (invalid start byte at byte {offset})" in err
 
 
 def write_layer_grids(tmp_path):

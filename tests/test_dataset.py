@@ -1,5 +1,7 @@
 """Ingestion, quality filtering, stratification and bootstrap resampling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from ptfens.dataset import (
     write_removals,
     write_samples,
 )
+from ptfens.texture import classify_texture
 from helpers import make_sample
 
 SCHEMA = Schema(
@@ -215,6 +218,31 @@ def test_stratify_texture():
     groups = stratify(samples, "texture")
     assert {k: len(v) for k, v in groups.items()} == \
         {"texture:sand": 2, "texture:clay": 1}
+
+
+def test_stratify_texture_matches_per_sample_classification():
+    rng = np.random.default_rng(32)
+    samples = []
+    for i in range(40):
+        f = rng.dirichlet((2, 2, 2)) * 100
+        samples.append(make_sample(f"S{i}", *f, obs=[(330, 0.3)]))
+    samples[3] = replace(samples[3], sand=None)                  # missing
+    samples[7] = make_sample("neg", -0.5, 50.5, 50, obs=[(330, 0.3)])
+    samples[11] = make_sample("off", 40, 40, 25, obs=[(330, 0.3)])  # sums to 105
+    samples[12] = make_sample("edge", 40, 40, 20.9, obs=[(330, 0.3)])  # 100.9, kept
+    samples[19] = make_sample("nan", float("nan"), 50, 50, obs=[(330, 0.3)])
+    samples[23] = make_sample("inf", float("inf"), 50, 50, obs=[(330, 0.3)])
+
+    expected = {}
+    for s in samples:  # the per-sample reference
+        try:
+            key = stratum_key("texture", classify_texture(s.sand, s.silt, s.clay))
+        except InputError:
+            key = "unassigned"
+        expected.setdefault(key, []).append(s.sample_id)
+    groups = stratify(samples, "texture")
+    assert {k: [s.sample_id for s in v] for k, v in groups.items()} == expected
+    assert [s.sample_id for s in groups["unassigned"]] == ["S3", "neg", "off", "nan", "inf"]
 
 
 def test_stratify_oc_bins():

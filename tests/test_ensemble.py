@@ -1,7 +1,10 @@
 """Weighted-mean ensembles: objective, optimizer, bootstrap calibration."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptfens import (
     CalibrationResult,
@@ -20,6 +23,7 @@ from ptfens import (
     predict_with_model,
     read_replica_table,
     read_weights,
+    simplex_weights,
     write_replica_table,
     write_weights,
 )
@@ -197,6 +201,128 @@ def test_optimizer_deterministic():
 def test_optimizer_rejects_shape_mismatch():
     with pytest.raises(InputError):
         optimize_weights(np.ones((2, 3)), np.zeros(4))
+
+
+def brute_force_chi2(preds, observed):
+    """Best chi2 over every support: the equality-constrained least-squares
+    optimum on each support, kept when its weights are non-negative."""
+    m = preds.shape[0]
+    gram = preds @ preds.T
+    lin = preds @ observed
+    best = np.inf
+    for k in range(1, m + 1):
+        for support in itertools.combinations(range(m), k):
+            idx = list(support)
+            kkt = np.ones((k + 1, k + 1))
+            kkt[:k, :k] = gram[np.ix_(idx, idx)]
+            kkt[k, k] = 0.0
+            z = np.linalg.lstsq(kkt, np.append(lin[idx], 1.0), rcond=None)[0][:k]
+            if np.all(z >= 0.0):
+                w = np.zeros(m)
+                w[idx] = z
+                best = min(best, float(np.sum((w @ preds - observed) ** 2)))
+    return best
+
+
+_THETA = st.integers(0, 600).map(lambda k: k / 1000.0)
+
+
+@st.composite
+def fit_problems(draw):
+    """(members, points) predictions and targets: water contents on a 0.001
+    grid; targets are either free or a noisy mix of the members, and the
+    last member may duplicate the first."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 25))
+    preds = np.array(draw(st.lists(_THETA, min_size=m * n, max_size=m * n)))
+    preds = preds.reshape(m, n)
+    if m > 1 and draw(st.booleans()):
+        preds[-1] = preds[0]
+    mix = np.array(draw(st.lists(st.integers(0, 5), min_size=m, max_size=m)), float)
+    if mix.sum() > 0 and draw(st.booleans()):
+        noise = np.array(draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n)))
+        observed = mix / mix.sum() @ preds + noise / 1000.0
+    else:
+        observed = np.array(draw(st.lists(_THETA, min_size=n, max_size=n)))
+    return preds, observed
+
+
+SOLVER_PROPERTIES = settings(max_examples=200, deadline=None, derandomize=True,
+                             database=None)
+
+
+@SOLVER_PROPERTIES
+@given(fit_problems())
+def test_simplex_weights_kkt_conditions(problem):
+    preds, observed = problem
+    w = simplex_weights(preds, observed).as_array()
+    gram = preds @ preds.T
+    grad = gram @ w - preds @ observed
+    tol = 1e-10 * max(float(np.max(np.diag(gram))), 1e-300)
+    on = w > 0.0
+    assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
+    mu = grad[on].mean()
+    assert np.all(np.abs(grad[on] - mu) <= tol)   # equal gradient on the support
+    assert np.all(grad[~on] - mu >= -tol)          # non-negative multipliers off it
+
+
+@SOLVER_PROPERTIES
+@given(fit_problems())
+def test_simplex_weights_matches_brute_force_and_beats_corners_and_ga(problem):
+    preds, observed = problem
+    wv = simplex_weights(preds, observed)
+    got = chi2(wv, preds, observed)
+    best = brute_force_chi2(preds, observed)
+    # 1e-12 relative, plus the rounding of chi2 itself: a residual good to
+    # about 1e-16 moves chi2 by about 2e-16 * sum|r| <= 2e-16 * sqrt(n chi2),
+    # and on an exact fit chi2 is n residuals of rounding size (< 1e-13)
+    n = observed.size
+    assert abs(got - best) <= 1e-12 * best + 1e-14 * np.sqrt(n * best) + n * 1e-26
+    assert got <= np.min(np.sum((preds - observed) ** 2, axis=1))
+    ga = optimize_weights(preds, observed, GaConfig(population=8, generations=5, seed=0))
+    assert got <= chi2(ga, preds, observed) * (1.0 + 1e-12) + 1e-300
+    again = simplex_weights(preds, observed)
+    assert again.as_array().tobytes() == wv.as_array().tobytes()
+
+
+def test_simplex_weights_edge_cases():
+    rng = np.random.default_rng(58)
+    p = rng.uniform(0.05, 0.5, size=(3, 40))
+    y = 0.3 * p[0] + 0.7 * p[1] + rng.normal(0.0, 0.01, size=40)
+
+    one = simplex_weights(p[:1], y, members=("only",))          # m = 1
+    assert one.members == ("only",) and one.weights == (1.0,)
+
+    exact = simplex_weights(p, p[2])                             # data = member 2
+    assert exact.weights == (0.0, 0.0, 1.0)
+    near = simplex_weights(p[:2], (1.0 - 1e-6) * p[0] + 1e-6 * p[1])  # barely off it
+    assert near.weights[1] == pytest.approx(1e-6, rel=1e-6)
+
+    dup = simplex_weights(np.vstack([p[0], p[0], p[1]]), y)     # duplicate members
+    pair = simplex_weights(p[:2], y)
+    assert dup.weights[0] + dup.weights[1] == pytest.approx(pair.weights[0], abs=1e-9)
+    assert chi2(dup, np.vstack([p[0], p[0], p[1]]), y) == pytest.approx(
+        chi2(pair, p[:2], y), rel=1e-12)
+
+    few = rng.uniform(0.05, 0.5, size=(6, 3))                    # fewer points than members
+    target = rng.uniform(0.05, 0.5, size=3)
+    wv = simplex_weights(few, target)
+    assert chi2(wv, few, target) <= brute_force_chi2(few, target) + 1e-15
+
+    with pytest.raises(InputError):
+        simplex_weights(np.ones((2, 3)), np.zeros(4))
+
+
+def test_calibrate_default_is_simplex_weights():
+    rng = np.random.default_rng(59)
+    samples = synthetic_population(rng, 20, PtfId.WOSTEN, noise=0.02)
+    result = calibrate(MEMBERS, samples, n_replicas=3, seed=21)
+    preds, observed, _ = point_matrix(MEMBERS, samples)  # two points per sample
+    index = {s.sample_id: i for i, s in enumerate(samples)}
+    for rep, fitted in zip(bootstrap_split(samples, 3, (21,)), result.replicas):
+        cols = [2 * index[sid] + k for sid in rep.calibration_ids for k in (0, 1)]
+        assert fitted.weights == simplex_weights(preds[:, cols], observed[cols],
+                                                 members=MEMBERS)
 
 
 def test_point_matrix_shapes():
