@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import __version__, coeffs, dataset, ensemble, mapping, metrics
-from .ensemble import GaConfig, WeightVector
+from .ensemble import WeightVector
 from .errors import ConfigError, DataError, open_text
 from .ptf import ALL_PTFS, GROUPS, PredictorRecord, PtfId, load_rosetta_weights
 from .retention import FIELD_CAPACITY_HEAD, SATURATION_HEAD, WILTING_POINT_HEAD
@@ -115,37 +115,6 @@ def _select_members(settings):
                 raise ConfigError(f"unknown PTF {name!r}; valid ids: {valid}") from None
         return tuple(out)
     return ALL_PTFS
-
-
-SOLVERS = ("exact", "ga")
-
-
-def _ga_config(settings, solver, seed):
-    """GaConfig under solver ga; None (the exact solver) otherwise.
-
-    ga_* keys tune only the genetic algorithm, so setting one without
-    solver ga is an error rather than a setting silently ignored.
-    """
-    if solver not in SOLVERS:
-        raise ConfigError(f"unknown solver {solver!r}; choose from {SOLVERS}")
-    if solver != "ga":
-        ga_keys = sorted(k for k in settings.config if k.startswith("ga_"))
-        if ga_keys:
-            raise ConfigError(f"config key {ga_keys[0]!r} tunes the genetic algorithm; "
-                              f"it needs solver = ga")
-        return None
-    return GaConfig(
-        population=settings.get("ga_population", 50, int),
-        generations=settings.get("ga_generations", 200, int),
-        stall_generations=settings.get("ga_stall_generations", 30, int),
-        crossover_prob=settings.get("ga_crossover_prob", 0.8, float),
-        blx_alpha=settings.get("ga_blx_alpha", 0.5, float),
-        mutation_prob=settings.get("ga_mutation_prob", 0.1, float),
-        mutation_sigma=settings.get("ga_mutation_sigma", 0.1, float),
-        tournament=settings.get("ga_tournament", 3, int),
-        elitism=settings.get("ga_elitism", 2, int),
-        seed=seed,
-    )
 
 
 def _write_manifest(out_dir, command, settings, input_paths):
@@ -270,15 +239,12 @@ def cmd_calibrate(settings, out_dir, seed):
     members = _select_members(settings)
     n_replicas = settings.get("replicas", 100, int)
     scheme = settings.get("scheme", "global")
-    solver = settings.get("solver", "exact")
-    ga = _ga_config(settings, solver, seed)
     meta_base = {"members": ",".join(m.value for m in members),
-                 "replicas": n_replicas, "seed": seed, "scheme": scheme,
-                 "solver": solver}
+                 "replicas": n_replicas, "seed": seed, "scheme": scheme}
 
     if scheme == "global":
         result = ensemble.calibrate(members, samples, n_replicas=n_replicas,
-                                    ga=ga, seed=seed)
+                                    seed=seed)
         calibrations = {ensemble.GLOBAL_STRATUM: result}
         ensemble.write_weights(
             os.path.join(out_dir, "weights_global.tsv"), result.mean_weights,
@@ -297,7 +263,7 @@ def cmd_calibrate(settings, out_dir, seed):
         if raw_edges:
             oc_edges = tuple(float(e) for e in str(raw_edges).split(","))
         model = ensemble.calibrate_stratified(
-            members, samples, scheme, n_replicas=n_replicas, ga=ga, seed=seed,
+            members, samples, scheme, n_replicas=n_replicas, seed=seed,
             min_stratum_points=settings.get("min_stratum_points", 50, int),
             oc_edges=oc_edges)
         calibrations = model.calibrations
@@ -455,10 +421,6 @@ def build_parser():
     p.add_argument("--min-stratum-points", type=int,
                    help="smallest stratum calibrated separately (default 50)")
     p.add_argument("--oc-edges", help="organic-carbon bin edges, percent")
-    p.add_argument("--solver", choices=SOLVERS,
-                   help="exact (default): active-set least squares on the weight "
-                        "simplex; ga: the paper's genetic algorithm, tuned by "
-                        "ga_* config keys")
 
     p = sub.add_parser("predict", parents=[common],
                        help="predict water content with calibrated weights")

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ptfens import (
-    GaConfig,
     Grid,
     PredictorRecord,
     PtfId,
@@ -42,14 +41,6 @@ P1,40,40,20,1.4,1.2,0.30,0.15
 P2,40,40,20,2.5,1.0,0.31,0.16
 P3,40,40,20,1.3,0.8,0.70,0.20
 """
-
-GA_FAST = """\
-solver = ga
-ga_population = 12
-ga_generations = 8
-ga_stall_generations = 5
-"""
-
 
 @pytest.fixture
 def ingest_dir(tmp_path):
@@ -150,10 +141,8 @@ def test_evaluate_bad_member_name(capsys, sample_file, tmp_path):
 
 
 def test_calibrate_outputs_and_determinism(capsys, sample_file, tmp_path):
-    cfg = tmp_path / "ga.cfg"
-    cfg.write_text(GA_FAST)
     argv = ("calibrate", "--data", sample_file, "--members", "cosby1,carsel",
-            "--replicas", "3", "--seed", "3", "--config", cfg)
+            "--replicas", "3", "--seed", "3")
     code, stdout, _ = run(capsys, *argv, "--out", tmp_path / "a")
     assert code == 0
     assert "stratum=global" in stdout and "cal_rmse=" in stdout
@@ -175,8 +164,8 @@ def test_calibrate_outputs_and_determinism(capsys, sample_file, tmp_path):
 
 
 def test_calibrate_flag_beats_config(capsys, sample_file, tmp_path):
-    cfg = tmp_path / "ga.cfg"
-    cfg.write_text(GA_FAST + "replicas = 3\n")
+    cfg = tmp_path / "cal.cfg"
+    cfg.write_text("replicas = 3\n")
     code, _, _ = run(capsys, "calibrate", "--data", sample_file,
                      "--members", "cosby1,carsel", "--config", cfg,
                      "--replicas", "2", "--seed", "1", "--out", tmp_path / "c")
@@ -199,13 +188,11 @@ def test_calibrate_stratified_outputs(capsys, tmp_path):
     samples = synthetic_population(rng, 20, PtfId.COSBY1, noise=0.02)
     data = tmp_path / "samples.csv"
     write_samples(data, samples)
-    cfg = tmp_path / "ga.cfg"
-    cfg.write_text(GA_FAST)
     out = tmp_path / "strat"
     code, stdout, _ = run(capsys, "calibrate", "--data", data,
                           "--members", "cosby1,carsel", "--scheme", "pressure",
                           "--replicas", "2", "--min-stratum-points", "10",
-                          "--seed", "2", "--config", cfg, "--out", out)
+                          "--seed", "2", "--out", out)
     assert code == 0
     assert "pooled_rmse_stratified=" in stdout and "n_params=4" in stdout
     assert (out / "weights_global.tsv").exists()
@@ -222,7 +209,7 @@ def replica_weights(path):
     return [[float(w) for w in row[4:]] for row in rows[1:]]
 
 
-def test_calibrate_default_solver_is_exact_and_deterministic(capsys, sample_file, tmp_path):
+def test_calibrate_matches_library_and_reruns_identically(capsys, sample_file, tmp_path):
     argv = ("calibrate", "--data", sample_file, "--members", "cosby1,carsel,wosten",
             "--replicas", "3", "--seed", "3")
     names = ("weights_global.tsv", "replicas.tsv", "summary.tsv", "manifest.json")
@@ -232,49 +219,11 @@ def test_calibrate_default_solver_is_exact_and_deterministic(capsys, sample_file
         assert code == 0
         outputs.append([(tmp_path / "a" / name).read_bytes() for name in names])
     assert outputs[0] == outputs[1]
-    assert "# solver = exact" in (tmp_path / "a" / "replicas.tsv").read_text()
-    assert json.loads((tmp_path / "a" / "manifest.json").read_text())["settings"]["solver"] \
-        == "exact"
 
     members = (PtfId.COSBY1, PtfId.CARSEL, PtfId.WOSTEN)
     result = calibrate(members, read_samples(sample_file), n_replicas=3, seed=3)
     assert replica_weights(tmp_path / "a" / "replicas.tsv") == \
         [list(r.weights.weights) for r in result.replicas]
-
-
-def test_calibrate_solver_ga_matches_library(capsys, sample_file, tmp_path):
-    cfg = tmp_path / "ga.cfg"
-    cfg.write_text("ga_population = 10\nga_generations = 6\nga_stall_generations = 4\n")
-    code, _, _ = run(capsys, "calibrate", "--data", sample_file, "--solver", "ga",
-                     "--members", "cosby1,carsel,wosten", "--replicas", "3",
-                     "--seed", "4", "--config", cfg, "--out", tmp_path / "ga")
-    assert code == 0
-    assert "# solver = ga" in (tmp_path / "ga" / "replicas.tsv").read_text()
-
-    members = (PtfId.COSBY1, PtfId.CARSEL, PtfId.WOSTEN)
-    ga = GaConfig(population=10, generations=6, stall_generations=4)
-    result = calibrate(members, read_samples(sample_file), n_replicas=3, ga=ga, seed=4)
-    assert replica_weights(tmp_path / "ga" / "replicas.tsv") == \
-        [list(r.weights.weights) for r in result.replicas]
-    exact = calibrate(members, read_samples(sample_file), n_replicas=3, seed=4)
-    assert [r.weights for r in result.replicas] != [r.weights for r in exact.replicas]
-
-
-def test_calibrate_ga_key_needs_solver_ga(capsys, sample_file, tmp_path):
-    cfg = tmp_path / "ga.cfg"
-    cfg.write_text("replicas = 2\nga_generations = 6\n")
-    code, _, err = run(capsys, "calibrate", "--data", sample_file, "--config", cfg,
-                       "--members", "cosby1,carsel", "--out", tmp_path / "x")
-    assert code == 1 and "'ga_generations'" in err and "solver = ga" in err
-    assert not (tmp_path / "x" / "replicas.tsv").exists()
-
-    code, _, err = run(capsys, "calibrate", "--data", sample_file, "--solver", "newton",
-                       "--out", tmp_path / "y")
-    assert code == 1 and "newton" in err
-    (tmp_path / "bad.cfg").write_text("solver = newton\n")
-    code, _, err = run(capsys, "calibrate", "--data", sample_file,
-                       "--config", tmp_path / "bad.cfg", "--out", tmp_path / "z")
-    assert code == 1 and "newton" in err
 
 
 def test_predict_single_record(capsys, tmp_path):
@@ -429,12 +378,10 @@ def write_layer_grids(tmp_path):
 
 
 def test_map_end_to_end(capsys, sample_file, tmp_path):
-    cfg = tmp_path / "ga.cfg"
-    cfg.write_text(GA_FAST)
     cal = tmp_path / "cal"
     code, _, _ = run(capsys, "calibrate", "--data", sample_file,
                      "--members", "cosby1,carsel", "--replicas", "3",
-                     "--seed", "5", "--config", cfg, "--out", cal)
+                     "--seed", "5", "--out", cal)
     assert code == 0
 
     write_layer_grids(tmp_path)
@@ -505,12 +452,10 @@ def test_map_negative_fraction_cell_is_nodata(capsys, tmp_path):
 
 
 def test_map_refuses_single_replica(capsys, sample_file, tmp_path):
-    cfg = tmp_path / "ga.cfg"
-    cfg.write_text(GA_FAST)
     cal = tmp_path / "cal1"
     code, _, _ = run(capsys, "calibrate", "--data", sample_file,
                      "--members", "cosby1,carsel", "--replicas", "1",
-                     "--seed", "5", "--config", cfg, "--out", cal)
+                     "--seed", "5", "--out", cal)
     assert code == 0
     write_layer_grids(tmp_path)
     code, _, err = run(capsys, "map", "--weights", cal / "replicas.tsv",
