@@ -9,6 +9,7 @@ record plus a float64 row of up to four parameters,
 
 theta_points is the one implementation of the three curve formulas; the
 scalar evaluator retention.theta_at and every batch path call it.
+replica_mean_std gives the map's replica spread in closed form from the weights.
 """
 
 import numpy as np
@@ -67,18 +68,18 @@ def chi2_population(pop, preds, observed):
     return np.einsum("ij,ij->i", resid, resid)
 
 
-def replica_mean_std(est):
-    """Across-replica mean and sample standard deviation (ddof=1).
+def replica_mean_std(weights, thetas):
+    """Across-replica mean and sample std (ddof=1) of weights @ thetas.
 
-    est: (n_replicas, n_points) with n_replicas >= 2. Columns whose replicas
-    all agree exactly report sd 0 and the shared value (the generic mean/std
-    path would leave rounding residue there).
-    """
-    mean = est.mean(axis=0)
-    sd = est.std(axis=0, ddof=1)
-    same = est.min(axis=0) == est.max(axis=0)
-    if same.any():
-        mean[same] = est[0, same]
-        sd[same] = 0.0
-    return mean, sd
-
+    weights: (n_replicas >= 2, n_members); thetas: (n_members, n_points).
+    With D = QR the centred weights, the mean is mean_row @ theta and the sd
+    ||R theta|| / sqrt(n_replicas - 1): O(m**2) per point, never negative, no
+    (replicas x points) matrix. Identical rows give sd 0 and row 0's estimate
+    exactly (a float mean of identical rows can differ from the row)."""
+    if (weights == weights[0]).all():
+        mean = weights[0] @ thetas
+        return mean, np.zeros_like(mean)
+    mean_row = weights.mean(axis=0)
+    spread = np.linalg.qr(weights - mean_row, mode="r") @ thetas  # R theta
+    sd = np.sqrt(np.einsum("ij,ij->j", spread, spread) / (len(weights) - 1))
+    return mean_row @ thetas, sd

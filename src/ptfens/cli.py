@@ -1,12 +1,11 @@
 """Command line interface.
 
 Subcommands: ingest, evaluate, calibrate, predict, map. Global flags:
---config (key = value file), --seed, --out, --threads (validated, has no
-effect). Explicit flags win over config-file values, which win over
-defaults. Every run writes a manifest.json into the output directory
-recording the settings, the sha256 of each input file, and the sha256 of
-every shipped coefficient file; the manifest carries no timestamps so
-identical runs produce identical bytes.
+--config (key = value file), --seed, --out, --rosetta-dir. Explicit flags
+win over config-file values, which win over defaults. Every run writes a
+manifest.json into the output directory recording the settings, the sha256
+of each input file, and the sha256 of every shipped coefficient file; the
+manifest carries no timestamps so identical runs produce identical bytes.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 bad input data,
 3 internal error.
@@ -363,8 +362,7 @@ def cmd_map(settings, out_dir, seed):
         organic_carbon=grids.get("organic_carbon"))
 
     product = mapping.apply_ensemble_map(
-        layers, vectors, topsoil=settings.get("topsoil", True, bool),
-        block_rows=settings.get("block_rows", 256, int))
+        layers, vectors, topsoil=settings.get("topsoil", True, bool))
     for head in mapping.MAP_HEADS:
         label = mapping.HEAD_LABELS[head]
         mapping.write_grid(os.path.join(out_dir, f"mean_{label}.asc"),
@@ -374,6 +372,9 @@ def cmd_map(settings, out_dir, seed):
     _write_manifest(out_dir, "map", settings, [table_path] + list(paths.values()))
     print(f"stratum={stratum} replicas={len(vectors)} "
           f"valid_cells={product.n_valid_cells} "
+          f"missing_layer_cells={product.missing_layer_cells} "
+          f"texture_sum_cells={product.texture_sum_cells} "
+          f"negative_fraction_cells={product.negative_fraction_cells} "
           f"zero_mean_cv_cells={product.cv_zero_mean_cells}")
     return 0
 
@@ -391,8 +392,6 @@ def build_parser():
     common.add_argument("--config", help="key = value settings file")
     common.add_argument("--seed", type=int, help="master random seed (default 0)")
     common.add_argument("--out", help="output directory (default .)")
-    common.add_argument("--threads", type=int,
-                        help="validated (must be >= 1); has no effect")
     common.add_argument("--rosetta-dir",
                         help="directory with rosetta_*.ann network weight files")
 
@@ -444,7 +443,6 @@ def build_parser():
     p.add_argument("--clay-grid")
     p.add_argument("--bd-grid")
     p.add_argument("--oc-grid")
-    p.add_argument("--block-rows", type=int)
     p.add_argument("--topsoil", type=int, choices=(0, 1))
     return parser
 
@@ -467,9 +465,6 @@ def main(argv=None):
             raise ConfigError("--seed must be non-negative")
         out_dir = settings.get("out", ".")
         os.makedirs(out_dir, exist_ok=True)
-        threads = settings.get("threads", None, int)  # validated, has no effect
-        if threads is not None and threads < 1:
-            raise ConfigError("--threads must be at least 1")
 
         if args.command == "ingest":
             return cmd_ingest(settings, out_dir)

@@ -2,13 +2,14 @@
 
 Soil property layers come in as ESRI ASCII grids (six header lines, then
 nrows lines of ncols values, top row first). For every valid cell the
-ensemble is evaluated once per bootstrap replica at the three standard
-heads (0, 330 and 15000 cm of suction), and the replica spread becomes the
-uncertainty surface: the outputs are a mean grid and a coefficient of
-variation grid (sample std over replicas, ddof=1, divided by the mean) per
-head. Cells where any required layer is nodata, where a texture fraction is
-negative or the fractions do not sum to 100, or where the replica mean is
-zero are nodata in the outputs; zero-mean cells are counted separately.
+members are evaluated once at the three standard heads (0, 330 and 15000 cm
+of suction); the mean and sample std (ddof=1) of the bootstrap replicas'
+ensemble estimates come in closed form from the replica weights
+(_kernels.replica_mean_std), giving a mean grid and a coefficient of
+variation grid (std over mean) per head. Cells where any required layer is
+nodata, where a texture fraction is negative or the fractions do not sum to
+100, or where the replica mean is zero are nodata in the outputs;
+MapProduct counts them by reason.
 """
 
 from dataclasses import dataclass
@@ -54,8 +55,10 @@ class Grid:
     def georef(self):
         return (self.ncols, self.nrows, self.xllcorner, self.yllcorner, self.cellsize)
 
-    def valid_mask(self):
-        return np.isfinite(self.values) & (self.values != self.nodata)
+    def valid_mask(self, rows=slice(None)):
+        """Cells holding data, over all rows or the given slice of rows."""
+        values = self.values[rows]
+        return np.isfinite(values) & (values != self.nodata)
 
     def like(self, values, nodata=None):
         """New grid sharing this grid's georeferencing."""
@@ -143,19 +146,29 @@ class SoilLayerStack:
 
 @dataclass(eq=False)
 class MapProduct:
+    """Mean and CV grids per head, and nodata counts by reason: a cell is
+    counted under the first that applies (a required layer is nodata, the
+    fractions are off 100 ± TEXTURE_SUM_TOLERANCE, a fraction is negative);
+    cv_zero_mean_cells counts the (cell, head) pairs nodata in CV only."""
+
     mean: dict   # head (cm) -> Grid
     cv: dict     # head (cm) -> Grid
     n_valid_cells: int
     cv_zero_mean_cells: int
+    missing_layer_cells: int
+    texture_sum_cells: int
+    negative_fraction_cells: int
 
 
 def apply_ensemble_map(layers, replica_weights, heads=MAP_HEADS, topsoil=True,
-                       nodata=DEFAULT_NODATA, block_rows=256):
+                       nodata=DEFAULT_NODATA, block_cells=65536):
     """Mean and CV water-content grids from per-replica ensemble weights.
 
     replica_weights is the list of calibrated weight vectors, one per
     bootstrap replica, all over the same member list; at least two are
-    needed for a spread estimate.
+    needed for a spread estimate. Blocks of whole rows hold about
+    block_cells cells (at least one row), so memory is flat in raster width
+    and replica count.
     """
     replica_weights = list(replica_weights)
     if len(replica_weights) < 2:
@@ -164,8 +177,7 @@ def apply_ensemble_map(layers, replica_weights, heads=MAP_HEADS, topsoil=True,
     for wv in replica_weights[1:]:
         if wv.members != members:
             raise InputError("replica weight vectors disagree on the member list")
-    weight_matrix = np.ascontiguousarray(
-        np.stack([wv.as_array() for wv in replica_weights]))
+    weight_matrix = np.stack([wv.as_array() for wv in replica_weights])
 
     needed = sorted({f for m in members for f in required_inputs(m)})
     for name in needed:
@@ -174,23 +186,24 @@ def apply_ensemble_map(layers, replica_weights, heads=MAP_HEADS, topsoil=True,
 
     sand = layers.sand
     heads = tuple(float(h) for h in heads)
-    mean_out = {h: np.full((sand.nrows, sand.ncols), nodata) for h in heads}
-    cv_out = {h: np.full((sand.nrows, sand.ncols), nodata) for h in heads}
-    n_valid = 0
-    n_zero_mean = 0
+    mean_out = np.full((len(heads), sand.nrows, sand.ncols), nodata)
+    cv_out = np.full_like(mean_out, nodata)
+    n_valid = n_zero_mean = n_missing = n_sum = n_negative = 0
 
+    block_rows = max(1, block_cells // sand.ncols)
     for row0 in range(0, sand.nrows, block_rows):
-        row1 = min(row0 + block_rows, sand.nrows)
-        block = {name: layers.layer(name).values[row0:row1]
-                 for name in needed}
-        valid = np.ones((row1 - row0, sand.ncols), dtype=bool)
-        for name in needed:
-            valid &= layers.layer(name).valid_mask()[row0:row1]
-        total = block["sand"] + block["silt"] + block["clay"]
+        rows = slice(row0, row0 + block_rows)
+        block = {name: layers.layer(name).values[rows] for name in needed}
+        present = np.logical_and.reduce([layers.layer(n).valid_mask(rows) for n in needed])
+        fractions = np.stack([block["sand"], block["silt"], block["clay"]])
         with np.errstate(invalid="ignore"):
-            valid &= np.abs(total - 100.0) <= TEXTURE_SUM_TOLERANCE
-            for name in ("sand", "silt", "clay"):
-                valid &= block[name] >= 0.0
+            sum_ok = np.abs(fractions.sum(axis=0) - 100.0) <= TEXTURE_SUM_TOLERANCE
+            nonnegative = np.all(fractions >= 0.0, axis=0)
+        n_missing += int(np.count_nonzero(~present))
+        n_sum += int(np.count_nonzero(present & ~sum_ok))
+        valid = present & sum_ok
+        n_negative += int(np.count_nonzero(valid & ~nonnegative))
+        valid &= nonnegative
         if not np.any(valid):
             continue
         cells = {name: block[name][valid] for name in needed}
@@ -198,35 +211,25 @@ def apply_ensemble_map(layers, replica_weights, heads=MAP_HEADS, topsoil=True,
         n_valid += n_cells
 
         texture = classify_texture_array(cells["sand"], cells["silt"], cells["clay"])
-        thetas = np.empty((len(members), len(heads) * n_cells))
+        thetas = np.empty((len(members), len(heads), n_cells))
         for k, m in enumerate(members):
-            batch = predict_batch(
-                m, sand=cells.get("sand"), silt=cells.get("silt"),
-                clay=cells.get("clay"), bulk_density=cells.get("bulk_density"),
-                organic_carbon=cells.get("organic_carbon"), texture=texture,
-                topsoil=np.full(n_cells, 1.0 if topsoil else 0.0))
+            batch = predict_batch(m, texture=texture, **cells,
+                                  topsoil=np.full(n_cells, 1.0 if topsoil else 0.0))
             for t, head in enumerate(heads):
-                psi = np.full(n_cells, head)
-                thetas[k, t * n_cells:(t + 1) * n_cells] = _kernels.theta_points(
-                    batch.codes, batch.rows, psi)
+                thetas[k, t] = _kernels.theta_points(
+                    batch.codes, batch.rows, np.full(n_cells, head))
 
-        estimates = weight_matrix @ thetas  # (replicas, heads * cells)
-        est_mean, est_std = _kernels.replica_mean_std(np.ascontiguousarray(estimates))
-        for t, head in enumerate(heads):
-            m_slice = est_mean[t * n_cells:(t + 1) * n_cells]
-            s_slice = est_std[t * n_cells:(t + 1) * n_cells]
-            mean_block = np.full(valid.shape, nodata)
-            cv_block = np.full(valid.shape, nodata)
-            mean_block[valid] = m_slice
-            nonzero = m_slice != 0.0
-            n_zero_mean += int(np.sum(~nonzero))
-            cv_cells = np.full(n_cells, nodata)
-            cv_cells[nonzero] = s_slice[nonzero] / m_slice[nonzero]
-            cv_block[valid] = cv_cells
-            mean_out[head][row0:row1] = mean_block
-            cv_out[head][row0:row1] = cv_block
+        mean, sd = _kernels.replica_mean_std(weight_matrix, thetas.reshape(len(members), -1))
+        mean, sd = mean.reshape(len(heads), n_cells), sd.reshape(len(heads), n_cells)
+        nonzero = mean != 0.0
+        n_zero_mean += int(np.count_nonzero(~nonzero))
+        mean_out[:, rows][:, valid] = mean
+        cv_out[:, rows][:, valid] = np.divide(sd, mean, where=nonzero,
+                                              out=np.full_like(sd, nodata))
 
     return MapProduct(
-        mean={h: sand.like(mean_out[h], nodata=nodata) for h in heads},
-        cv={h: sand.like(cv_out[h], nodata=nodata) for h in heads},
-        n_valid_cells=n_valid, cv_zero_mean_cells=n_zero_mean)
+        mean={h: sand.like(mean_out[t], nodata=nodata) for t, h in enumerate(heads)},
+        cv={h: sand.like(cv_out[t], nodata=nodata) for t, h in enumerate(heads)},
+        n_valid_cells=n_valid, cv_zero_mean_cells=n_zero_mean,
+        missing_layer_cells=n_missing, texture_sum_cells=n_sum,
+        negative_fraction_cells=n_negative)

@@ -79,8 +79,6 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 1 and "not found" in err
     code, _, err = run(capsys, "calibrate", "--seed", "-1")
     assert code == 1 and "seed" in err
-    code, _, err = run(capsys, "calibrate", "--threads", "0")
-    assert code == 1 and "threads" in err
 
 
 def test_ingest_products(capsys, ingest_dir):
@@ -443,7 +441,8 @@ def test_map_negative_fraction_cell_is_nodata(capsys, tmp_path):
                           "--silt-grid", tmp_path / "silt.asc",
                           "--clay-grid", tmp_path / "clay.asc", "--out", out)
     assert code == 0
-    assert "valid_cells=1 " in stdout
+    assert ("valid_cells=1 missing_layer_cells=0 texture_sum_cells=0 "
+            "negative_fraction_cells=1 zero_mean_cv_cells=0") in stdout
     for kind in ("mean", "cv"):
         for label in ("sat", "fc", "wp"):
             grid = read_grid(out / f"{kind}_{label}.asc")

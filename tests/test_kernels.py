@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ptfens import _kernels
 from ptfens._kernels import FAMILY_BC, FAMILY_CMP, FAMILY_VG
@@ -53,15 +54,40 @@ def test_theta_points_matches_closed_form():
     assert all(math.isfinite(v) for v in got)
 
 
-def test_replica_mean_std_exact_column():
-    rng = np.random.default_rng(92)
-    est = rng.uniform(0.0, 0.6, size=(40, 300))
-    est[:, 7] = 0.1  # generic std leaves rounding residue on a constant column
-    mean, sd = _kernels.replica_mean_std(est)
-    others = np.arange(est.shape[1]) != 7
-    np.testing.assert_allclose(mean[others], est[:, others].mean(axis=0), rtol=1e-13)
-    np.testing.assert_allclose(sd[others], est[:, others].std(axis=0, ddof=1), rtol=1e-13)
-    assert sd[7] == 0.0 and mean[7] == 0.1
+@st.composite
+def spread_problems(draw):
+    """Replica weights (R x m) and member values (m x n): R from 2 to 200 and
+    m from 1 to 13 (R < m included); rows come from a pool of distinct rows,
+    so replicas may repeat, and a pool of one makes every row identical."""
+    n_replicas = draw(st.integers(2, 200))
+    m = draw(st.integers(1, 13))
+    n = draw(st.integers(1, 20))
+    pool = draw(st.one_of(st.just(1), st.integers(2, n_replicas)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.uniform(0.0, 1.0, size=(pool, m))
+    weights = rows[rng.integers(0, pool, size=n_replicas)]
+    thetas = rng.uniform(0.0, 0.6, size=(m, n))
+    return weights, thetas
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(spread_problems())
+# identical rows whose float mean is not row 0: only the explicit rule gives sd 0
+@example((np.tile([0.1, 0.7, 0.2], (7, 1)),
+          np.array([[0.3, 0.05], [0.45, 0.2], [0.1, 0.0]])))
+def test_replica_mean_std_matches_explicit_estimates(problem):
+    weights, thetas = problem
+    mean, sd = _kernels.replica_mean_std(weights, thetas)
+    # the explicit estimates, formed in extended precision: in float64 their
+    # std is itself off by up to about 4e-12 relative where the CV is ~1e-4
+    est = weights.astype(np.longdouble) @ thetas.astype(np.longdouble)
+    np.testing.assert_allclose(mean, est.mean(axis=0), rtol=1e-12, atol=0.0)
+    if (weights == weights[0]).all():
+        # exact, where a generic std leaves rounding residue
+        assert np.all(sd == 0.0)
+        assert np.array_equal(mean, weights[0] @ thetas)
+    else:
+        np.testing.assert_allclose(sd, est.std(axis=0, ddof=1), rtol=1e-12, atol=0.0)
 
 
 def test_zero_weight_genome_is_uniform():

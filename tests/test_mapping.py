@@ -1,5 +1,7 @@
 """ASCII-grid I/O and gridded ensemble application."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -201,11 +203,76 @@ def test_map_texture_sum_violation_is_nodata():
 def test_map_blocked_rows_identical():
     layers = layer_stack(nodata_cell=(2, 0))
     whole = apply_ensemble_map(layers, REPLICAS)
-    blocked = apply_ensemble_map(layers, REPLICAS, block_rows=1)
-    for head in MAP_HEADS:
-        assert np.array_equal(whole.mean[head].values, blocked.mean[head].values)
-        assert np.array_equal(whole.cv[head].values, blocked.cv[head].values)
-    assert whole.n_valid_cells == blocked.n_valid_cells
+    for budget in (1, 3, 7):  # one cell, one row, an odd number of cells
+        blocked = apply_ensemble_map(layers, REPLICAS, block_cells=budget)
+        for head in MAP_HEADS:
+            assert np.array_equal(whole.mean[head].values, blocked.mean[head].values)
+            assert np.array_equal(whole.cv[head].values, blocked.cv[head].values)
+        assert whole.n_valid_cells == blocked.n_valid_cells
+        assert whole.missing_layer_cells == blocked.missing_layer_cells == 1
+
+
+def test_map_nodata_counts_by_reason():
+    layers = layer_stack(nodata_cell=(1, 2))
+    sand, silt = layers.sand.values.copy(), layers.silt.values.copy()
+    silt[0, 0] += 5.0                        # sum 105
+    sand[2, 1], silt[2, 1] = -1.0, 94.0      # sums to 100, negative sand
+    sand[0, 1], silt[0, 1] = -3.0, 20.0      # negative and off the sum
+    bad = SoilLayerStack(sand=small_grid(sand), silt=small_grid(silt),
+                         clay=layers.clay)
+    product = apply_ensemble_map(bad, REPLICAS)
+    assert product.n_valid_cells == 5
+    assert product.missing_layer_cells == 1
+    assert product.texture_sum_cells == 2    # counted before the negative fraction
+    assert product.negative_fraction_cells == 1
+    assert product.cv_zero_mean_cells == 0
+    for cell in ((1, 2), (0, 0), (0, 1), (2, 1)):
+        for head in MAP_HEADS:
+            assert product.mean[head].values[cell] == DEFAULT_NODATA
+
+    clean = apply_ensemble_map(layer_stack(), REPLICAS)
+    assert (clean.missing_layer_cells, clean.texture_sum_cells,
+            clean.negative_fraction_cells) == (0, 0, 0)
+
+
+def _traced_map_memory(layers, replicas, **kwargs):
+    """(peak, retained) bytes traced by tracemalloc during one map call."""
+    tracemalloc.start()
+    try:
+        product = apply_ensemble_map(layers, replicas, **kwargs)  # noqa: F841
+        retained, peak = tracemalloc.get_traced_memory()  # product's grids included
+    finally:
+        tracemalloc.stop()
+    return peak, retained
+
+
+def _textured_stack(nrows, ncols, rng):
+    sand = rng.uniform(5.0, 80.0, size=(nrows, ncols))
+    clay = rng.uniform(2.0, 100.0 - sand)
+    return SoilLayerStack(sand=small_grid(sand), silt=small_grid(100.0 - sand - clay),
+                          clay=small_grid(clay))
+
+
+def _random_replicas(n, rng):
+    return [WeightVector.normalized(MEMBERS, rng.uniform(0.1, 1.0, size=2))
+            for _ in range(n)]
+
+
+def test_map_memory_flat_in_replicas_and_width():
+    rng = np.random.default_rng(71)
+    layers = _textured_stack(128, 128, rng)
+    few, _ = _traced_map_memory(layers, _random_replicas(2, rng))
+    many, _ = _traced_map_memory(layers, _random_replicas(500, rng))
+    assert abs(many - few) <= 0.1 * few
+
+    # same cell budget, rasters 8x wider: the working set (peak less the
+    # output grids the result keeps) stays the same
+    replicas = _random_replicas(20, rng)
+    peaks = [_traced_map_memory(_textured_stack(64, ncols, rng), replicas,
+                                block_cells=2048)
+             for ncols in (64, 512)]
+    narrow, wide = (peak - retained for peak, retained in peaks)
+    assert wide <= 1.1 * narrow
 
 
 def test_map_requires_two_replicas():
