@@ -17,6 +17,7 @@ from .dataset import (
     BootstrapReplica,
     RemovalEntry,
     RetentionObservation,
+    SampleTable,
     Schema,
     SoilSample,
     bootstrap_split,

@@ -307,8 +307,8 @@ def cmd_predict(settings, out_dir):
         _require_file(data, "input data file (--data)")
         samples = dataset.read_samples(data)
         theta = ensemble.samples_theta(vector, samples, psi_values, topsoil)
-        for s, sample_theta in zip(samples, theta.tolist()):
-            rows.extend((s.sample_id, psi, t) for psi, t in zip(psi_values, sample_theta))
+        for sid, sample_theta in zip(samples.ids, theta.tolist()):
+            rows.extend((sid, psi, t) for psi, t in zip(psi_values, sample_theta))
     else:
         rec = PredictorRecord(
             sand=settings.get("sand", None, float),

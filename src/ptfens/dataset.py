@@ -6,6 +6,16 @@ observations at the allowed pressure heads (cm of suction). Source files are
 delimited text; a small key = value schema file maps source columns onto the
 canonical fields and declares the water-content units.
 
+Samples are held as columns in a SampleTable: the ids, one float64 column
+per numeric field (NaN where the value is missing), the soil order and
+temperature regime as tuples, and the observations in long form (owner row,
+head, water content) grouped by sample. ingest parses a file straight into
+columns and checks whole columns at once. The table is also a read-only
+sequence of SoilSample row views, built when indexed, so code that reads
+one sample at a time still can; SampleTable.from_samples turns any sequence
+of SoilSample into a table. stratify, bootstrap_split and the ensemble's
+point assembly read the columns.
+
 Quality filtering applies fixed rules in a fixed order:
 
     1. bulk density outside [0.5, 2.0] g/cm3      -> sample removed (BD_RANGE)
@@ -19,7 +29,10 @@ without a bulk density value pass rule 1 unexamined.
 """
 
 import csv
-from dataclasses import dataclass, replace
+import math
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,6 +61,9 @@ THETA_DRY_MAX = 0.6  # cap at the 330 and 15000 cm heads
 
 _METADATA_FIELDS = ("sample_id", "latitude", "longitude", "sand", "silt", "clay",
                     "bulk_density", "organic_carbon", "soil_order", "temperature_regime")
+_NUMERIC_FIELDS = ("latitude", "longitude", "sand", "silt", "clay",
+                   "bulk_density", "organic_carbon")
+_TEXTURE_FIELDS = ("sand", "silt", "clay")
 
 
 @dataclass(frozen=True)
@@ -56,9 +72,9 @@ class RetentionObservation:
     theta: float  # volumetric water content
 
     def __post_init__(self):
-        if not np.isfinite(self.psi) or self.psi < 0.0:
+        if not math.isfinite(self.psi) or self.psi < 0.0:
             raise InputError(f"bad pressure head {self.psi!r}")
-        if not np.isfinite(self.theta):
+        if not math.isfinite(self.theta):
             raise InputError(f"bad water content {self.theta!r}")
 
 
@@ -83,12 +99,139 @@ class SoilSample:
         return None
 
 
+def _optional(value):
+    """A column value as a row-view field: None for NaN."""
+    return None if value != value else value
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class SampleTable(Sequence):
+    """Samples as columns; a read-only sequence of SoilSample row views.
+
+    Numeric fields are float64 columns with NaN for a missing value. The
+    observations are long form: obs_owner is the row of each observation,
+    non-decreasing, and each row's observations keep the order its sample
+    lists them (ascending head from ingest). Row i owns observations
+    obs_offsets[i] to obs_offsets[i + 1].
+    """
+
+    ids: tuple
+    latitude: np.ndarray
+    longitude: np.ndarray
+    sand: np.ndarray
+    silt: np.ndarray
+    clay: np.ndarray
+    bulk_density: np.ndarray
+    organic_carbon: np.ndarray
+    soil_order: tuple
+    temperature_regime: tuple
+    obs_owner: np.ndarray
+    obs_psi: np.ndarray
+    obs_theta: np.ndarray
+    obs_offsets: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        def freeze(name, dtype):
+            values = np.array(getattr(self, name), dtype=dtype).reshape(-1)
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+            return values
+
+        for name in ("ids", "soil_order", "temperature_regime"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        n = len(self.ids)
+        columns = [freeze(name, np.float64) for name in _NUMERIC_FIELDS]
+        owner = freeze("obs_owner", np.int64)
+        psi, theta = freeze("obs_psi", np.float64), freeze("obs_theta", np.float64)
+        if any(c.size != n for c in columns) or \
+                len(self.soil_order) != n or len(self.temperature_regime) != n:
+            raise InputError("sample table columns differ in length")
+        if psi.size != owner.size or theta.size != owner.size or \
+                np.any(np.diff(owner) < 0) or np.any((owner < 0) | (owner >= n)):
+            raise InputError("observation owners must be rows of the table, in row order")
+        if not np.all(np.isfinite(psi) & (psi >= 0.0) & np.isfinite(theta)):
+            raise InputError("observations need finite heads >= 0 and finite water contents")
+        offsets = np.searchsorted(owner, np.arange(n + 1))
+        offsets.setflags(write=False)
+        object.__setattr__(self, "obs_offsets", offsets)
+
+    @classmethod
+    def from_samples(cls, samples):
+        """The table of a sequence of SoilSample; a table is returned as it is."""
+        if isinstance(samples, SampleTable):
+            return samples
+        samples = tuple(samples)
+        observations = [o for s in samples for o in s.observations]
+        numeric = {f: [np.nan if v is None else v for v in (getattr(s, f) for s in samples)]
+                   for f in _NUMERIC_FIELDS}
+        return cls(
+            ids=[s.sample_id for s in samples], **numeric,
+            soil_order=[s.soil_order for s in samples],
+            temperature_regime=[s.temperature_regime for s in samples],
+            obs_owner=np.repeat(np.arange(len(samples)),
+                                [len(s.observations) for s in samples]),
+            obs_psi=[o.psi for o in observations],
+            obs_theta=[o.theta for o in observations])
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(np.arange(len(self))[index])
+        i = range(len(self))[operator.index(index)]  # IndexError when out of range
+        lo, hi = self.obs_offsets[i:i + 2].tolist()
+        return SoilSample(
+            sample_id=self.ids[i],
+            **{f: _optional(getattr(self, f)[i].item()) for f in _NUMERIC_FIELDS},
+            soil_order=self.soil_order[i], temperature_regime=self.temperature_regime[i],
+            observations=tuple(map(RetentionObservation, self.obs_psi[lo:hi].tolist(),
+                                   self.obs_theta[lo:hi].tolist())))
+
+    def __eq__(self, other):
+        if isinstance(other, SampleTable):
+            return (self.ids == other.ids and self.soil_order == other.soil_order
+                    and self.temperature_regime == other.temperature_regime
+                    and all(np.array_equal(getattr(self, f), getattr(other, f), equal_nan=True)
+                            for f in _NUMERIC_FIELDS + ("obs_owner", "obs_psi", "obs_theta")))
+        if isinstance(other, (tuple, list)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self):
+        return f"SampleTable({len(self)} samples, {self.obs_owner.size} observations)"
+
+    def obs_index(self, rows):
+        """Indices of the observations of the given rows, concatenated in the
+        order of rows (a row may repeat)."""
+        rows = np.arange(len(self))[np.asarray(rows, dtype=np.int64).reshape(-1)]
+        starts = self.obs_offsets[rows]
+        counts = self.obs_offsets[rows + 1] - starts
+        ends = np.cumsum(counts)
+        total = int(ends[-1]) if ends.size else 0
+        return np.repeat(starts - ends + counts, counts) + np.arange(total)
+
+    def take(self, rows):
+        """The table of the given rows, in that order."""
+        rows = np.arange(len(self))[np.asarray(rows, dtype=np.int64).reshape(-1)]
+        obs = self.obs_index(rows)
+        picked = rows.tolist()
+        return SampleTable(
+            ids=[self.ids[i] for i in picked],
+            **{f: getattr(self, f)[rows] for f in _NUMERIC_FIELDS},
+            soil_order=[self.soil_order[i] for i in picked],
+            temperature_regime=[self.temperature_regime[i] for i in picked],
+            obs_owner=np.repeat(np.arange(rows.size), np.diff(self.obs_offsets)[rows]),
+            obs_psi=self.obs_psi[obs], obs_theta=self.obs_theta[obs])
+
+
 @dataclass(frozen=True)
 class RemovalEntry:
     sample_id: str
     stage: str        # "ingest" or "qa"
     reason_code: str
     detail: str
+    line: int = None  # source line of the row, for ingest removals
 
 
 @dataclass(frozen=True)
@@ -111,14 +254,14 @@ class Schema:
             if head not in ALLOWED_HEADS:
                 raise SchemaError(f"unknown retention head column for psi={head:g} cm; "
                                   f"allowed heads: {ALLOWED_HEADS}")
-        for field in self.required_fields:
-            if field not in _METADATA_FIELDS:
-                raise SchemaError(f"unknown required field {field!r}")
-            if field != "sample_id" and field not in self.columns:
-                raise SchemaError(f"required field {field!r} has no column mapping")
-        for field in self.columns:
-            if field not in _METADATA_FIELDS:
-                raise SchemaError(f"unknown canonical field {field!r}")
+        for field_name in self.required_fields:
+            if field_name not in _METADATA_FIELDS:
+                raise SchemaError(f"unknown required field {field_name!r}")
+            if field_name != "sample_id" and field_name not in self.columns:
+                raise SchemaError(f"required field {field_name!r} has no column mapping")
+        for field_name in self.columns:
+            if field_name not in _METADATA_FIELDS:
+                raise SchemaError(f"unknown canonical field {field_name!r}")
 
 
 def read_schema(path):
@@ -173,7 +316,7 @@ def gravimetric_to_volumetric(theta_g, bulk_density):
 
 @dataclass(frozen=True)
 class IngestResult:
-    samples: tuple
+    samples: SampleTable
     removals: tuple
     n_rows: int
 
@@ -182,106 +325,154 @@ def _sniff_delimiter(sample_line):
     return "\t" if sample_line.count("\t") >= sample_line.count(",") else ","
 
 
+def _floats(texts):
+    """float() of each stripped text as a float64 array, NaN where a text is
+    empty or not a number, and the mask of texts that are present but not
+    numbers."""
+    if not any(texts):
+        return np.full(len(texts), np.nan), np.zeros(len(texts), dtype=bool)
+    filled = [t or "nan" for t in texts]
+    try:
+        return np.fromiter(map(float, filled), np.float64, len(filled)), \
+            np.zeros(len(filled), dtype=bool)
+    except ValueError:
+        values = np.full(len(filled), np.nan)
+        bad = np.zeros(len(filled), dtype=bool)
+        for i, text in enumerate(filled):
+            try:
+                values[i] = float(text)
+            except ValueError:
+                bad[i] = True
+        return values, bad
+
+
 def ingest(path, schema):
-    """Read a delimited source file into SoilSamples, logging rejected rows."""
+    """Read a delimited source file into a SampleTable, logging rejected rows.
+
+    Each rejected row gets one RemovalEntry, for the first check it fails in
+    this order: a duplicate of an accepted id; per field, in canonical field
+    order, a missing required value, then a value that is not a number, not
+    finite or (a texture fraction) negative; the texture sum; a bulk density
+    for gravimetric units; per head, ascending, a water content that is not
+    a number or not finite; no water content at all. Removals are in row
+    order.
+    """
     with open_text(path, InputError, newline="") as fh:
         first = fh.readline()
         if not first.strip():
             raise InputError(f"{path}: empty input file")
         delimiter = schema.delimiter or _sniff_delimiter(first)
         fh.seek(0)
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        header = reader.fieldnames or ()
+        reader = csv.reader(fh, delimiter=delimiter)
+        header = next(reader)
         needed = set(schema.columns.values()) | set(schema.theta_columns.values())
         missing_cols = sorted(needed - set(header))
         if missing_cols:
             raise SchemaError(f"{path}: missing columns: {', '.join(missing_cols)}")
+        rows, lines = [], []
+        start = reader.line_num + 1
+        for row in reader:
+            if row:  # blank lines are skipped, as csv.DictReader skips them
+                rows.append(row)
+                lines.append(start)
+            start = reader.line_num + 1
 
-        samples = []
-        removals = []
-        seen_ids = set()
-        n_rows = 0
-        for row_num, row in enumerate(reader, start=2):
-            n_rows += 1
-            sid_col = schema.columns.get("sample_id")
-            sid = (row.get(sid_col) or "").strip() if sid_col else ""
-            if not sid:
-                sid = f"r{row_num}"
+    n = len(rows)
+    width = len(header)
+    if min(map(len, rows), default=width) < width:  # short rows read empty fields
+        rows = [r + [""] * (width - len(r)) for r in rows]
+    columns = list(zip(*rows)) or [()] * width
+    col_of = {name: j for j, name in enumerate(header)}  # a repeated name: the last
 
-            def reject(code, detail):
-                removals.append(RemovalEntry(sid, "ingest", code, detail))
+    def texts(col):
+        return list(map(str.strip, columns[col_of[col]])) if col else [""] * n
 
-            if sid in seen_ids:
-                reject("DUPLICATE_ID", f"sample id {sid!r} already seen")
-                continue
+    first_fail = np.full(n, -1)
+    stages = []  # (reason code, detail, or a format of it and the per-row values)
 
-            values = {}
-            bad = False
-            for field in _METADATA_FIELDS:
-                col = schema.columns.get(field)
-                raw = (row.get(col) or "").strip() if col else ""
-                if not raw:
-                    if field in schema.required_fields:
-                        reject("MISSING_FIELD", f"missing required field {field!r}")
-                        bad = True
-                        break
-                    values[field] = None
-                    continue
-                if field in ("sample_id", "soil_order", "temperature_regime"):
-                    values[field] = raw.lower() if field != "sample_id" else raw
-                    continue
-                try:
-                    values[field] = float(raw)
-                except ValueError:
-                    reject("BAD_NUMBER", f"field {field!r} is not numeric: {raw!r}")
-                    bad = True
-                    break
-            if bad:
-                continue
+    def check(mask, code, detail, values=None):
+        first_fail[(first_fail < 0) & mask] = len(stages)
+        stages.append((code, detail, values))
 
-            total = (values.get("sand") or 0.0) + (values.get("silt") or 0.0) \
-                + (values.get("clay") or 0.0)
-            if abs(total - 100.0) > TEXTURE_SUM_TOLERANCE:
-                reject("TEXTURE_SUM", f"texture sum = {total:g}")
-                continue
+    numbers, strings = {}, {}
+    for name in _METADATA_FIELDS:
+        raw = texts(schema.columns.get(name))
+        given = np.fromiter(map(bool, raw), bool, n)
+        if name in schema.required_fields:
+            check(~given, "MISSING_FIELD", f"missing required field {name!r}")
+        if name not in _NUMERIC_FIELDS:
+            strings[name] = raw
+            continue
+        values, bad = _floats(raw)
+        check(bad, "BAD_NUMBER", f"field {name!r} is not numeric: {{!r}}", raw)
+        check(given & ~bad & ~np.isfinite(values), "BAD_NUMBER",
+              f"field {name!r} is not finite: {{!r}}", raw)
+        if name in _TEXTURE_FIELDS:
+            check(values < 0.0, "BAD_NUMBER", f"field {name!r} is negative: {{!r}}", raw)
+        numbers[name] = values
 
-            bd = values.get("bulk_density")
-            if schema.theta_units == "gravimetric" and bd is None:
-                reject("MISSING_FIELD", "bulk_density needed for gravimetric conversion")
-                continue
+    # a missing fraction counts as 0; the leading 0.0 makes an all-zero sum +0
+    sand, silt, clay = (np.where(np.isfinite(numbers[f]), numbers[f], 0.0)
+                        for f in _TEXTURE_FIELDS)
+    with np.errstate(over="ignore"):
+        total = 0.0 + sand + silt + clay
+    check(np.abs(total - 100.0) > TEXTURE_SUM_TOLERANCE, "TEXTURE_SUM",
+          "texture sum = {:g}", total.tolist())
 
-            observations = []
-            for head in sorted(schema.theta_columns):
-                raw = (row.get(schema.theta_columns[head]) or "").strip()
-                if not raw:
-                    continue
-                try:
-                    theta = float(raw)
-                except ValueError:
-                    reject("BAD_NUMBER",
-                           f"water content at psi={head:g} is not numeric: {raw!r}")
-                    bad = True
-                    break
-                if schema.theta_units == "gravimetric":
-                    theta = theta * bd
-                observations.append(RetentionObservation(psi=head, theta=theta))
-            if bad:
-                continue
-            if not observations:
-                reject("NO_OBSERVATIONS", "no water-content values on the row")
-                continue
+    bd = numbers["bulk_density"]
+    gravimetric = schema.theta_units == "gravimetric"
+    if gravimetric:
+        check(np.isnan(bd), "MISSING_FIELD", "bulk_density needed for gravimetric conversion")
 
-            seen_ids.add(sid)
-            samples.append(SoilSample(
-                sample_id=sid,
-                sand=values["sand"], silt=values["silt"], clay=values["clay"],
-                bulk_density=bd, organic_carbon=values.get("organic_carbon"),
-                latitude=values.get("latitude"), longitude=values.get("longitude"),
-                soil_order=values.get("soil_order"),
-                temperature_regime=values.get("temperature_regime"),
-                observations=tuple(observations),
-            ))
-    return IngestResult(samples=tuple(samples), removals=tuple(removals), n_rows=n_rows)
+    heads = sorted(schema.theta_columns)
+    theta = np.empty((n, len(heads)))
+    present = np.empty((n, len(heads)), dtype=bool)
+    for k, head in enumerate(heads):
+        raw = texts(schema.theta_columns[head])
+        values, bad = _floats(raw)
+        present[:, k] = np.fromiter(map(bool, raw), bool, n)
+        check(bad, "BAD_NUMBER", f"water content at psi={head:g} is not numeric: {{!r}}", raw)
+        if gravimetric:
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = values * bd
+        check(present[:, k] & ~bad & ~np.isfinite(values), "BAD_NUMBER",
+              f"water content at psi={head:g} is not finite: {{!r}}", raw)
+        theta[:, k] = values
+    check(~present.any(axis=1), "NO_OBSERVATIONS", "no water-content values on the row")
+
+    ids = [sid or f"r{k + 2}" for k, sid in enumerate(strings["sample_id"])]
+    if len(set(ids)) < n:  # a repeat of an id already accepted is a duplicate
+        accepted = set()
+        duplicate = np.zeros(n, dtype=bool)
+        for k, (sid, ok) in enumerate(zip(ids, (first_fail < 0).tolist())):
+            if sid in accepted:
+                duplicate[k] = True
+            elif ok:
+                accepted.add(sid)
+        first_fail[duplicate] = len(stages)
+        stages.append(("DUPLICATE_ID", "sample id {!r} already seen", ids))
+
+    removals = []
+    for k in np.flatnonzero(first_fail >= 0).tolist():
+        code, detail, values = stages[first_fail[k]]
+        if values is not None:
+            detail = detail.format(values[k])
+        removals.append(RemovalEntry(ids[k], "ingest", code, detail, lines[k]))
+
+    kept = np.flatnonzero(first_fail < 0)
+    picked = kept.tolist()
+    owner, head_of = np.nonzero(present[kept])
+
+    def lower(name):
+        raw = strings[name]
+        return [raw[k].lower() or None for k in picked] if any(raw) else [None] * len(picked)
+
+    table = SampleTable(
+        ids=[ids[k] for k in picked], **{f: numbers[f][kept] for f in _NUMERIC_FIELDS},
+        soil_order=lower("soil_order"), temperature_regime=lower("temperature_regime"),
+        obs_owner=owner, obs_psi=np.asarray(heads, dtype=np.float64)[head_of],
+        obs_theta=theta[kept][owner, head_of])
+    return IngestResult(samples=table, removals=tuple(removals), n_rows=n)
 
 
 @dataclass(frozen=True)
@@ -345,24 +536,33 @@ def stratum_key(scheme, value):
     return f"{scheme}:{value}"
 
 
-def _texture_keys(samples):
-    """Texture stratum key of every sample from one classify_texture_array
-    call; a sample whose fractions are missing, non-finite, negative or off
-    the 100 +/- TEXTURE_SUM_TOLERANCE sum is 'unassigned'."""
-    fractions = np.array([(s.sand, s.silt, s.clay) for s in samples],
-                         dtype=np.float64).reshape(-1, 3)
-    valid = np.all(np.isfinite(fractions) & (fractions >= 0.0), axis=1)
-    sand, silt, clay = np.where(valid[:, None], fractions, 0.0).T
-    valid &= np.abs(sand + silt + clay - 100.0) <= TEXTURE_SUM_TOLERANCE
-    keys = ["unassigned"] * len(samples)
-    codes = classify_texture_array(sand[valid], silt[valid], clay[valid])
-    for i, code in zip(np.flatnonzero(valid).tolist(), codes.tolist()):
-        keys[i] = stratum_key("texture", USDA_CLASSES[code])
-    return keys
+def _stratum_labels(table, scheme, oc_edges):
+    """Label of every row under a sample-level scheme (-1: unassigned) and
+    the names the labels index. Texture classifies in one
+    classify_texture_array call; fractions that are missing, non-finite,
+    negative or off the 100 +/- TEXTURE_SUM_TOLERANCE sum are unassigned."""
+    if scheme == "texture":
+        fractions = np.stack((table.sand, table.silt, table.clay), axis=1)
+        valid = np.all(np.isfinite(fractions) & (fractions >= 0.0), axis=1)
+        sand, silt, clay = np.where(valid[:, None], fractions, 0.0).T
+        valid &= np.abs(sand + silt + clay - 100.0) <= TEXTURE_SUM_TOLERANCE
+        labels = np.full(len(table), -1)
+        labels[valid] = classify_texture_array(sand[valid], silt[valid], clay[valid])
+        return labels, USDA_CLASSES
+    if scheme == "oc":
+        edges = np.asarray(oc_edges, dtype=np.float64)
+        oc = table.organic_carbon
+        return (np.where(np.isfinite(oc), np.searchsorted(edges, oc, side="right"), -1),
+                range(edges.size + 1))
+    names = SOIL_ORDERS if scheme == "order" else TEMPERATURE_REGIMES
+    column = table.soil_order if scheme == "order" else table.temperature_regime
+    label_of = {name: k for k, name in enumerate(names)}
+    return np.array([label_of.get(v, -1) for v in column], dtype=np.int64), names
 
 
-def stratify(samples, scheme, oc_edges=DEFAULT_OC_EDGES):
-    """Partition samples into strata; unresolvable samples go to 'unassigned'.
+def stratum_indices(samples, scheme, oc_edges=DEFAULT_OC_EDGES):
+    """Row indices of each stratum, keyed in order of first appearance;
+    samples that no stratum takes go to 'unassigned'.
 
     The pressure scheme splits observations, not samples, and is handled by
     the stratified calibrator.
@@ -373,25 +573,20 @@ def stratify(samples, scheme, oc_edges=DEFAULT_OC_EDGES):
     if scheme == "pressure":
         raise ConfigError("the pressure scheme partitions observations, not samples; "
                           "use the stratified calibrator directly")
-    samples = tuple(samples)
-    texture_keys = _texture_keys(samples) if scheme == "texture" else None
-    out = {}
-    for i, s in enumerate(samples):
-        key = "unassigned"
-        if scheme == "texture":
-            key = texture_keys[i]
-        elif scheme == "oc":
-            idx = oc_bin(s.organic_carbon, oc_edges)
-            if idx is not None:
-                key = stratum_key(scheme, idx)
-        elif scheme == "order":
-            if s.soil_order in SOIL_ORDERS:
-                key = stratum_key(scheme, s.soil_order)
-        elif scheme == "temperature":
-            if s.temperature_regime in TEMPERATURE_REGIMES:
-                key = stratum_key(scheme, s.temperature_regime)
-        out.setdefault(key, []).append(s)
-    return {k: tuple(v) for k, v in out.items()}
+    labels, names = _stratum_labels(SampleTable.from_samples(samples), scheme, oc_edges)
+    found, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rows = np.split(np.argsort(inverse, kind="stable"),
+                    np.cumsum(np.bincount(inverse, minlength=found.size))[:-1])
+    return {("unassigned" if found[k] < 0 else stratum_key(scheme, names[found[k]])): rows[k]
+            for k in np.argsort(first).tolist()}
+
+
+def stratify(samples, scheme, oc_edges=DEFAULT_OC_EDGES):
+    """Partition samples into strata (see stratum_indices); a stratum holds
+    the caller's own items, in their order."""
+    samples = samples if isinstance(samples, Sequence) else tuple(samples)
+    return {key: tuple(samples[i] for i in rows.tolist())
+            for key, rows in stratum_indices(samples, scheme, oc_edges).items()}
 
 
 @dataclass(frozen=True)
@@ -413,7 +608,7 @@ def bootstrap_split(samples, n_replicas, seed):
     if not path or any(int(p) < 0 for p in path):
         raise InputError(f"seed must be non-negative, got {seed!r}")
     path = tuple(int(p) for p in path)
-    ids = [s.sample_id for s in samples]
+    ids = SampleTable.from_samples(samples).ids
     if len(set(ids)) != len(ids):
         raise InputError("duplicate sample ids; resampling needs unique ids")
     n = len(ids)
@@ -423,11 +618,12 @@ def bootstrap_split(samples, n_replicas, seed):
     for r in range(n_replicas):
         rng = np.random.default_rng(path + (r, 0))
         draw = rng.integers(0, n, size=n)
-        chosen = set(draw.tolist())
+        out_of_bag = np.ones(n, dtype=bool)
+        out_of_bag[draw] = False
         replicas.append(BootstrapReplica(
             index=r,
-            calibration_ids=tuple(ids[i] for i in draw),
-            validation_ids=tuple(ids[i] for i in range(n) if i not in chosen),
+            calibration_ids=tuple(map(ids.__getitem__, draw.tolist())),
+            validation_ids=tuple(map(ids.__getitem__, np.flatnonzero(out_of_bag).tolist())),
         ))
     return tuple(replicas)
 
@@ -446,16 +642,26 @@ def _fmt(value):
     return str(value)
 
 
+def _write_csv(path, header, rows):
+    """Comma-delimited text with \n line ends. csv quotes a field only for the
+    line end's own characters, so a row with a carriage return in a field is
+    written fully quoted; a bare \r would split the row when read back."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        plain = csv.writer(fh, lineterminator="\n")
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        plain.writerow(header)
+        for row in rows:
+            (quoted if any("\r" in v for v in row) else plain).writerow(row)
+
+
 def write_samples(path, samples):
     """Write samples as canonical comma-delimited text."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CANONICAL_COLUMNS)
-        for s in samples:
-            row = [_fmt(getattr(s, f)) for f in _METADATA_FIELDS]
-            by_head = {obs.psi: obs.theta for obs in s.observations}
-            row.extend(_fmt(by_head.get(h)) for h in ALLOWED_HEADS)
-            writer.writerow(row)
+    def row(s):
+        by_head = {obs.psi: obs.theta for obs in s.observations}
+        return ([_fmt(getattr(s, f)) for f in _METADATA_FIELDS]
+                + [_fmt(by_head.get(h)) for h in ALLOWED_HEADS])
+
+    _write_csv(path, CANONICAL_COLUMNS, map(row, samples))
 
 
 def canonical_schema():
@@ -470,17 +676,16 @@ def canonical_schema():
 
 
 def read_samples(path):
-    """Read a canonical file back; raises on any rejected row."""
+    """Read a canonical file back as a SampleTable; raises on any rejected
+    row, naming the file and the row's line."""
     result = ingest(path, canonical_schema())
     if result.removals:
         first = result.removals[0]
-        raise InputError(f"{path}: bad canonical row {first.sample_id}: {first.detail}")
+        raise InputError(f"{path}:{first.line}: bad canonical row {first.sample_id}: "
+                         f"{first.detail}")
     return result.samples
 
 
 def write_removals(path, entries):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("sample_id", "stage", "reason_code", "detail"))
-        for e in entries:
-            writer.writerow((e.sample_id, e.stage, e.reason_code, e.detail))
+    _write_csv(path, ("sample_id", "stage", "reason_code", "detail"),
+               ((e.sample_id, e.stage, e.reason_code, e.detail) for e in entries))

@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .dataset import DEFAULT_OC_EDGES, bootstrap_split, stratify, stratum_key
+from .dataset import (DEFAULT_OC_EDGES, SampleTable, bootstrap_split, stratum_indices,
+                      stratum_key)
 from .errors import (ConfigError, InputError, MemberPredictionError, PtfensError,
                      open_text)
 from .ptf import PtfId, predict, predict_batch, required_inputs
@@ -309,19 +310,18 @@ def optimize_weights(member_preds, observed, config=None, rng=None, members=None
 # ---------------------------------------------------------------------------
 # point-set assembly
 
-def _predictor_arrays(members, samples, topsoil=True):
-    """predict_batch keyword arrays, one value per sample, for every predictor
+def _predictor_arrays(members, table, topsoil=True):
+    """predict_batch keyword arrays, the table's columns for every predictor
     the members need; a sample lacking one fails naming the sample."""
     needed = sorted({f for m in members for f in required_inputs(m)})
-    for f in needed:
-        for s in samples:
-            if getattr(s, f) is None:
-                raise InputError(
-                    f"sample {s.sample_id!r} is missing predictor {f!r} "
-                    f"required by the selected members")
-    arrays = {f: np.array([getattr(s, f) for s in samples], dtype=np.float64)
-              for f in needed}
-    arrays["topsoil"] = np.full(len(samples), 1.0 if topsoil else 0.0)
+    arrays = {f: getattr(table, f) for f in needed}
+    for f, values in arrays.items():
+        missing = np.flatnonzero(np.isnan(values))
+        if missing.size:
+            raise InputError(
+                f"sample {table.ids[missing[0]]!r} is missing predictor {f!r} "
+                f"required by the selected members")
+    arrays["topsoil"] = np.full(len(table), 1.0 if topsoil else 0.0)
     return arrays
 
 
@@ -344,7 +344,7 @@ def samples_theta(weights, samples, heads, topsoil=True):
     The batch form of ensemble_theta: returns a (samples, heads) array from
     the same predict_batch and theta_points calls that calibration uses.
     """
-    samples = tuple(samples)
+    samples = SampleTable.from_samples(samples)
     heads = _check_psi(heads).reshape(-1)
     arrays = _predictor_arrays(weights.members, samples, topsoil)
     owner = np.repeat(np.arange(len(samples)), heads.size)
@@ -354,7 +354,8 @@ def samples_theta(weights, samples, heads, topsoil=True):
 
 
 class _PointSet:
-    """Member predictions and targets over every observation of a sample set."""
+    """Member predictions and targets over every observation of a sample
+    table; point i is the table's observation i."""
 
     def __init__(self, members, samples):
         self.members = tuple(PtfId(m) for m in members)
@@ -362,40 +363,24 @@ class _PointSet:
             raise InputError("ensemble needs at least one member")
         if len(set(self.members)) != len(self.members):
             raise InputError("duplicate ensemble members")
-        self.samples = tuple(samples)
+        self.samples = SampleTable.from_samples(samples)
         if not self.samples:
             raise InputError("no samples to calibrate on")
 
         arrays = _predictor_arrays(self.members, self.samples)
-        psi, theta, owner = [], [], []
-        self.sample_points = []
-        for i, s in enumerate(self.samples):
-            idx = []
-            for obs in s.observations:
-                idx.append(len(psi))
-                psi.append(obs.psi)
-                theta.append(obs.theta)
-                owner.append(i)
-            self.sample_points.append(np.asarray(idx, dtype=np.int64))
-        if not psi:
+        if not self.samples.obs_owner.size:
             raise InputError("samples carry no observations")
-        self.psi = np.asarray(psi, dtype=np.float64)
-        self.observed = np.asarray(theta, dtype=np.float64)
-        self.point_owner = np.asarray(owner, dtype=np.int64)
-        self.member_preds = _member_matrix(self.members, arrays, self.point_owner,
+        self.psi = self.samples.obs_psi
+        self.observed = self.samples.obs_theta
+        self.member_preds = _member_matrix(self.members, arrays, self.samples.obs_owner,
                                            self.psi)
-
-    def restrict_heads(self, heads):
-        """Per-sample point indices restricted to a set of pressure heads."""
-        keep = np.isin(self.psi, np.asarray(heads, dtype=np.float64))
-        return [idx[keep[idx]] for idx in self.sample_points]
 
 
 def point_matrix(members, samples):
     """(member predictions (m, N), observed (N,), heads (N,)) over all
     observations of the samples, in sample order."""
     points = _PointSet(members, samples)
-    return points.member_preds, points.observed, points.psi
+    return points.member_preds, points.observed.copy(), points.psi.copy()
 
 
 @dataclass(frozen=True)
@@ -433,14 +418,24 @@ class CalibrationResult:
         return float(np.mean(vals)) if vals else None
 
 
-def _calibrate_points(points, sample_points, n_replicas, ga, seed_path, samples):
-    """Bootstrap-calibrate on one point set; used for both global and strata."""
+def _calibrate_points(points, samples, point_of, n_replicas, ga, seed_path):
+    """Bootstrap-calibrate on one point set; used for both global and strata.
+
+    The replicas resample the rows of samples, a SampleTable; point_of maps
+    each of its observations to a point (a column of points.member_preds),
+    or to -1 for an observation this calibration leaves out.
+    """
     replicas = bootstrap_split(samples, n_replicas, seed_path)
-    id_to_idx = {s.sample_id: i for i, s in enumerate(samples)}
+    row_of = {sid: i for i, sid in enumerate(samples.ids)}
+
+    def points_of(ids):
+        rows = np.fromiter(map(row_of.__getitem__, ids), np.int64, len(ids))
+        idx = point_of[samples.obs_index(rows)]
+        return idx[idx >= 0]
+
     results = []
     for rep in replicas:
-        cal_idx = np.concatenate([sample_points[id_to_idx[sid]]
-                                  for sid in rep.calibration_ids])
+        cal_idx = points_of(rep.calibration_ids)
         if cal_idx.size == 0:
             raise InputError("bootstrap replica drew no observation points")
         preds_cal = np.ascontiguousarray(points.member_preds[:, cal_idx])
@@ -459,9 +454,7 @@ def _calibrate_points(points, sample_points, n_replicas, ga, seed_path, samples)
         cal_rmse = float(np.sqrt(ens_chi2 / cal_idx.size))
 
         val_rmse = None
-        val_idx = (np.concatenate([sample_points[id_to_idx[sid]]
-                                   for sid in rep.validation_ids])
-                   if rep.validation_ids else np.empty(0, dtype=np.int64))
+        val_idx = points_of(rep.validation_ids)
         if val_idx.size:
             val_rmse = float(np.sqrt(chi2(wv, points.member_preds[:, val_idx],
                                           points.observed[val_idx]) / val_idx.size))
@@ -472,7 +465,7 @@ def _calibrate_points(points, sample_points, n_replicas, ga, seed_path, samples)
     w = np.stack([r.weights.as_array() for r in results])
     mean_w = WeightVector.normalized(points.members, w.mean(axis=0))
     std = w.std(axis=0, ddof=1) if len(results) > 1 else np.zeros(w.shape[1])
-    total_points = int(sum(idx.size for idx in sample_points))
+    total_points = int(np.count_nonzero(point_of >= 0))
     return CalibrationResult(
         members=points.members, replicas=tuple(results), mean_weights=mean_w,
         weight_std=tuple(float(s) for s in std), n_points=total_points,
@@ -486,8 +479,8 @@ def calibrate(members, samples, n_replicas=100, ga=None, seed=0):
     when a GaConfig is given.
     """
     points = _PointSet(members, samples)
-    return _calibrate_points(points, points.sample_points, n_replicas, ga,
-                             _seed_path(seed), points.samples)
+    return _calibrate_points(points, points.samples, np.arange(points.psi.size),
+                             n_replicas, ga, _seed_path(seed))
 
 
 @dataclass(frozen=True)
@@ -526,39 +519,34 @@ def calibrate_stratified(members, samples, scheme, n_replicas=100, ga=None,
     """
     seed_path = _seed_path(seed)
     points = _PointSet(members, samples)
-    global_result = _calibrate_points(points, points.sample_points, n_replicas,
-                                      ga, seed_path, points.samples)
+    table = points.samples
+    global_result = _calibrate_points(points, table, np.arange(points.psi.size),
+                                      n_replicas, ga, seed_path)
     fallback = global_result.mean_weights
     calibrations = {GLOBAL_STRATUM: global_result}
     strata = {}
     below = []
 
-    idx_of = {s.sample_id: i for i, s in enumerate(points.samples)}
+    plan = []  # (stratum key, its rows, point_of their observations)
     if scheme == "pressure":
-        plan = []
         for head in (FIELD_CAPACITY_HEAD, WILTING_POINT_HEAD):
-            key = stratum_key("psi", f"{head:g}")
-            restricted = points.restrict_heads([head])
-            subset = [i for i in range(len(points.samples)) if restricted[i].size]
-            plan.append((key, subset, [restricted[i] for i in subset]))
+            rows = np.unique(table.obs_owner[points.psi == head])
+            obs = table.obs_index(rows)
+            plan.append((stratum_key("psi", f"{head:g}"), rows,
+                         np.where(points.psi[obs] == head, obs, -1)))
     else:
-        groups = stratify(points.samples, scheme, oc_edges)
-        plan = []
+        groups = stratum_indices(table, scheme, oc_edges)
         for key in sorted(k for k in groups if k != "unassigned"):
-            subset = [idx_of[s.sample_id] for s in groups[key]]
-            plan.append((key, subset, [points.sample_points[i] for i in subset]))
+            plan.append((key, groups[key], table.obs_index(groups[key])))
 
     point_vectors = {}  # stratum key -> flat point indices it covers
-    for key, subset, sample_points in plan:
-        covered = (np.concatenate(sample_points) if sample_points
-                   else np.empty(0, dtype=np.int64))
-        n_points = int(covered.size)
-        if n_points < min_stratum_points:
+    for key, rows, point_of in plan:
+        covered = point_of[point_of >= 0]
+        if covered.size < min_stratum_points:
             below.append(key)
             continue
-        subset_samples = [points.samples[i] for i in subset]
-        result = _calibrate_points(points, sample_points, n_replicas, ga,
-                                   _stratum_seed(seed_path, key), subset_samples)
+        result = _calibrate_points(points, table.take(rows), point_of, n_replicas, ga,
+                                   _stratum_seed(seed_path, key))
         calibrations[key] = result
         strata[key] = result.mean_weights
         point_vectors[key] = covered

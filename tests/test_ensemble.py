@@ -23,11 +23,12 @@ from ptfens import (
     predict_with_model,
     read_replica_table,
     read_weights,
+    samples_theta,
     simplex_weights,
     write_replica_table,
     write_weights,
 )
-from ptfens.dataset import bootstrap_split
+from ptfens.dataset import SampleTable, bootstrap_split
 from ptfens.ensemble import GLOBAL_STRATUM, point_matrix, resolve_stratum
 from helpers import make_sample, synthetic_population
 
@@ -340,6 +341,27 @@ def test_point_matrix_missing_predictor():
     with pytest.raises(InputError) as err:
         point_matrix([PtfId.WOSTEN], samples)
     assert "organic_carbon" in str(err.value)
+
+
+def test_consumers_read_a_table_or_any_sequence_alike():
+    rng = np.random.default_rng(61)
+    samples = synthetic_population(rng, 30, PtfId.COSBY1, noise=0.02,
+                                   heads=(100.0, 330.0, 15000.0))
+    samples[4] = make_sample("bare", 40, 40, 20, obs=[])  # resampled, but no points
+    table = SampleTable.from_samples(samples)
+    for a, b in zip(point_matrix(MEMBERS, samples), point_matrix(MEMBERS, iter(table))):
+        np.testing.assert_array_equal(a, b)
+    assert bootstrap_split(samples, 4, 9) == bootstrap_split(table, 4, 9)
+    assert calibrate(MEMBERS, samples, n_replicas=3, seed=4) == \
+        calibrate(MEMBERS, table, n_replicas=3, seed=4)
+    for scheme in ("texture", "pressure"):
+        assert calibrate_stratified(MEMBERS, samples, scheme, n_replicas=2, seed=4,
+                                    min_stratum_points=10) == \
+            calibrate_stratified(MEMBERS, table, scheme, n_replicas=2, seed=4,
+                                 min_stratum_points=10)
+    vector = WeightVector(members=MEMBERS, weights=(0.2, 0.3, 0.5))
+    np.testing.assert_array_equal(samples_theta(vector, samples, [330.0, 15000.0]),
+                                  samples_theta(vector, table, [330.0, 15000.0]))
 
 
 def test_calibrate_prefers_true_model():
