@@ -17,6 +17,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__, coeffs, dataset, ensemble, mapping, metrics
 from .ensemble import WeightVector
 from .errors import ConfigError, DataError, open_text
@@ -178,10 +180,12 @@ def cmd_evaluate(settings, out_dir):
     members = _select_members(settings)
 
     fits = {}
+    member_rows = {}
     failures = {}
     for m in members:
         try:
             preds, observed, _ = ensemble.point_matrix([m], samples)
+            member_rows[m] = preds[0]
             fits[m] = metrics.FitSummary.from_predictions(preds[0], observed, n_params=1)
         except DataError as exc:
             failures[m] = str(exc)
@@ -205,8 +209,13 @@ def cmd_evaluate(settings, out_dir):
     if weights_path:
         _require_file(weights_path, "weight file (--weights)")
         vector, _ = ensemble.read_weights(weights_path)
-        preds, observed, _ = ensemble.point_matrix(vector.members, samples)
-        ens = vector.as_array() @ preds
+        # Members not predicted above (not selected, or failed: a failure
+        # raises again here and fails the run) are predicted now.
+        missing = [m for m in vector.members if m not in member_rows]
+        if missing:
+            preds, _, _ = ensemble.point_matrix(missing, samples)
+            member_rows.update(zip(missing, preds))
+        ens = vector.as_array() @ np.stack([member_rows[m] for m in vector.members])
         fit = metrics.FitSummary.from_predictions(ens, observed,
                                                   n_params=len(vector.members))
         rows.append(("ensemble", fit, metrics.aic(fit, context),

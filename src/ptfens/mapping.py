@@ -10,6 +10,13 @@ variation grid (std over mean) per head. Cells where any required layer is
 nodata, where a texture fraction is negative or the fractions do not sum to
 100, or where the replica mean is zero are nodata in the outputs;
 MapProduct counts them by reason.
+
+A grid body is parsed in one numpy.loadtxt call, numpy's C float parser:
+its grammar is Python float()'s without digit-group underscores and
+non-ASCII digits, a '#' is a bad value, and whitespace-only lines are
+skipped. Only a body that fails is scanned again, line by line, to name the
+file line at fault. Values are written as repr(float), which reads back
+bit for bit, so grid text I/O costs about one repr per value.
 """
 
 from dataclasses import dataclass
@@ -68,7 +75,8 @@ class Grid:
 
 
 def read_grid(path):
-    """Parse an ESRI ASCII grid; strict six-line header in canonical order."""
+    """Parse an ESRI ASCII grid; strict six-line header in canonical order,
+    then nrows lines of ncols values (blank lines skipped)."""
     with open_text(path, GridFormatError) as fh:
         lines = fh.read().splitlines()
     header = {}
@@ -88,25 +96,55 @@ def read_grid(path):
     except ValueError as exc:
         raise GridFormatError(f"{path}: bad header value: {exc}") from None
 
-    rows = []
-    body = [ln for ln in lines[6:] if ln.strip()]
-    if len(body) != nrows:
-        raise GridFormatError(f"{path}: expected {nrows} data rows, found {len(body)}")
-    for r, line in enumerate(body):
+    if ncols < 1 or nrows < 1:
+        raise GridFormatError(f"{path}: bad grid dimensions {nrows} x {ncols}")
+
+    body = lines[6:]
+    values = None
+    if any(line.strip() for line in body):  # loadtxt warns on an empty body
+        try:
+            values = _parse_rows(body)
+        except ValueError:
+            pass
+    if values is None or values.shape != (nrows, ncols):
+        raise GridFormatError(f"{path}: {_body_fault(body, nrows, ncols)}")
+    return Grid(ncols=ncols, nrows=nrows, xllcorner=xll, yllcorner=yll,
+                cellsize=cellsize, nodata=nodata, values=values)
+
+
+def _parse_rows(lines):
+    """Whitespace-separated lines as a 2-D float64 array, blank lines
+    skipped; comments=None keeps '#' a bad value, not a comment."""
+    return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+
+
+def _parses(text):
+    try:
+        _parse_rows([text])
+    except ValueError:
+        return False
+    return True
+
+
+def _body_fault(body, nrows, ncols):
+    """What is wrong with a grid body that did not parse as nrows x ncols
+    numbers, naming the file line (the body starts on line 7)."""
+    rows = [(n, line) for n, line in enumerate(body, start=7) if line.strip()]
+    if len(rows) != nrows:
+        return f"expected {nrows} data rows, found {len(rows)}"
+    for n, line in rows:
         parts = line.split()
         if len(parts) != ncols:
-            raise GridFormatError(
-                f"{path}: line {r + 7}: expected {ncols} values, found {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise GridFormatError(f"{path}: line {r + 7}: {exc}") from None
-    return Grid(ncols=ncols, nrows=nrows, xllcorner=xll, yllcorner=yll,
-                cellsize=cellsize, nodata=nodata, values=np.asarray(rows))
+            return f"line {n}: expected {ncols} values, found {len(parts)}"
+        if not _parses(line):
+            bad = next(p for p in parts if not _parses(p))
+            return f"line {n}: could not convert string to float: {bad!r}"
+    return f"body does not parse as {nrows} x {ncols} values"
 
 
 def write_grid(path, grid):
-    """Write a grid in the canonical six-header-line layout."""
+    """Write a grid in the canonical six-header-line layout; values are
+    written as repr(float), which reads back exactly."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"ncols {grid.ncols}\n")
         fh.write(f"nrows {grid.nrows}\n")
@@ -114,8 +152,7 @@ def write_grid(path, grid):
         fh.write(f"yllcorner {repr(float(grid.yllcorner))}\n")
         fh.write(f"cellsize {repr(float(grid.cellsize))}\n")
         fh.write(f"NODATA_value {repr(float(grid.nodata))}\n")
-        for row in grid.values:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        fh.writelines(" ".join(map(repr, row)) + "\n" for row in grid.values.tolist())
 
 
 _LAYER_FIELDS = ("sand", "silt", "clay", "bulk_density", "organic_carbon")

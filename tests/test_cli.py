@@ -18,9 +18,10 @@ from ptfens import (
     write_samples,
     write_weights,
 )
-from ptfens import _kernels
+from ptfens import _kernels, ensemble
 from ptfens.cli import main, read_config
 from ptfens.ensemble import GLOBAL_STRATUM, ensemble_theta, point_matrix
+from ptfens.metrics import FitSummary
 from ptfens.ptf import predict_batch
 from helpers import make_sample, synthetic_population
 
@@ -127,6 +128,39 @@ def test_evaluate_not_evaluable_member(capsys, sample_file, tmp_path):
     assert "not_evaluable" in stdout and "network" in stdout
     report = (tmp_path / "eval2" / "report.tsv").read_text()
     assert "not_evaluable" in report
+
+
+def test_evaluate_weights_predicts_each_member_once(capsys, monkeypatch, sample_file,
+                                                   tmp_path):
+    vector = WeightVector(members=(PtfId.CARSEL, PtfId.RAWLS, PtfId.COSBY1),
+                          weights=(0.5, 0.2, 0.3))
+    weights = tmp_path / "weights.tsv"
+    write_weights(weights, vector)
+    calls = []
+
+    def counted(members, samples):
+        calls.append(tuple(members))
+        return point_matrix(members, samples)
+
+    monkeypatch.setattr(ensemble, "point_matrix", counted)
+    out = tmp_path / "eval"
+    code, _, _ = run(capsys, "evaluate", "--data", sample_file, "--members",
+                     "cosby1,carsel", "--weights", weights, "--out", out)
+    assert code == 0
+    # rawls is not selected, so it is the only member predicted for the ensemble
+    assert calls == [(PtfId.COSBY1,), (PtfId.CARSEL,), (PtfId.RAWLS,)]
+
+    preds, observed, _ = point_matrix(vector.members, read_samples(sample_file))
+    fit = FitSummary.from_predictions(vector.as_array() @ preds, observed, n_params=3)
+    row = (out / "report.tsv").read_text().splitlines()[-1].split("\t")
+    assert row[:5] == ["ensemble", str(fit.n_points), "3", f"{fit.rmse:.6f}", f"{fit.j:.6f}"]
+
+    # a weight member that is not evaluable still fails the run
+    write_weights(weights, WeightVector(members=(PtfId.COSBY1, PtfId.ROSETTA_H2W),
+                                        weights=(0.5, 0.5)))
+    code, _, err = run(capsys, "evaluate", "--data", sample_file, "--members",
+                       "cosby1,rosetta_h2w", "--weights", weights, "--out", out)
+    assert code == 2 and "rosetta_h2w" in err
 
 
 def test_evaluate_bad_member_name(capsys, sample_file, tmp_path):

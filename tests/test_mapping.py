@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ptfens import (
     CoregistrationError,
@@ -117,6 +118,118 @@ def test_grid_body_errors(tmp_path):
     with pytest.raises(GridFormatError) as err:
         read_grid(path)
     assert "line 7" in str(err.value)
+
+    path = tmp_path / "blank_then_bad.asc"
+    path.write_text("\n".join(good[:6] + ["", "1 2", "3 x"]) + "\n")
+    with pytest.raises(GridFormatError) as err:
+        read_grid(path)
+    assert "line 9" in str(err.value)  # the file line, counting the blank one
+
+
+HEADER = ["ncols 2", "nrows 2", "xllcorner 0.0", "yllcorner 0.0", "cellsize 10.0",
+          "NODATA_value -9999.0"]
+
+
+@pytest.mark.parametrize("body, message", [
+    ([], "expected 2 data rows, found 0"),          # header only
+    (["", "  "], "expected 2 data rows, found 0"),  # blank body
+    (["1 2", "3 #4"], "line 8: could not convert string to float: '#4'"),
+    (["# note", "1 2"], "line 7: could not convert string to float: '#'"),
+    # float() takes these, numpy's parser does not
+    (["1 2", "3 1_0"], "line 8: could not convert string to float: '1_0'"),
+    (["\u0661 2", "3 4"], "line 7: could not convert string to float: '\u0661'"),
+    (["1 2", "", "3 4", "5 6"], "expected 2 data rows, found 3"),
+    (["1 2 3", "4 5 6"], "line 7: expected 2 values, found 3"),
+])
+def test_grid_body_faults_name_the_line(tmp_path, body, message):
+    path = tmp_path / "grid.asc"
+    path.write_text("\n".join(HEADER + body) + "\n", encoding="utf-8")
+    with pytest.raises(GridFormatError) as err:
+        read_grid(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_grid_body_skips_blank_lines(tmp_path):
+    path = tmp_path / "grid.asc"
+    path.write_text("\n".join(HEADER + ["", "1 2", " \t ", "3\t4", ""]) + "\n")
+    assert read_grid(path).values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def test_grid_bad_dimensions(tmp_path):
+    path = tmp_path / "grid.asc"
+    path.write_text("\n".join(["ncols 2", "nrows 0"] + HEADER[2:]) + "\n")
+    with pytest.raises(GridFormatError) as err:
+        read_grid(path)
+    assert str(err.value) == f"{path}: bad grid dimensions 0 x 2"
+
+
+def float_bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@pytest.fixture(scope="module")
+def grid_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("grids") / "grid.asc"
+
+
+@st.composite
+def grids(draw):
+    """Grids of 1 x 1 to 6 x 7 cells over every double (subnormals, -0.0,
+    nan, +-inf) and the grid's own nodata value."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    nodata = draw(finite)
+    cell = st.one_of(st.floats(), st.just(nodata), st.sampled_from([
+        -0.0, 5e-324, -2.2250738585072009e-308, np.nan, np.inf, -np.inf]))
+    values = draw(st.lists(cell, min_size=nrows * ncols, max_size=nrows * ncols))
+    return Grid(ncols=ncols, nrows=nrows, xllcorner=draw(finite), yllcorner=draw(finite),
+                cellsize=draw(st.floats(min_value=5e-324, allow_infinity=False)),
+                nodata=nodata, values=np.reshape(values, (nrows, ncols)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(grids())
+def test_grid_round_trip_property(grid_file, grid):
+    write_grid(grid_file, grid)
+    back = read_grid(grid_file)
+    assert (back.ncols, back.nrows) == (grid.ncols, grid.nrows)
+    header = (grid.xllcorner, grid.yllcorner, grid.cellsize, grid.nodata)
+    assert np.array_equal(float_bits((back.xllcorner, back.yllcorner, back.cellsize,
+                                      back.nodata)), float_bits(header))
+    nan = np.isnan(grid.values)  # text keeps no NaN sign or payload
+    assert np.array_equal(np.isnan(back.values), nan)
+    assert np.array_equal(float_bits(back.values)[~nan], float_bits(grid.values)[~nan])
+
+
+@st.composite
+def decimal_tokens(draw):
+    """Decimal number tokens: optional sign, digits with an optional (and
+    possibly leading or trailing) point, optional exponent."""
+    digits = st.text("0123456789", max_size=25)
+    whole, frac = draw(digits), draw(digits)
+    point = draw(st.booleans()) or bool(frac)
+    if not whole and not frac:
+        whole = "0"
+    token = draw(st.sampled_from(["", "+", "-"])) + whole + ("." if point else "") + frac
+    if draw(st.booleans()):
+        token += (draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+", "-"]))
+                  + draw(st.text("0123456789", min_size=1, max_size=3)))
+    return token
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(decimal_tokens(), min_size=1, max_size=8))
+@example(["1e-320", "+.5", "5.", "-0", "4.9E-324", "1e400", "-1E+308",
+          "12345678901234567890123", "0.1000000000000000055511151231257827"])
+@example(["nan", "-NaN", "inf", "+Infinity", "-inf"])
+def test_grid_tokens_parse_as_float(grid_file, tokens):
+    grid_file.write_text("\n".join([f"ncols {len(tokens)}", "nrows 1"] + HEADER[2:]
+                                   + [" ".join(tokens)]) + "\n")
+    got = read_grid(grid_file).values[0]
+    want = np.array([float(tok) for tok in tokens])  # the per-token reference
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(float_bits(got)[~np.isnan(want)],
+                          float_bits(want)[~np.isnan(want)])
 
 
 def test_grid_shape_validation():
