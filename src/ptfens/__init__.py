@@ -70,6 +70,7 @@ from .mapping import (
     apply_ensemble_map,
     read_grid,
     write_grid,
+    write_grids,
 )
 from .metrics import FitSummary, SelectionContext, aic, aicc, j_star, rmse, sigma_hat2
 from .ptf import (

@@ -372,12 +372,12 @@ def cmd_map(settings, out_dir, seed):
 
     product = mapping.apply_ensemble_map(
         layers, vectors, topsoil=settings.get("topsoil", True, bool))
-    for head in mapping.MAP_HEADS:
-        label = mapping.HEAD_LABELS[head]
-        mapping.write_grid(os.path.join(out_dir, f"mean_{label}.asc"),
-                           product.mean[head])
-        mapping.write_grid(os.path.join(out_dir, f"cv_{label}.asc"),
-                           product.cv[head])
+    # the six grids are independent files: write_grids spreads them over up
+    # to one writer process per usable CPU, each writing write_grid's bytes
+    mapping.write_grids(
+        (os.path.join(out_dir, f"{kind}_{mapping.HEAD_LABELS[head]}.asc"), by_head[head])
+        for head in mapping.MAP_HEADS
+        for kind, by_head in (("mean", product.mean), ("cv", product.cv)))
     _write_manifest(out_dir, "map", settings, [table_path] + list(paths.values()))
     print(f"stratum={stratum} replicas={len(vectors)} "
           f"valid_cells={product.n_valid_cells} "

@@ -25,7 +25,8 @@ Quality filtering applies fixed rules in a fixed order:
     5. no observations left                       -> sample removed
 
 Rule 4 is judged on the observations that survive rules 2 and 3. Samples
-without a bulk density value pass rule 1 unexamined.
+without a bulk density value pass rule 1 unexamined. qa_filter applies the
+rules to a table's columns with whole-column masks.
 """
 
 import csv
@@ -64,6 +65,8 @@ _METADATA_FIELDS = ("sample_id", "latitude", "longitude", "sand", "silt", "clay"
 _NUMERIC_FIELDS = ("latitude", "longitude", "sand", "silt", "clay",
                    "bulk_density", "organic_carbon")
 _TEXTURE_FIELDS = ("sand", "silt", "clay")
+# SoilSample's numeric fields in its own order, between sample_id and soil_order
+_ROW_FIELDS = ("sand", "silt", "clay", "bulk_density", "organic_carbon", "latitude", "longitude")
 
 
 @dataclass(frozen=True)
@@ -187,6 +190,17 @@ class SampleTable(Sequence):
             soil_order=self.soil_order[i], temperature_regime=self.temperature_regime[i],
             observations=tuple(map(RetentionObservation, self.obs_psi[lo:hi].tolist(),
                                    self.obs_theta[lo:hi].tolist())))
+
+    def __iter__(self):
+        """The row views in order, as indexing builds them, with each column
+        converted to Python values once."""
+        columns = [[_optional(v) for v in getattr(self, f).tolist()] for f in _ROW_FIELDS]
+        psi, theta = self.obs_psi.tolist(), self.obs_theta.tolist()
+        bounds = self.obs_offsets.tolist()
+        for i, row in enumerate(zip(self.ids, *columns, self.soil_order,
+                                    self.temperature_regime)):
+            lo, hi = bounds[i], bounds[i + 1]
+            yield SoilSample(*row, tuple(map(RetentionObservation, psi[lo:hi], theta[lo:hi])))
 
     def __eq__(self, other):
         if isinstance(other, SampleTable):
@@ -482,45 +496,58 @@ class QaResult:
 
 
 def qa_filter(samples):
-    """Apply the ordered quality rules; returns survivors and a removal log."""
-    kept = []
+    """Apply the ordered quality rules; returns survivors and a removal log.
+
+    The rules run on the columns of a SampleTable (any other sequence of
+    SoilSample is made into one, so a NaN bulk density counts as missing);
+    row objects are built only for the kept samples."""
+    table = SampleTable.from_samples(samples)
+    n = len(table)
+    owner, psi, theta = table.obs_owner, table.obs_psi, table.obs_theta
+    bd = table.bulk_density
+    bd_out = ~np.isnan(bd) & ~((bd >= BD_MIN) & (bd <= BD_MAX))
+    examined = ~bd_out[owner]
+    gt_one = examined & (theta > THETA_MAX)
+    gt_dry = examined & ~gt_one & ((psi == 330.0) | (psi == 15000.0)) & (theta > THETA_DRY_MAX)
+    dropped = gt_one | gt_dry
+    surviving = examined & ~dropped
+
+    def first_theta(head):
+        """Each row's first surviving water content at head, NaN if none."""
+        at = surviving & (psi == head)
+        rows, first = np.unique(owner[at], return_index=True)
+        out = np.full(n, np.nan)
+        out[rows] = theta[at][first]
+        return out
+
+    theta_fc, theta_wp = first_theta(330.0), first_theta(15000.0)
+    fc_lt_wp = theta_fc < theta_wp
+    empty = ~bd_out & ~fc_lt_wp & (np.bincount(owner[surviving], minlength=n) == 0)
+
     removals = []
-    for s in samples:
-        if s.bulk_density is not None and not BD_MIN <= s.bulk_density <= BD_MAX:
+    events = bd_out | fc_lt_wp | empty | (np.bincount(owner[dropped], minlength=n) > 0)
+    for i in np.flatnonzero(events).tolist():
+        sid = table.ids[i]
+        if bd_out[i]:
             removals.append(RemovalEntry(
-                s.sample_id, "qa", "BD_RANGE",
-                f"bulk density {s.bulk_density:g} outside [{BD_MIN}, {BD_MAX}]"))
+                sid, "qa", "BD_RANGE",
+                f"bulk density {bd[i].item():g} outside [{BD_MIN}, {BD_MAX}]"))
             continue
-
-        surviving = []
-        for obs in s.observations:
-            if obs.theta > THETA_MAX:
+        lo, hi = table.obs_offsets[i:i + 2].tolist()
+        for j in range(lo, hi):
+            if dropped[j]:
                 removals.append(RemovalEntry(
-                    s.sample_id, "qa", "THETA_GT_ONE",
-                    f"psi={obs.psi:g} theta={obs.theta:g}"))
-                continue
-            if obs.psi in (330.0, 15000.0) and obs.theta > THETA_DRY_MAX:
-                removals.append(RemovalEntry(
-                    s.sample_id, "qa", "THETA_GT_0_6",
-                    f"psi={obs.psi:g} theta={obs.theta:g}"))
-                continue
-            surviving.append(obs)
-
-        theta_fc = next((o.theta for o in surviving if o.psi == 330.0), None)
-        theta_wp = next((o.theta for o in surviving if o.psi == 15000.0), None)
-        if theta_fc is not None and theta_wp is not None and theta_fc < theta_wp:
+                    sid, "qa", "THETA_GT_ONE" if gt_one[j] else "THETA_GT_0_6",
+                    f"psi={psi[j].item():g} theta={theta[j].item():g}"))
+        if fc_lt_wp[i]:
             removals.append(RemovalEntry(
-                s.sample_id, "qa", "FC_LT_WP",
-                f"theta(330)={theta_fc:g} < theta(15000)={theta_wp:g}"))
-            continue
+                sid, "qa", "FC_LT_WP",
+                f"theta(330)={theta_fc[i].item():g} < theta(15000)={theta_wp[i].item():g}"))
+        elif empty[i]:
+            removals.append(RemovalEntry(sid, "qa", "NO_OBSERVATIONS", "all observations removed"))
 
-        if not surviving:
-            removals.append(RemovalEntry(
-                s.sample_id, "qa", "NO_OBSERVATIONS", "all observations removed"))
-            continue
-
-        kept.append(s if len(surviving) == len(s.observations)
-                    else replace(s, observations=tuple(surviving)))
+    kept = replace(table, obs_owner=owner[surviving], obs_psi=psi[surviving],
+                   obs_theta=theta[surviving]).take(np.flatnonzero(~(bd_out | fc_lt_wp | empty)))
     return QaResult(kept=tuple(kept), removals=tuple(removals))
 
 

@@ -16,9 +16,14 @@ its grammar is Python float()'s without digit-group underscores and
 non-ASCII digits, a '#' is a bad value, and whitespace-only lines are
 skipped. Only a body that fails is scanned again, line by line, to name the
 file line at fault. Values are written as repr(float), which reads back
-bit for bit, so grid text I/O costs about one repr per value.
+bit for bit; one repr per value is the floor of writing a grid as text, so
+write_grids writes several grids at once, split over up to one forked
+writer per usable CPU, each grid's bytes being exactly write_grid's.
 """
 
+import math
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,14 +95,19 @@ def read_grid(path):
         header[key] = parts[1]
     try:
         ncols, nrows = int(header["ncols"]), int(header["nrows"])
-        xll, yll = float(header["xllcorner"]), float(header["yllcorner"])
-        cellsize = float(header["cellsize"])
-        nodata = float(header["NODATA_value"])
+        xll, yll, cellsize, nodata = (float(header[key]) for key in _HEADER_KEYS[2:])
     except ValueError as exc:
         raise GridFormatError(f"{path}: bad header value: {exc}") from None
 
     if ncols < 1 or nrows < 1:
         raise GridFormatError(f"{path}: bad grid dimensions {nrows} x {ncols}")
+    for line, key, value in zip(range(3, 7), _HEADER_KEYS[2:], (xll, yll, cellsize, nodata)):
+        if not math.isfinite(value):
+            raise GridFormatError(f"{path}: line {line}: {key} must be finite, "
+                                  f"got {header[key]!r}")
+    if cellsize <= 0.0:
+        raise GridFormatError(f"{path}: line 5: cellsize must be positive, "
+                              f"got {header['cellsize']!r}")
 
     body = lines[6:]
     values = None
@@ -153,6 +163,88 @@ def write_grid(path, grid):
         fh.write(f"cellsize {repr(float(grid.cellsize))}\n")
         fh.write(f"NODATA_value {repr(float(grid.nodata))}\n")
         fh.writelines(" ".join(map(repr, row)) + "\n" for row in grid.values.tolist())
+
+
+def write_grids(pairs):
+    """Write each (path, Grid) pair with write_grid, the pairs split
+    round-robin over at most one writer per usable CPU: this process writes
+    pairs 0, k, 2k, ... and k - 1 forked children write the rest. Every
+    writer stops at its first failure; after every child has been reaped,
+    the failure of the earliest pair is raised, as a serial loop would have
+    raised it. A child sends its failure through a pipe, pickled; a child
+    that ends without reporting one, and not with status 0, raises
+    ChildProcessError. A child ends with os._exit, so it never returns into
+    the caller, runs no atexit handler and flushes none of the parent's
+    buffers. Without os.fork, or with one usable CPU, this is a plain loop."""
+    pairs = list(pairs)
+    n_writers = _writer_count(len(pairs))
+    children = []  # (first pair index, pid, read end of its pipe)
+    try:
+        for k in range(1, n_writers):
+            children.append((k, *_fork_writer(pairs, k, n_writers)))
+        failures = [_write_share(pairs, 0, n_writers)]
+    finally:
+        ended = [(k, _read_all(fd), os.waitpid(pid, 0)[1]) for k, pid, fd in children]
+    for k, payload, status in ended:
+        if payload:
+            failures.append(pickle.loads(payload))
+        elif status:
+            failures.append((k, ChildProcessError(
+                f"grid writer ended with exit code {os.waitstatus_to_exitcode(status)}")))
+    failures = [f for f in failures if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+
+
+def _writer_count(n_pairs):
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(n_pairs, cpus))
+
+
+def _write_share(pairs, k, n_writers):
+    """Write pairs k, k + n_writers, ...; the (index, exception) of the
+    first that fails, or None."""
+    for i in range(k, len(pairs), n_writers):
+        try:
+            write_grid(*pairs[i])
+        except Exception as exc:  # noqa: BLE001 - reported to the caller
+            return i, exc
+    return None
+
+
+def _fork_writer(pairs, k, n_writers):
+    """Fork a child that writes share k and reports its failure, if any,
+    pickled on a pipe; returns (pid, read end of the pipe)."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    status = 1
+    try:
+        os.close(read_fd)
+        failure = _write_share(pairs, k, n_writers)
+        if failure is not None:
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(pickle.dumps(failure))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _read_all(fd):
+    with os.fdopen(fd, "rb") as fh:
+        return fh.read()
 
 
 _LAYER_FIELDS = ("sand", "silt", "clay", "bulk_density", "organic_carbon")

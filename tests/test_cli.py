@@ -1,10 +1,14 @@
 """End-to-end command line runs against temporary files."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ptfens
 from ptfens import (
     Grid,
     PredictorRecord,
@@ -437,6 +441,52 @@ def test_map_end_to_end(capsys, sample_file, tmp_path):
                        "--clay-grid", tmp_path / "clay.asc",
                        "--out", tmp_path / "maps2")
     assert code == 2 and "texture:clay" in err
+
+
+def map_argv(cal, tmp_path, out):
+    return ("map", "--weights", cal / "replicas.tsv",
+            "--sand-grid", tmp_path / "sand.asc", "--silt-grid", tmp_path / "silt.asc",
+            "--clay-grid", tmp_path / "clay.asc", "--out", out)
+
+
+# with two writers this process writes the mean grids and the child the CV grids
+@pytest.mark.parametrize("bad", ["mean_sat.asc", "cv_sat.asc"], ids=["parent", "child"])
+def test_map_output_failure_matches_serial(capsys, monkeypatch, sample_file, tmp_path, bad):
+    cal = tmp_path / "cal"
+    assert run(capsys, "calibrate", "--data", sample_file, "--members", "cosby1,carsel",
+               "--replicas", "3", "--seed", "5", "--out", cal)[0] == 0
+    write_layer_grids(tmp_path)
+    outcomes = []
+    for cpus in (1, 2):
+        out = tmp_path / f"maps{cpus}"
+        (out / bad).mkdir(parents=True)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        code, stdout, err = run(capsys, *map_argv(cal, tmp_path, out))
+        with pytest.raises(ChildProcessError):  # every writer was reaped
+            os.waitpid(-1, os.WNOHANG)
+        outcomes.append((code, stdout, err.replace(str(out), "<out>")))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == (3, "", "internal error: IsADirectoryError: [Errno 21] "
+                                  f"Is a directory: '<out>/{bad}'\n")
+
+
+def test_map_subprocess_prints_summary_once(capsys, sample_file, tmp_path):
+    cal = tmp_path / "cal"
+    assert run(capsys, "calibrate", "--data", sample_file, "--members", "cosby1,carsel",
+               "--replicas", "3", "--seed", "5", "--out", cal)[0] == 0
+    write_layer_grids(tmp_path)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ptfens.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "ptfens",
+                           *map(str, map_argv(cal, tmp_path, tmp_path / "maps"))],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env=env, timeout=120, check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("stratum=global replicas=3 valid_cells=4 ")
+    assert proc.stdout.count("\n") == 1
+    assert len(list((tmp_path / "maps").glob("*.asc"))) == 6
 
 
 REPLICA_HEADER = "stratum\treplica\tcal_rmse\tval_rmse\tw_cosby1\tw_carsel\n"

@@ -14,6 +14,7 @@ from ptfens.dataset import (
     DEFAULT_OC_EDGES,
     SOIL_ORDERS,
     TEMPERATURE_REGIMES,
+    RemovalEntry,
     RetentionObservation,
     SampleTable,
     Schema,
@@ -220,6 +221,64 @@ def test_qa_idempotent():
     twice = qa_filter(once.kept)
     assert twice.removals == ()
     assert twice.kept == once.kept
+
+
+def qa_reference(samples):
+    """The quality rules one sample at a time, in their documented order:
+    the kept samples and the removal log."""
+    kept, removals = [], []
+    for s in samples:
+        if s.bulk_density is not None and not 0.5 <= s.bulk_density <= 2.0:
+            removals.append(RemovalEntry(s.sample_id, "qa", "BD_RANGE",
+                                         f"bulk density {s.bulk_density:g} outside [0.5, 2.0]"))
+            continue
+        surviving = []
+        for obs in s.observations:
+            code = ("THETA_GT_ONE" if obs.theta > 1.0 else "THETA_GT_0_6"
+                    if obs.psi in (330.0, 15000.0) and obs.theta > 0.6 else None)
+            if code:
+                removals.append(RemovalEntry(s.sample_id, "qa", code,
+                                             f"psi={obs.psi:g} theta={obs.theta:g}"))
+            else:
+                surviving.append(obs)
+        fc = next((o.theta for o in surviving if o.psi == 330.0), None)
+        wp = next((o.theta for o in surviving if o.psi == 15000.0), None)
+        if fc is not None and wp is not None and fc < wp:
+            removals.append(RemovalEntry(s.sample_id, "qa", "FC_LT_WP",
+                                         f"theta(330)={fc:g} < theta(15000)={wp:g}"))
+        elif not surviving:
+            removals.append(RemovalEntry(s.sample_id, "qa", "NO_OBSERVATIONS",
+                                         "all observations removed"))
+        else:
+            kept.append(replace(s, observations=tuple(surviving)))
+    return tuple(kept), tuple(removals)
+
+
+@st.composite
+def qa_samples(draw):
+    """Samples around every rule's edges; heads may repeat within a sample."""
+    edge = st.sampled_from([0.0, 0.15, 0.3, 0.6, 0.6000000000000001, 1.0, 1.2])
+    samples = []
+    for i in range(draw(st.integers(0, 10))):
+        heads = draw(st.lists(st.sampled_from(ALLOWED_HEADS), max_size=7))
+        thetas = draw(st.lists(edge | st.floats(0.0, 1.3), min_size=len(heads),
+                               max_size=len(heads)))
+        bd = draw(st.none() | st.sampled_from([0.4, 0.5, 1.4, 2.0, 2.3]) | st.floats(0.0, 3.0))
+        samples.append(make_sample(f"S{i}", 40, 40, 20, bd=bd, obs=list(zip(heads, thetas))))
+    return samples
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(qa_samples())
+@example(qa_fixture())
+def test_qa_filter_matches_per_row_rules(samples):
+    kept, removals = qa_reference(samples)
+    table = SampleTable.from_samples(samples)
+    assert tuple(table) == tuple(table[i] for i in range(len(table))) == tuple(samples)
+    for given_samples in (samples, table):
+        result = qa_filter(given_samples)
+        assert type(result.kept) is tuple and result.kept == kept
+        assert result.removals == removals
 
 
 def test_stratify_texture():

@@ -1,5 +1,6 @@
 """ASCII-grid I/O and gridded ensemble application."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from ptfens import (
     predict_theta,
     read_grid,
     write_grid,
+    write_grids,
 )
 from ptfens.mapping import DEFAULT_NODATA, HEAD_LABELS
 
@@ -163,6 +165,25 @@ def test_grid_bad_dimensions(tmp_path):
     assert str(err.value) == f"{path}: bad grid dimensions 0 x 2"
 
 
+@pytest.mark.parametrize("line, text, message", [
+    (3, "xllcorner nan", "line 3: xllcorner must be finite, got 'nan'"),
+    (4, "yllcorner -inf", "line 4: yllcorner must be finite, got '-inf'"),
+    (5, "cellsize nan", "line 5: cellsize must be finite, got 'nan'"),
+    (5, "cellsize Infinity", "line 5: cellsize must be finite, got 'Infinity'"),
+    (6, "NODATA_value nan", "line 6: NODATA_value must be finite, got 'nan'"),
+    (5, "cellsize 0", "line 5: cellsize must be positive, got '0'"),
+    (5, "cellsize -10.0", "line 5: cellsize must be positive, got '-10.0'"),
+])
+def test_grid_header_fields_finite(tmp_path, line, text, message):
+    path = tmp_path / "grid.asc"
+    lines = HEADER + ["1 2", "3 4"]
+    lines[line - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(GridFormatError) as err:
+        read_grid(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 def float_bits(values):
     return np.asarray(values, dtype=np.float64).view(np.int64)
 
@@ -230,6 +251,68 @@ def test_grid_tokens_parse_as_float(grid_file, tokens):
     assert np.array_equal(np.isnan(got), np.isnan(want))
     assert np.array_equal(float_bits(got)[~np.isnan(want)],
                           float_bits(want)[~np.isnan(want)])
+
+
+def six_grids(rng):
+    """Six grids of different shapes, as map writes them."""
+    return [small_grid(rng.uniform(0.0, 1.0, size=(3 + k, 4))) for k in range(6)]
+
+
+def use_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_write_grids_bytes_match_write_grid(tmp_path, monkeypatch, cpus):
+    grids = six_grids(np.random.default_rng(71))
+    for k, grid in enumerate(grids):
+        write_grid(tmp_path / f"serial_{k}.asc", grid)
+    use_cpus(monkeypatch, cpus)
+    write_grids((tmp_path / f"split_{k}.asc", grid) for k, grid in enumerate(grids))
+    assert_no_child_left()
+    for k in range(6):
+        assert (tmp_path / f"split_{k}.asc").read_bytes() == \
+            (tmp_path / f"serial_{k}.asc").read_bytes()
+
+
+def test_write_grids_without_fork(tmp_path, monkeypatch):
+    grids = six_grids(np.random.default_rng(72))
+    monkeypatch.delattr(os, "fork")
+    use_cpus(monkeypatch, 4)
+    write_grids((tmp_path / f"{k}.asc", grid) for k, grid in enumerate(grids))
+    for k, grid in enumerate(grids):
+        assert np.array_equal(read_grid(tmp_path / f"{k}.asc").values, grid.values)
+
+
+def write_failure(tmp_path, grids, bad, cpus, monkeypatch):
+    """The exception write_grids raises with a directory at each of the bad
+    indices, written over the given number of CPUs."""
+    out = tmp_path / f"cpus{cpus}"
+    out.mkdir()
+    for k in bad:
+        (out / f"{k}.asc").mkdir()
+    use_cpus(monkeypatch, cpus)
+    with pytest.raises(OSError) as err:
+        write_grids((out / f"{k}.asc", grid) for k, grid in enumerate(grids))
+    assert_no_child_left()
+    return type(err.value), str(err.value).replace(str(out), "<out>")
+
+
+# with two writers this process writes the even pairs and the child the odd
+@pytest.mark.parametrize("bad", [[0], [1], [3, 4], [2, 5]],
+                         ids=["parent", "child", "child-first", "parent-first"])
+def test_write_grids_raises_the_serial_failure(tmp_path, monkeypatch, bad):
+    grids = six_grids(np.random.default_rng(73))
+    serial = write_failure(tmp_path, grids, bad, 1, monkeypatch)
+    assert serial[0] is IsADirectoryError
+    assert serial[1].endswith(f"'<out>/{bad[0]}.asc'")
+    for cpus in (2, 4):
+        assert write_failure(tmp_path, grids, bad, cpus, monkeypatch) == serial
 
 
 def test_grid_shape_validation():
