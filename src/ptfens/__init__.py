@@ -21,7 +21,6 @@ from .dataset import (
     Schema,
     SoilSample,
     bootstrap_split,
-    gravimetric_to_volumetric,
     ingest,
     qa_filter,
     read_samples,
@@ -33,7 +32,6 @@ from .dataset import (
 from .ensemble import (
     CalibrationResult,
     GaConfig,
-    ModelPrediction,
     StratifiedModel,
     WeightVector,
     calibrate,
@@ -41,7 +39,6 @@ from .ensemble import (
     chi2,
     ensemble_theta,
     optimize_weights,
-    predict_with_model,
     read_replica_table,
     read_weights,
     samples_theta,
@@ -83,7 +80,6 @@ from .ptf import (
     clear_ann_registry,
     group_of,
     load_rosetta_weights,
-    lookup_class_params,
     predict,
     predict_batch,
     predict_theta,

@@ -20,10 +20,8 @@ import sys
 import numpy as np
 
 from . import __version__, coeffs, dataset, ensemble, mapping, metrics
-from .ensemble import WeightVector
 from .errors import ConfigError, DataError, open_text
 from .ptf import ALL_PTFS, GROUPS, PredictorRecord, PtfId, load_rosetta_weights
-from .retention import FIELD_CAPACITY_HEAD, SATURATION_HEAD, WILTING_POINT_HEAD
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -269,7 +267,10 @@ def cmd_calibrate(settings, out_dir, seed):
         oc_edges = dataset.DEFAULT_OC_EDGES
         raw_edges = settings.get("oc_edges")
         if raw_edges:
-            oc_edges = tuple(float(e) for e in str(raw_edges).split(","))
+            try:
+                oc_edges = tuple(float(e) for e in str(raw_edges).split(","))
+            except ValueError:
+                raise ConfigError(f"bad --oc-edges list {raw_edges!r}") from None
         model = ensemble.calibrate_stratified(
             members, samples, scheme, n_replicas=n_replicas, seed=seed,
             min_stratum_points=settings.get("min_stratum_points", 50, int),

@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DataError, TableLookupError
+from .errors import DataError
 from .retention import (
     BrooksCoreyParams,
     CampbellParams,
@@ -70,14 +70,6 @@ class ClassLookupTable:
     ptf: str
     provenance: str
     entries: Mapping[str, RetentionParams]
-
-    def lookup(self, texture_class):
-        try:
-            return self.entries[texture_class]
-        except KeyError:
-            raise TableLookupError(
-                f"PTF {self.ptf!r} has no entry for texture class {texture_class!r}"
-            ) from None
 
 
 @cache

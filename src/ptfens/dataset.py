@@ -13,7 +13,8 @@ head, water content) grouped by sample. ingest parses a file straight into
 columns and checks whole columns at once. The table is also a read-only
 sequence of SoilSample row views, built when indexed, so code that reads
 one sample at a time still can; SampleTable.from_samples turns any sequence
-of SoilSample into a table. stratify, bootstrap_split and the ensemble's
+of SoilSample into a table. qa_filter returns a table, write_samples writes
+one column at a time, and stratify, bootstrap_split and the ensemble's
 point assembly read the columns.
 
 Quality filtering applies fixed rules in a fixed order:
@@ -65,8 +66,6 @@ _METADATA_FIELDS = ("sample_id", "latitude", "longitude", "sand", "silt", "clay"
 _NUMERIC_FIELDS = ("latitude", "longitude", "sand", "silt", "clay",
                    "bulk_density", "organic_carbon")
 _TEXTURE_FIELDS = ("sand", "silt", "clay")
-# SoilSample's numeric fields in its own order, between sample_id and soil_order
-_ROW_FIELDS = ("sand", "silt", "clay", "bulk_density", "organic_carbon", "latitude", "longitude")
 
 
 @dataclass(frozen=True)
@@ -94,12 +93,6 @@ class SoilSample:
     soil_order: str = None
     temperature_regime: str = None
     observations: tuple = ()
-
-    def theta_at_head(self, psi):
-        for obs in self.observations:
-            if obs.psi == psi:
-                return obs.theta
-        return None
 
 
 def _optional(value):
@@ -190,17 +183,6 @@ class SampleTable(Sequence):
             soil_order=self.soil_order[i], temperature_regime=self.temperature_regime[i],
             observations=tuple(map(RetentionObservation, self.obs_psi[lo:hi].tolist(),
                                    self.obs_theta[lo:hi].tolist())))
-
-    def __iter__(self):
-        """The row views in order, as indexing builds them, with each column
-        converted to Python values once."""
-        columns = [[_optional(v) for v in getattr(self, f).tolist()] for f in _ROW_FIELDS]
-        psi, theta = self.obs_psi.tolist(), self.obs_theta.tolist()
-        bounds = self.obs_offsets.tolist()
-        for i, row in enumerate(zip(self.ids, *columns, self.soil_order,
-                                    self.temperature_regime)):
-            lo, hi = bounds[i], bounds[i + 1]
-            yield SoilSample(*row, tuple(map(RetentionObservation, psi[lo:hi], theta[lo:hi])))
 
     def __eq__(self, other):
         if isinstance(other, SampleTable):
@@ -317,17 +299,6 @@ def read_schema(path):
     return Schema(columns=columns, theta_columns=theta_columns, **kwargs)
 
 
-def gravimetric_to_volumetric(theta_g, bulk_density):
-    """Convert gravimetric water content (g/g) to volumetric (cm3/cm3)."""
-    if np.any(np.asarray(theta_g) < 0.0):
-        raise InputError("gravimetric water content must be >= 0")
-    if bulk_density is None or not np.all(np.isfinite(bulk_density)):
-        raise InputError("bulk density required for gravimetric conversion")
-    if np.any(np.asarray(bulk_density) < BD_MIN) or np.any(np.asarray(bulk_density) > BD_MAX):
-        raise InputError(f"bulk density outside [{BD_MIN}, {BD_MAX}] g/cm3")
-    return theta_g * bulk_density
-
-
 @dataclass(frozen=True)
 class IngestResult:
     samples: SampleTable
@@ -368,8 +339,8 @@ def ingest(path, schema):
     order, a missing required value, then a value that is not a number, not
     finite or (a texture fraction) negative; the texture sum; a bulk density
     for gravimetric units; per head, ascending, a water content that is not
-    a number or not finite; no water content at all. Removals are in row
-    order.
+    a number, not finite (after the gravimetric conversion) or negative (as
+    written); no water content at all. Removals are in row order.
     """
     with open_text(path, InputError, newline="") as fh:
         first = fh.readline()
@@ -448,10 +419,13 @@ def ingest(path, schema):
         check(bad, "BAD_NUMBER", f"water content at psi={head:g} is not numeric: {{!r}}", raw)
         if gravimetric:
             with np.errstate(over="ignore", invalid="ignore"):
-                values = values * bd
-        check(present[:, k] & ~bad & ~np.isfinite(values), "BAD_NUMBER",
+                theta[:, k] = values * bd
+        else:
+            theta[:, k] = values
+        check(present[:, k] & ~bad & ~np.isfinite(theta[:, k]), "BAD_NUMBER",
               f"water content at psi={head:g} is not finite: {{!r}}", raw)
-        theta[:, k] = values
+        check(values < 0.0, "BAD_NUMBER", f"water content at psi={head:g} is negative: {{!r}}",
+              raw)
     check(~present.any(axis=1), "NO_OBSERVATIONS", "no water-content values on the row")
 
     ids = [sid or f"r{k + 2}" for k, sid in enumerate(strings["sample_id"])]
@@ -491,7 +465,7 @@ def ingest(path, schema):
 
 @dataclass(frozen=True)
 class QaResult:
-    kept: tuple
+    kept: SampleTable
     removals: tuple
 
 
@@ -499,8 +473,8 @@ def qa_filter(samples):
     """Apply the ordered quality rules; returns survivors and a removal log.
 
     The rules run on the columns of a SampleTable (any other sequence of
-    SoilSample is made into one, so a NaN bulk density counts as missing);
-    row objects are built only for the kept samples."""
+    SoilSample is made into one, so a NaN bulk density counts as missing),
+    and the kept samples are a SampleTable too."""
     table = SampleTable.from_samples(samples)
     n = len(table)
     owner, psi, theta = table.obs_owner, table.obs_psi, table.obs_theta
@@ -548,19 +522,25 @@ def qa_filter(samples):
 
     kept = replace(table, obs_owner=owner[surviving], obs_psi=psi[surviving],
                    obs_theta=theta[surviving]).take(np.flatnonzero(~(bd_out | fc_lt_wp | empty)))
-    return QaResult(kept=tuple(kept), removals=tuple(removals))
-
-
-def oc_bin(organic_carbon, edges=DEFAULT_OC_EDGES):
-    """Bin index for an organic carbon value (percent); None if missing."""
-    if organic_carbon is None or not np.isfinite(organic_carbon):
-        return None
-    return int(np.searchsorted(np.asarray(edges, dtype=np.float64),
-                               organic_carbon, side="right"))
+    return QaResult(kept=kept, removals=tuple(removals))
 
 
 def stratum_key(scheme, value):
     return f"{scheme}:{value}"
+
+
+def _oc_edges(edges):
+    """Organic-carbon bin edges as a float64 array; ConfigError unless they
+    are finite and strictly increasing."""
+    try:
+        values = np.asarray(edges, dtype=np.float64)
+        if values.ndim == 1 and np.all(np.isfinite(values)) and np.all(np.diff(values) > 0.0):
+            return values
+    except (TypeError, ValueError):
+        pass
+    shown = ",".join(map(str, edges)) if isinstance(edges, (tuple, list)) else repr(edges)
+    raise ConfigError(f"organic-carbon bin edges must be finite and strictly increasing, "
+                      f"got {shown}")
 
 
 def _stratum_labels(table, scheme, oc_edges):
@@ -577,7 +557,7 @@ def _stratum_labels(table, scheme, oc_edges):
         labels[valid] = classify_texture_array(sand[valid], silt[valid], clay[valid])
         return labels, USDA_CLASSES
     if scheme == "oc":
-        edges = np.asarray(oc_edges, dtype=np.float64)
+        edges = _oc_edges(oc_edges)
         oc = table.organic_carbon
         return (np.where(np.isfinite(oc), np.searchsorted(edges, oc, side="right"), -1),
                 range(edges.size + 1))
@@ -592,7 +572,8 @@ def stratum_indices(samples, scheme, oc_edges=DEFAULT_OC_EDGES):
     samples that no stratum takes go to 'unassigned'.
 
     The pressure scheme splits observations, not samples, and is handled by
-    the stratified calibrator.
+    the stratified calibrator. The oc scheme bins organic carbon (percent)
+    right-closed at oc_edges, which must be finite and strictly increasing.
     """
     if scheme not in STRATIFICATION_SCHEMES:
         raise ConfigError(f"unknown stratification scheme {scheme!r}; "
@@ -623,6 +604,14 @@ class BootstrapReplica:
     validation_ids: tuple   # out-of-bag ids in original order
 
 
+def _seed_path(seed):
+    """Normalize an int or tuple-of-ints master seed into a tuple."""
+    path = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
+    if not path or any(int(p) < 0 for p in path):
+        raise InputError(f"seed must be non-negative, got {seed!r}")
+    return tuple(int(p) for p in path)
+
+
 def bootstrap_split(samples, n_replicas, seed):
     """Resample whole samples with replacement; out-of-bag ids validate.
 
@@ -631,10 +620,7 @@ def bootstrap_split(samples, n_replicas, seed):
     """
     if n_replicas < 1:
         raise InputError("need at least one replica")
-    path = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
-    if not path or any(int(p) < 0 for p in path):
-        raise InputError(f"seed must be non-negative, got {seed!r}")
-    path = tuple(int(p) for p in path)
+    path = _seed_path(seed)
     ids = SampleTable.from_samples(samples).ids
     if len(set(ids)) != len(ids):
         raise InputError("duplicate sample ids; resampling needs unique ids")
@@ -661,14 +647,6 @@ def bootstrap_split(samples, n_replicas, seed):
 CANONICAL_COLUMNS = _METADATA_FIELDS + tuple(f"theta_{h:g}" for h in ALLOWED_HEADS)
 
 
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path, header, rows):
     """Comma-delimited text with \n line ends. csv quotes a field only for the
     line end's own characters, so a row with a carriage return in a field is
@@ -681,14 +659,30 @@ def _write_csv(path, header, rows):
             (quoted if any("\r" in v for v in row) else plain).writerow(row)
 
 
-def write_samples(path, samples):
-    """Write samples as canonical comma-delimited text."""
-    def row(s):
-        by_head = {obs.psi: obs.theta for obs in s.observations}
-        return ([_fmt(getattr(s, f)) for f in _METADATA_FIELDS]
-                + [_fmt(by_head.get(h)) for h in ALLOWED_HEADS])
+def _texts(values):
+    """repr of each float, empty for NaN."""
+    return ["" if v != v else repr(v) for v in values.tolist()]
 
-    _write_csv(path, CANONICAL_COLUMNS, map(row, samples))
+
+def write_samples(path, samples):
+    """Write samples (a SampleTable, or any sequence of SoilSample) as
+    canonical comma-delimited text, a column at a time. A missing value is an
+    empty field; of a sample's repeated head the last water content is
+    written, and a head outside ALLOWED_HEADS is not."""
+    table = SampleTable.from_samples(samples)
+    heads = np.asarray(ALLOWED_HEADS)
+    column = np.searchsorted(heads, table.obs_psi).clip(max=heads.size - 1)
+    allowed = heads[column] == table.obs_psi
+    cell = table.obs_owner[allowed] * heads.size + column[allowed]
+    # the last observation of each (row, head): the first of the reversed cells
+    cell, first = np.unique(cell[::-1], return_index=True)
+    theta = np.full(len(table) * heads.size, np.nan)
+    theta[cell] = table.obs_theta[allowed][::-1][first]
+    _write_csv(path, CANONICAL_COLUMNS, zip(
+        map(str, table.ids), *(_texts(getattr(table, f)) for f in _NUMERIC_FIELDS),
+        *(["" if v is None else str(v) for v in getattr(table, f)]
+          for f in ("soil_order", "temperature_regime")),
+        *map(_texts, theta.reshape(len(table), heads.size).T)))
 
 
 def canonical_schema():

@@ -15,6 +15,9 @@ Uncertainty comes from bootstrap replicas: each replica resamples whole
 samples with replacement, calibrates on the drawn points, and validates on
 the out-of-bag samples. Stratified calibration runs the same procedure per
 stratum and falls back to the global weights for strata with too few points.
+Strata are assigned by dataset.stratum_indices over the sample table's
+columns; a StratifiedModel holds the per-stratum weights that calibrate
+writes, and predictions and maps apply one weight vector at a time.
 
 All randomness derives from one master seed. Replica r of a calibration
 seeds its bootstrap draw with (seed..., r, 0) and, under the GA, its
@@ -29,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .dataset import (DEFAULT_OC_EDGES, SampleTable, bootstrap_split, stratum_indices,
-                      stratum_key)
+from .dataset import (DEFAULT_OC_EDGES, SampleTable, _seed_path, bootstrap_split,
+                      stratum_indices, stratum_key)
 from .errors import (ConfigError, InputError, MemberPredictionError, PtfensError,
                      open_text)
 from .ptf import PtfId, predict, predict_batch, required_inputs
@@ -135,14 +138,6 @@ def ensemble_theta(weights, rec, psi):
     thetas = member_thetas(weights.members, rec, psi)
     out = weights.as_array() @ thetas
     return float(out[0]) if np.ndim(psi) == 0 else out
-
-
-def _seed_path(seed):
-    """Normalize an int or tuple-of-ints master seed into a tuple."""
-    path = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
-    if not path or any(int(p) < 0 for p in path):
-        raise InputError(f"seed must be non-negative, got {seed!r}")
-    return tuple(int(p) for p in path)
 
 
 def _fit_inputs(member_preds, observed, members):
@@ -515,18 +510,12 @@ def calibrate_stratified(members, samples, scheme, n_replicas=100, ga=None,
     the pressure scheme calibrates separate vectors on the observations at
     330 and 15000 cm. Strata with fewer points than min_stratum_points are
     not calibrated and use the global weights. ga selects the solver as in
-    calibrate.
+    calibrate. The strata are planned before any fit, so a bad scheme or
+    oc_edges fails first.
     """
     seed_path = _seed_path(seed)
     points = _PointSet(members, samples)
     table = points.samples
-    global_result = _calibrate_points(points, table, np.arange(points.psi.size),
-                                      n_replicas, ga, seed_path)
-    fallback = global_result.mean_weights
-    calibrations = {GLOBAL_STRATUM: global_result}
-    strata = {}
-    below = []
-
     plan = []  # (stratum key, its rows, point_of their observations)
     if scheme == "pressure":
         for head in (FIELD_CAPACITY_HEAD, WILTING_POINT_HEAD):
@@ -539,6 +528,12 @@ def calibrate_stratified(members, samples, scheme, n_replicas=100, ga=None,
         for key in sorted(k for k in groups if k != "unassigned"):
             plan.append((key, groups[key], table.obs_index(groups[key])))
 
+    global_result = _calibrate_points(points, table, np.arange(points.psi.size),
+                                      n_replicas, ga, seed_path)
+    fallback = global_result.mean_weights
+    calibrations = {GLOBAL_STRATUM: global_result}
+    strata = {}
+    below = []
     point_vectors = {}  # stratum key -> flat point indices it covers
     for key, rows, point_of in plan:
         covered = point_of[point_of >= 0]
@@ -572,57 +567,6 @@ def calibrate_stratified(members, samples, scheme, n_replicas=100, ga=None,
         calibrations=calibrations, below_threshold=tuple(below),
         min_stratum_points=min_stratum_points, oc_edges=tuple(oc_edges),
         pooled_rmse_stratified=pooled_strat, pooled_rmse_global=pooled_glob)
-
-
-@dataclass(frozen=True)
-class ModelPrediction:
-    theta: float
-    stratum: str
-    used_fallback: bool
-
-
-def resolve_stratum(model, rec=None, psi=None, stratum=None):
-    """Stratum key a record belongs to under a stratified model's scheme."""
-    from .dataset import oc_bin  # local import to avoid cycles at module load
-    from .texture import classify_texture
-
-    if stratum is not None:
-        return stratum if ":" in stratum else stratum_key(
-            "psi" if model.scheme == "pressure" else model.scheme, stratum)
-    if model.scheme == "texture" and rec is not None:
-        if rec.texture_class is not None:
-            return stratum_key("texture", rec.texture_class)
-        if None not in (rec.sand, rec.silt, rec.clay):
-            return stratum_key("texture", classify_texture(rec.sand, rec.silt, rec.clay))
-    elif model.scheme == "oc" and rec is not None:
-        idx = oc_bin(rec.organic_carbon, model.oc_edges)
-        if idx is not None:
-            return stratum_key("oc", idx)
-    elif model.scheme == "pressure" and psi is not None and np.ndim(psi) == 0:
-        if float(psi) in (FIELD_CAPACITY_HEAD, WILTING_POINT_HEAD):
-            return stratum_key("psi", f"{float(psi):g}")
-    return None  # order/temperature need an explicit stratum
-
-
-def predict_with_model(model, rec, psi, stratum=None):
-    """Ensemble water content under a plain or stratified model.
-
-    For stratified models the stratum is resolved from the record (texture,
-    oc), from the head (pressure), or from the explicit stratum argument
-    (order, temperature); anything unresolved or uncalibrated uses the
-    global fallback weights.
-    """
-    if isinstance(model, WeightVector):
-        theta = ensemble_theta(model, rec, psi)
-        return ModelPrediction(theta=theta, stratum=GLOBAL_STRATUM, used_fallback=False)
-
-    key = resolve_stratum(model, rec=rec, psi=psi, stratum=stratum)
-    used_fallback = key is None or key not in model.strata
-    vector = model.fallback if used_fallback else model.strata[key]
-    theta = ensemble_theta(vector, rec, psi)
-    return ModelPrediction(theta=theta,
-                           stratum=key if key is not None else GLOBAL_STRATUM,
-                           used_fallback=used_fallback)
 
 
 # ---------------------------------------------------------------------------

@@ -141,15 +141,6 @@ class ParamBatch:
         return self.rows.shape[0]
 
 
-def lookup_class_params(ptf, texture_class):
-    """Published class-average parameters for a group A predictor."""
-    ptf = PtfId(ptf)
-    if ptf not in _CLASS_TABLES:
-        raise InputError(f"{ptf} is not a class-lookup PTF")
-    table = coeffs.load_class_table(_CLASS_TABLES[ptf], ptf.value)
-    return table.lookup(texture_class)
-
-
 @cache
 def _class_rows(ptf):
     """Class table as a (12, 4) packed array indexed by USDA class code."""

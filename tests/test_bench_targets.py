@@ -1,15 +1,20 @@
-"""Every function the pipeline benchmark traces by name exists in the package.
+"""Every package name the pipeline benchmark uses exists in the package.
 
 pipebench/tracer.py wraps package functions by (module, attribute); a target
-that a refactor renames or deletes is a failed benchmark check. This test
-fails first, in the unit suite.
+that a refactor renames or deletes is a failed benchmark check. The other
+pipebench scripts import from ptfens; a name that a refactor deletes makes
+every benchmark run fail before it measures anything. These tests fail
+first, in the unit suite.
 """
 
+import ast
+import glob
 import importlib
 import importlib.util
 import os
 
-TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "pipebench", "tracer.py")
+PIPEBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "pipebench")
+TRACER = os.path.join(PIPEBENCH, "tracer.py")
 
 
 def load_tracer():
@@ -25,3 +30,52 @@ def test_every_traced_target_resolves():
     missing = [f"{mod}.{attr}" for mod, attr, *_ in targets
                if not callable(getattr(importlib.import_module(mod), attr, None))]
     assert missing == []
+
+
+def ptfens_names(tree):
+    """Dotted names a script takes from ptfens: each `from ptfens... import
+    name` and `import ptfens...`, and each attribute read off a name bound
+    that way (`import ptfens.cli as cli` ... `cli.main`)."""
+    names, bound = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and \
+                node.module.split(".")[0] == "ptfens":
+            for alias in node.names:
+                names.append(f"{node.module}.{alias.name}")
+                bound[alias.asname or alias.name] = names[-1]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "ptfens":
+                    names.append(alias.name)
+                    if alias.asname:
+                        bound[alias.asname] = alias.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and \
+                node.value.id in bound:
+            names.append(f"{bound[node.value.id]}.{node.attr}")
+    return names
+
+
+def resolve(dotted):
+    """The object a dotted ptfens name refers to; raises if there is none."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for k, part in enumerate(parts[1:], start=2):
+        if not hasattr(obj, part):
+            importlib.import_module(".".join(parts[:k]))  # a submodule not yet imported
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_every_benchmark_import_resolves():
+    scripts = sorted(glob.glob(os.path.join(PIPEBENCH, "*.py")))
+    names, missing = [], []
+    for path in scripts:
+        with open(path, encoding="utf-8") as fh:
+            for name in ptfens_names(ast.parse(fh.read(), path)):
+                names.append(name)
+                try:
+                    resolve(name)
+                except (ImportError, AttributeError):
+                    missing.append(f"{os.path.basename(path)}: {name}")
+    assert names and missing == []

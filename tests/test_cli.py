@@ -238,6 +238,31 @@ def test_calibrate_stratified_outputs(capsys, tmp_path):
     assert "psi:330" in table and "psi:15000" in table
 
 
+@pytest.mark.parametrize("edges, shown", [("0.1,abc", "'0.1,abc'"),
+                                          ("2.0,0.5,1.0", "2.0,0.5,1.0"), ("nan", "nan")])
+def test_calibrate_rejects_bad_oc_edges(capsys, sample_file, tmp_path, edges, shown):
+    out = tmp_path / "oc"
+    code, _, err = run(capsys, "calibrate", "--data", sample_file, "--members", "cosby1,carsel",
+                       "--scheme", "oc", "--oc-edges", edges, "--replicas", "2", "--out", out)
+    assert code == 1
+    assert err.startswith("error: ") and shown in err
+    assert not list(out.glob("weights_*.tsv"))
+
+
+def test_ingest_rejects_negative_water_contents(capsys, ingest_dir):
+    (ingest_dir / "raw.csv").write_text(RAW_CSV + "P4,40,40,20,1.4,1.0,0.30,-0.05\n"
+                                                  "P5,40,40,20,1.4,1.0,-0.2,\n")
+    out = ingest_dir / "out"
+    code, stdout, _ = run(capsys, "ingest", "--data", ingest_dir / "raw.csv",
+                          "--schema", ingest_dir / "schema.txt", "--out", out)
+    assert code == 0 and "kept=2 removed_ingest=2" in stdout
+    assert [s.sample_id for s in read_samples(out / "samples.csv")] == ["P1", "P3"]
+    removed = (out / "removed.csv").read_text().splitlines()
+    assert removed[1:3] == [
+        "P4,ingest,BAD_NUMBER,water content at psi=15000 is negative: '-0.05'",
+        "P5,ingest,BAD_NUMBER,water content at psi=330 is negative: '-0.2'"]
+
+
 def replica_weights(path):
     """Replica weight rows of a replicas.tsv, as floats."""
     rows = [ln.split("\t") for ln in path.read_text().splitlines()

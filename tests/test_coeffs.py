@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ptfens import TableLookupError, VanGenuchtenParams
+from ptfens import PtfId, TableLookupError, VanGenuchtenParams, predict_batch
+from ptfens import ptf as ptf_module
 from ptfens.coeffs import (
     data_file_hashes,
     eval_regression,
@@ -11,27 +12,33 @@ from ptfens.coeffs import (
     load_constants,
     load_regression,
 )
+from ptfens.texture import USDA_CLASSES
 
 
 def test_class_table_shape_and_values():
     table = load_class_table("carsel_parrish_1988_classes.csv", "carsel")
     assert len(table.entries) == 12
-    loam = table.lookup("loam")
+    loam = table.entries["loam"]
     assert loam == VanGenuchtenParams(theta_r=0.078, theta_s=0.43,
                                       alpha=0.036, n=1.56)
 
 
-def test_class_table_missing_class():
-    table = load_class_table("carsel_parrish_1988_classes.csv", "carsel")
+def test_class_table_missing_class(monkeypatch):
+    """A class a table has no row for fails the lookup, naming the PTF and class."""
+    rows = ptf_module._class_rows(PtfId.CARSEL).copy()
+    loam = USDA_CLASSES.index("loam")
+    rows[loam] = np.nan
+    monkeypatch.setattr(ptf_module, "_class_rows", lambda ptf: rows)
     with pytest.raises(TableLookupError) as err:
-        table.lookup("peat")
+        predict_batch(PtfId.CARSEL, texture=[USDA_CLASSES.index("sand"), loam])
     assert "carsel" in str(err.value)
-    assert "peat" in str(err.value)
+    assert "loam" in str(err.value)
 
 
 def test_class_table_deterministic():
     table = load_class_table("cosby_1984_classes.csv", "cosby0")
-    assert table.lookup("clay") == table.lookup("clay")
+    assert load_class_table("cosby_1984_classes.csv", "cosby0").entries["clay"] == \
+        table.entries["clay"]
 
 
 def test_regression_hand_values():

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from ptfens import ConfigError, InputError, SchemaError
 from ptfens.dataset import (
     ALLOWED_HEADS,
+    CANONICAL_COLUMNS,
     DEFAULT_OC_EDGES,
     SOIL_ORDERS,
     TEMPERATURE_REGIMES,
@@ -19,15 +20,16 @@ from ptfens.dataset import (
     SampleTable,
     Schema,
     SoilSample,
+    _METADATA_FIELDS,
+    _write_csv,
     bootstrap_split,
     canonical_schema,
-    gravimetric_to_volumetric,
     ingest,
-    oc_bin,
     qa_filter,
     read_samples,
     read_schema,
     stratify,
+    stratum_indices,
     stratum_key,
     write_removals,
     write_samples,
@@ -62,8 +64,8 @@ def test_ingest_clean_rows(tmp_path):
     assert len(result.samples) == 3
     assert result.removals == ()
     assert [s.sample_id for s in result.samples] == ["P1", "P2", "P3"]
-    assert result.samples[0].theta_at_head(330.0) == 0.30
-    assert result.samples[0].observations[0].psi == 330.0
+    assert [(o.psi, o.theta) for o in result.samples[0].observations] == \
+        [(330.0, 0.30), (15000.0, 0.15)]
 
 
 def test_ingest_rejections(tmp_path):
@@ -110,13 +112,6 @@ def test_ingest_tab_delimited_sniffing(tmp_path):
 
 
 def test_gravimetric_conversion(tmp_path):
-    assert gravimetric_to_volumetric(0.2, 1.5) == pytest.approx(0.30, abs=1e-15)
-    assert gravimetric_to_volumetric(0.0, 1.0) == 0.0
-    with pytest.raises(InputError):
-        gravimetric_to_volumetric(0.2, 2.5)
-    with pytest.raises(InputError):
-        gravimetric_to_volumetric(-0.1, 1.5)
-
     schema = Schema(
         columns=dict(SCHEMA.columns),
         theta_columns=dict(SCHEMA.theta_columns),
@@ -125,11 +120,19 @@ def test_gravimetric_conversion(tmp_path):
     path = write_csv(tmp_path / "d.csv", [
         HEADER,
         ("P1", 40, 40, 20, 1.5, 1.0, 0.20, 0.10),
+        ("P2", 40, 40, 20, -1.4, 1.0, 0.20, 0.10),  # the density is judged by QA
+        ("P3", 40, 40, 20, 1.5, 1.0, 0.20, -0.01),  # negative as written
     ])
     result = ingest(path, schema)
     s = result.samples[0]
-    assert s.theta_at_head(330.0) == pytest.approx(0.20 * 1.5, abs=1e-15)
-    assert s.theta_at_head(15000.0) == pytest.approx(0.10 * 1.5, abs=1e-15)
+    assert [(o.psi, o.theta) for o in s.observations] == \
+        [(330.0, pytest.approx(0.20 * 1.5, abs=1e-15)),
+         (15000.0, pytest.approx(0.10 * 1.5, abs=1e-15))]
+    assert result.samples.ids == ("P1", "P2")
+    assert [(e.sample_id, e.detail) for e in result.removals] == \
+        [("P3", "water content at psi=15000 is negative: '-0.01'")]
+    assert [(e.sample_id, e.reason_code) for e in qa_filter(result.samples).removals] == \
+        [("P2", "BD_RANGE")]
 
 
 def test_schema_file_round_trip(tmp_path):
@@ -277,7 +280,7 @@ def test_qa_filter_matches_per_row_rules(samples):
     assert tuple(table) == tuple(table[i] for i in range(len(table))) == tuple(samples)
     for given_samples in (samples, table):
         result = qa_filter(given_samples)
-        assert type(result.kept) is tuple and result.kept == kept
+        assert isinstance(result.kept, SampleTable) and result.kept == kept
         assert result.removals == removals
 
 
@@ -358,14 +361,26 @@ def test_stratify_rejects_unknown_and_pressure():
 
 
 def test_oc_bin_edges():
-    assert oc_bin(0.05) == 0
-    assert oc_bin(0.1) == 1  # right-closed bin edges
-    assert oc_bin(0.2) == 1
-    assert oc_bin(5.0) == 6
-    assert oc_bin(10.0) == 7
-    assert oc_bin(None) is None
+    values = (0.05, 0.1, 0.2, 5.0, 10.0, None)
+    samples = [make_sample(f"S{i}", 40, 40, 20, oc=v, obs=[(330, 0.3)])
+               for i, v in enumerate(values)]
+    groups = stratum_indices(samples, "oc")
+    assert {k: v.tolist() for k, v in groups.items()} == {
+        "oc:0": [0], "oc:1": [1, 2],  # right-closed bin edges
+        "oc:6": [3], "oc:7": [4], "unassigned": [5]}
     assert len(DEFAULT_OC_EDGES) == 7  # eight bins
     assert stratum_key("oc", 3) == "oc:3"
+
+
+@pytest.mark.parametrize("edges", [(2.0, 0.5, 1.0), (0.1, 0.1), (0.1, float("nan")),
+                                   (float("inf"),), ((0.1, 0.2),), ("abc",)])
+def test_oc_edges_must_be_finite_and_increasing(edges):
+    samples = [make_sample("A", 40, 40, 20, oc=1.0, obs=[(330, 0.3)])]
+    with pytest.raises(ConfigError) as err:
+        stratum_indices(samples, "oc", oc_edges=edges)
+    assert "finite and strictly increasing" in str(err.value)
+    assert stratum_indices(samples, "texture", oc_edges=edges)  # other schemes ignore them
+    assert list(stratum_indices(samples, "oc", oc_edges=(0.5, 2.0))) == ["oc:1"]
 
 
 def test_bootstrap_single_sample():
@@ -465,6 +480,10 @@ NON_FINITE_ROWS = [
     (("P2", 40, 40, 20, 1.4, 1.0, 0.30, "Infinity"),
      "water content at psi=15000 is not finite: 'Infinity'"),
     (("P2", -10, 70, 40, 1.4, 1.0, 0.30, 0.15), "field 'sand' is negative: '-10'"),
+    (("P2", 40, 40, 20, 1.4, 1.0, 0.30, -0.05),
+     "water content at psi=15000 is negative: '-0.05'"),
+    (("P2", 40, 40, 20, 1.4, 1.0, -0.2, ""), "water content at psi=330 is negative: '-0.2'"),
+    (("P2", 40, 40, 20, 1.4, 1.0, "-inf", -1), "water content at psi=330 is not finite: '-inf'"),
 ]
 
 
@@ -550,7 +569,7 @@ def test_sample_table_rows_are_the_samples():
     assert list(table) == samples
     assert table[-1] == samples[2] and table[1].observations == ()
     assert table[0].bulk_density is None and table[0].organic_carbon == 2.0
-    assert table[0].theta_at_head(15000.0) == 0.15
+    assert table[0].observations[1] == RetentionObservation(15000.0, 0.15)
     assert np.isnan(table.bulk_density[0]) and table.organic_carbon[0] == 2.0
     assert table.obs_owner.tolist() == [0, 0, 2, 2, 2]
     assert table.obs_offsets.tolist() == [0, 2, 2, 5]
@@ -616,7 +635,7 @@ def canonical_samples(draw):
         silt = draw(st.floats(0.0, 100.0 - sand))
         heads = draw(st.lists(st.sampled_from(ALLOWED_HEADS), min_size=1, max_size=6,
                               unique=True))
-        thetas = draw(st.lists(st.floats(-1.0, 2.0), min_size=len(heads),
+        thetas = draw(st.lists(st.floats(0.0, 2.0), min_size=len(heads),
                                max_size=len(heads)))
         samples.append(SoilSample(
             sample_id=sid, sand=sand, silt=silt, clay=100.0 - sand - silt,
@@ -643,6 +662,63 @@ def test_sample_file_round_trip_property(samples):
             assert a.read() == b.read()
     assert list(table) == samples
     assert SampleTable.from_samples(samples) == table
+
+
+def reference_write_samples(path, samples):
+    """The canonical writer one sample at a time: repr of a float, empty for
+    None, the last water content of a repeated head, heads outside
+    ALLOWED_HEADS left out."""
+    def fmt(value):
+        return "" if value is None else repr(value) if isinstance(value, float) else str(value)
+
+    def row(s):
+        by_head = {obs.psi: obs.theta for obs in s.observations}
+        return ([fmt(getattr(s, f)) for f in _METADATA_FIELDS]
+                + [fmt(by_head.get(h)) for h in ALLOWED_HEADS])
+
+    _write_csv(path, CANONICAL_COLUMNS, map(row, samples))
+
+
+def _field():
+    return st.none() | st.just(float("nan")) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def writable_samples(draw):
+    """Any samples write_samples takes: ids and descriptors that need CSV
+    quoting, missing and NaN fields, no observations, repeated heads and
+    heads outside ALLOWED_HEADS, in any order."""
+    text = st.text(st.sampled_from('ab1,"\n\r é'), max_size=5)
+    heads = st.sampled_from(ALLOWED_HEADS + (0.0, 500.0, 1e5))
+    samples = []
+    for _ in range(draw(st.integers(0, 6))):
+        observations = draw(st.lists(st.tuples(heads, st.floats(-2.0, 2.0)), max_size=8))
+        samples.append(SoilSample(
+            draw(text), draw(_field()), draw(_field()), draw(_field()),
+            bulk_density=draw(_field()), organic_carbon=draw(_field()),
+            latitude=draw(_field()), longitude=draw(_field()),
+            soil_order=draw(st.none() | text), temperature_regime=draw(st.none() | text),
+            observations=tuple(RetentionObservation(p, t) for p, t in observations)))
+    return samples
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(writable_samples())
+@example([make_sample("a\rb", 40, 40, 20, obs=[(330, 0.3), (100, 0.4), (330, 0.25),
+                                                (5.0, 0.5), (330, 0.2)]),
+          make_sample('x,"y', 40, 40, 20, bd=None, oc=None, obs=[])])
+def test_write_samples_matches_per_row_writer(samples):
+    table = SampleTable.from_samples(samples)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("list.csv", "table.csv", "rows.csv")]
+        write_samples(paths[0], samples)
+        write_samples(paths[1], table)
+        reference_write_samples(paths[2], [table[i] for i in range(len(table))])
+        written = []
+        for path in paths:
+            with open(path, "rb") as fh:
+                written.append(fh.read())
+    assert written[0] == written[1] == written[2]
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +776,8 @@ def reference_ingest(header, rows, schema):
                 theta *= values["bulk_density"]
             if not np.isfinite(theta):
                 fault = ("BAD_NUMBER", f"water content at psi={head:g} is not finite: {raw!r}")
+            elif float(raw) < 0.0:
+                fault = ("BAD_NUMBER", f"water content at psi={head:g} is negative: {raw!r}")
             observations.append((head, theta))
         if not fault and not observations:
             fault = ("NO_OBSERVATIONS", "no water-content values on the row")

@@ -20,7 +20,6 @@ from ptfens import (
     ensemble_theta,
     optimize_weights,
     predict_theta,
-    predict_with_model,
     read_replica_table,
     read_weights,
     samples_theta,
@@ -28,8 +27,9 @@ from ptfens import (
     write_replica_table,
     write_weights,
 )
+from ptfens import ensemble as ensemble_module
 from ptfens.dataset import SampleTable, bootstrap_split
-from ptfens.ensemble import GLOBAL_STRATUM, point_matrix, resolve_stratum
+from ptfens.ensemble import GLOBAL_STRATUM, point_matrix
 from helpers import make_sample, synthetic_population
 
 MEMBERS = (PtfId.COSBY1, PtfId.CARSEL, PtfId.WOSTEN)
@@ -481,50 +481,17 @@ def test_stratified_pressure_scheme():
     assert model.n_params == 2 * 2
 
 
-def test_predict_with_model_dispatch():
-    rng = np.random.default_rng(65)
-    samples = synthetic_population(rng, 30, PtfId.COSBY1, noise=0.02)
-    model = calibrate_stratified(
-        (PtfId.COSBY1, PtfId.CARSEL), samples, "pressure", n_replicas=3,
-        ga=GaConfig(population=16, generations=25), seed=12,
-        min_stratum_points=10)
-    rec = PredictorRecord(sand=40.0, silt=40.0, clay=20.0, bulk_density=1.4,
-                          organic_carbon=1.0)
-
-    fc = predict_with_model(model, rec, 330.0)
-    assert fc.stratum == "psi:330"
-    assert not fc.used_fallback
-    assert fc.theta == pytest.approx(
-        ensemble_theta(model.strata["psi:330"], rec, 330.0), rel=1e-14)
-
-    sat = predict_with_model(model, rec, 0.0)  # no stratum for this head
-    assert sat.used_fallback
-    assert sat.theta == pytest.approx(
-        ensemble_theta(model.fallback, rec, 0.0), rel=1e-14)
-
-    plain = predict_with_model(model.fallback, rec, 330.0)
-    assert plain.theta == pytest.approx(
-        ensemble_theta(model.fallback, rec, 330.0), rel=1e-14)
-    assert plain.stratum == GLOBAL_STRATUM
-
-
-def test_resolve_stratum_texture_and_hint():
-    rng = np.random.default_rng(66)
-    samples = synthetic_population(rng, 30, PtfId.COSBY1, noise=0.02)
-    model = calibrate_stratified(
-        (PtfId.COSBY1, PtfId.CARSEL), samples, "texture", n_replicas=3,
-        ga=GaConfig(population=16, generations=25), seed=13,
-        min_stratum_points=1)
-    rec = PredictorRecord(sand=40.0, silt=40.0, clay=20.0)
-    assert resolve_stratum(model, rec=rec) == "texture:loam"
-    # bare hints gain the scheme prefix; qualified hints pass through
-    assert resolve_stratum(model, stratum="clay") == "texture:clay"
-    assert resolve_stratum(model, stratum="texture:clay") == "texture:clay"
-    # hints for uncalibrated strata resolve but predict via the fallback
-    uncal = predict_with_model(model, rec, 330.0, stratum="texture:quux")
-    assert uncal.used_fallback
-    assert uncal.theta == pytest.approx(
-        ensemble_theta(model.fallback, rec, 330.0), rel=1e-14)
+def test_stratified_oc_edges_are_checked_before_any_fit(monkeypatch):
+    rng = np.random.default_rng(68)
+    samples = synthetic_population(rng, 12, PtfId.COSBY1, noise=0.02)
+    draws = []
+    monkeypatch.setattr(ensemble_module, "bootstrap_split", lambda *a: draws.append(a))
+    for edges in ((2.0, 0.5, 1.0), (0.1, float("nan")), (0.3, 0.3)):
+        with pytest.raises(ConfigError) as err:
+            calibrate_stratified((PtfId.COSBY1, PtfId.CARSEL), samples, "oc",
+                                 n_replicas=2, oc_edges=edges)
+        assert "finite and strictly increasing" in str(err.value)
+    assert draws == []
 
 
 def test_weight_file_round_trip(tmp_path):

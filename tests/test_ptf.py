@@ -12,11 +12,9 @@ from ptfens import (
     InputError,
     PredictorRecord,
     PtfId,
-    TableLookupError,
     classify_texture,
     clear_ann_registry,
     group_of,
-    lookup_class_params,
     predict,
     predict_batch,
     predict_theta,
@@ -25,10 +23,24 @@ from ptfens import (
     theta_at,
     write_ann_file,
 )
+from ptfens.coeffs import load_class_table
 from ptfens.ptf import load_rosetta_weights
 
 LOAM = PredictorRecord(sand=40.0, silt=40.0, clay=20.0,
                        bulk_density=1.35, organic_carbon=1.2)
+
+CLASS_TABLE_FILES = {
+    PtfId.COSBY0: "cosby_1984_classes.csv",
+    PtfId.CARSEL: "carsel_parrish_1988_classes.csv",
+    PtfId.CLAPP: "clapp_hornberger_1978_classes.csv",
+    PtfId.ROSETTA_H1W: "rosetta_h1w_classes.csv",
+}
+
+
+def class_params(ptf, texture_class):
+    """The published class-average row, read straight from its table."""
+    return load_class_table(CLASS_TABLE_FILES[ptf], ptf.value).entries[texture_class]
+
 
 # PTFs usable without an externally trained network
 TABLE_AND_REGRESSION = tuple(p for p in ALL_PTFS
@@ -70,26 +82,28 @@ def test_family_consistency():
 
 
 def test_lookup_matches_fixture_row():
-    params = lookup_class_params(PtfId.CARSEL, "loam")
+    rec = PredictorRecord(texture_class="loam")
+    params = predict(PtfId.CARSEL, rec)
     assert (params.theta_r, params.theta_s, params.alpha, params.n) == \
         (0.078, 0.43, 0.036, 1.56)
-    assert lookup_class_params(PtfId.CARSEL, "loam") == params  # deterministic
+    assert predict(PtfId.CARSEL, rec) == params  # deterministic
 
 
 def test_lookup_unknown_class():
-    with pytest.raises(TableLookupError):
-        lookup_class_params(PtfId.CLAPP, "muck")
+    with pytest.raises(InputError) as err:
+        predict(PtfId.CLAPP, PredictorRecord(texture_class="muck"))
+    assert "muck" in str(err.value)
 
 
 def test_class_ptf_reduces_to_lookup():
     cls = classify_texture(LOAM.sand, LOAM.silt, LOAM.clay)
     for ptf in (PtfId.COSBY0, PtfId.CARSEL, PtfId.CLAPP, PtfId.ROSETTA_H1W):
-        assert predict(ptf, LOAM) == lookup_class_params(ptf, cls)
+        assert predict(ptf, LOAM) == class_params(ptf, cls)
 
 
 def test_explicit_texture_class_bypasses_fractions():
     rec = PredictorRecord(texture_class="loam")
-    assert predict(PtfId.CARSEL, rec) == lookup_class_params(PtfId.CARSEL, "loam")
+    assert predict(PtfId.CARSEL, rec) == class_params(PtfId.CARSEL, "loam")
 
 
 def test_cosby_univariate_hand_values():
@@ -271,7 +285,7 @@ def test_predict_theta_saturation_is_theta_s():
 
 
 def test_clapp_composed_hand_value():
-    params = lookup_class_params(PtfId.CLAPP, "loam")
+    params = class_params(PtfId.CLAPP, "loam")
     psi = params.psi_e * 16.0
     expected = params.theta_s * (params.psi_e / psi) ** (1.0 / params.b)
     rec = PredictorRecord(texture_class="loam")
@@ -279,7 +293,7 @@ def test_clapp_composed_hand_value():
 
 
 def test_carsel_composed_hand_value():
-    p = lookup_class_params(PtfId.CARSEL, "loam")
+    p = class_params(PtfId.CARSEL, "loam")
     m = 1.0 - 1.0 / p.n
     expected = p.theta_r + (p.theta_s - p.theta_r) * (
         1.0 + (p.alpha * 330.0) ** p.n) ** -m
