@@ -7,8 +7,9 @@ record plus a float64 row of up to four parameters,
     family 1 (Brooks-Corey):  theta_r, theta_s, psi_b, lambda
     family 2 (Campbell):      theta_s, psi_e, b, unused
 
-theta_points is the one implementation of the three curve formulas; the
-scalar evaluator retention.theta_at and every batch path call it.
+theta_points is the one entry to the curve formulas (_vg, _bc, _cmp); the
+scalar evaluator retention.theta_at and every batch path call it. At psi = 0
+each formula gives theta_s exactly, so a caller may read it (THETA_S_COLUMN).
 replica_mean_std gives the map's replica spread in closed form from the weights.
 """
 
@@ -19,38 +20,38 @@ FAMILY_BC = 1
 FAMILY_CMP = 2
 
 
+def _vg(tr, ts, al, n, psi):
+    with np.errstate(over="ignore"):
+        se = (1.0 + (al * psi) ** n) ** (1.0 / n - 1.0)
+    # convex-combination form evaluates the endpoints exactly
+    return ts * se + tr * (1.0 - se)
+
+
+def _bc(tr, ts, pb, lam, psi):
+    wet = psi <= pb
+    se = (pb / np.where(wet, pb, psi)) ** lam
+    return np.where(wet, ts, ts * se + tr * (1.0 - se))
+
+
+def _cmp(ts, pe, b, _, psi):
+    wet = psi <= pe
+    return np.where(wet, ts, ts * (pe / np.where(wet, pe, psi)) ** (1.0 / b))
+
+
+_CURVES = {FAMILY_VG: _vg, FAMILY_BC: _bc, FAMILY_CMP: _cmp}
+THETA_S_COLUMN = {FAMILY_VG: 1, FAMILY_BC: 1, FAMILY_CMP: 0}
+
+
 def theta_points(codes, params, psi):
-    """Water content for record i at suction psi[i], vectorized per family."""
+    """Water content for record i at suction psi[i]. A one-family batch runs
+    its formula on the parameter columns unmasked; a mixed one, per family."""
     psi = np.asarray(psi, dtype=np.float64)
+    if codes.size and (codes == codes[0]).all():
+        return _CURVES[codes[0]](*params.T, psi)
     out = np.empty(psi.shape, dtype=np.float64)
-
-    vg = codes == FAMILY_VG
-    if vg.any():
-        tr, ts = params[vg, 0], params[vg, 1]
-        al, n = params[vg, 2], params[vg, 3]
-        with np.errstate(over="ignore"):
-            se = (1.0 + (al * psi[vg]) ** n) ** (1.0 / n - 1.0)
-        # convex-combination form evaluates the endpoints exactly
-        out[vg] = ts * se + tr * (1.0 - se)
-
-    bc = codes == FAMILY_BC
-    if bc.any():
-        tr, ts = params[bc, 0], params[bc, 1]
-        pb, lam = params[bc, 2], params[bc, 3]
-        p = psi[bc]
-        wet = p <= pb
-        ratio = pb / np.where(wet, pb, p)
-        se = ratio**lam
-        out[bc] = np.where(wet, ts, ts * se + tr * (1.0 - se))
-
-    cmp_ = codes == FAMILY_CMP
-    if cmp_.any():
-        ts, pe, b = params[cmp_, 0], params[cmp_, 1], params[cmp_, 2]
-        p = psi[cmp_]
-        wet = p <= pe
-        ratio = pe / np.where(wet, pe, p)
-        out[cmp_] = np.where(wet, ts, ts * ratio ** (1.0 / b))
-
+    for code, curve in _CURVES.items():
+        mask = codes == code
+        out[mask] = curve(*params[mask].T, psi[mask])
     return out
 
 

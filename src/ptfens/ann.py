@@ -114,13 +114,24 @@ def ann_forward(spec, x):
     return out[0] if single else out
 
 
-def _floats(parts, n, what, lineno):
+def _floats(parts, n, what, where):
     if len(parts) != n:
-        raise AnnSpecError(f"line {lineno}: expected {n} values for {what}, got {len(parts)}")
+        raise AnnSpecError(f"{where}: expected {n} values for {what}, got {len(parts)}")
     try:
         return np.array([float(p) for p in parts], dtype=np.float64)
     except ValueError as exc:
-        raise AnnSpecError(f"line {lineno}: {exc}") from None
+        raise AnnSpecError(f"{where}: {exc}") from None
+
+
+def _sizes(parts, key, where):
+    """The positive integers of a 'layers', 'weights' or 'bias' line."""
+    try:
+        values = tuple(int(p) for p in parts)
+    except ValueError:
+        values = ()
+    if not values or min(values) < 1:
+        raise AnnSpecError(f"{where}: '{key}' needs positive integers, got {' '.join(parts)!r}")
+    return values
 
 
 def read_ann_file(path):
@@ -128,7 +139,7 @@ def read_ann_file(path):
     with open_text(path, AnnSpecError) as fh:
         raw = fh.readlines()
     lines = [
-        (i + 1, ln.strip()) for i, ln in enumerate(raw)
+        (f"{path}: line {i + 1}", ln.strip()) for i, ln in enumerate(raw)
         if ln.strip() and not ln.strip().startswith("#")
     ]
     fields = {}
@@ -144,34 +155,36 @@ def read_ann_file(path):
         return item
 
     while pos < len(lines):
-        lineno, line = take()
+        where, line = take()
         key, *parts = line.split()
         if key == "layers":
-            fields["layers"] = tuple(int(p) for p in parts)
+            fields["layers"] = _sizes(parts, key, where)
         elif key in ("hidden_activation",):
             fields[key] = parts[0] if parts else ""
         elif key in ("input_names", "output_names", "output_transforms"):
             fields[key] = tuple(parts)
         elif key in ("input_offset", "input_scale", "output_offset", "output_scale"):
-            fields[key] = (lineno, parts)
+            fields[key] = (where, parts)
         elif key in ("weights", "bias"):
             if "layers" not in fields:
-                raise AnnSpecError(f"line {lineno}: 'layers' must come before weight blocks")
+                raise AnnSpecError(f"{where}: 'layers' must come before weight blocks")
             sizes = fields["layers"]
-            idx = int(parts[0])
-            if not 1 <= idx <= len(sizes) - 1:
-                raise AnnSpecError(f"line {lineno}: no layer transition {idx}")
+            if len(parts) != 1:
+                raise AnnSpecError(f"{where}: expected '{key} <transition>', got {line!r}")
+            (idx,) = _sizes(parts, key, where)
+            if idx > len(sizes) - 1:
+                raise AnnSpecError(f"{where}: no layer transition {idx}")
             if key == "weights":
                 rows = []
                 for _ in range(sizes[idx]):
-                    rlineno, rline = take()
-                    rows.append(_floats(rline.split(), sizes[idx - 1], f"weights {idx}", rlineno))
+                    rwhere, rline = take()
+                    rows.append(_floats(rline.split(), sizes[idx - 1], f"weights {idx}", rwhere))
                 matrices[("w", idx)] = np.stack(rows)
             else:
-                blineno, bline = take()
-                matrices[("b", idx)] = _floats(bline.split(), sizes[idx], f"bias {idx}", blineno)
+                bwhere, bline = take()
+                matrices[("b", idx)] = _floats(bline.split(), sizes[idx], f"bias {idx}", bwhere)
         else:
-            raise AnnSpecError(f"line {lineno}: unknown directive {key!r}")
+            raise AnnSpecError(f"{where}: unknown directive {key!r}")
 
     required = ("layers", "hidden_activation", "input_names", "input_offset", "input_scale",
                 "output_names", "output_offset", "output_scale", "output_transforms")
@@ -184,8 +197,8 @@ def read_ann_file(path):
             raise AnnSpecError(f"{path}: missing weights or bias for transition {k}")
 
     def vec(key, n):
-        lineno, parts = fields[key]
-        return _floats(parts, n, key, lineno)
+        where, parts = fields[key]
+        return _floats(parts, n, key, where)
 
     return AnnSpec(
         layer_sizes=sizes,

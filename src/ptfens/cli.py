@@ -144,9 +144,12 @@ def _load_rosetta(settings):
 def _psi_list(settings):
     raw = settings.get("psi", "0,330,15000")
     try:
-        return [float(p) for p in str(raw).split(",") if p.strip() != ""]
+        heads = [float(p) for p in str(raw).split(",") if p.strip() != ""]
     except ValueError:
         raise ConfigError(f"bad --psi list {raw!r}") from None
+    if not heads:
+        raise ConfigError(f"bad --psi list {raw!r}: no suction given")
+    return heads
 
 
 # ---------------------------------------------------------------------------

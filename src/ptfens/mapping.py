@@ -1,15 +1,15 @@
 """Gridded application of calibrated ensembles.
 
 Soil property layers come in as ESRI ASCII grids (six header lines, then
-nrows lines of ncols values, top row first). For every valid cell the
-members are evaluated once at the three standard heads (0, 330 and 15000 cm
-of suction); the mean and sample std (ddof=1) of the bootstrap replicas'
-ensemble estimates come in closed form from the replica weights
-(_kernels.replica_mean_std), giving a mean grid and a coefficient of
-variation grid (std over mean) per head. Cells where any required layer is
-nodata, where a texture fraction is negative or the fractions do not sum to
-100, or where the replica mean is zero are nodata in the outputs;
-MapProduct counts them by reason.
+nrows lines of ncols values, top row first). Members are evaluated at the
+heads 0, 330 and 15000 cm once per cell, a class-table member once per
+texture class in the block, gathered back by class; head 0 is the theta_s
+column, which every curve gives exactly. The replica mean and sample std
+(ddof=1) come in closed form from the replica weights
+(_kernels.replica_mean_std), giving a mean and a CV (std over mean) grid per
+head. Cells where a required layer is nodata, a texture fraction is negative
+or the fractions do not sum to 100, or the replica mean is zero are nodata
+in the outputs; MapProduct counts them by reason.
 
 A grid body is parsed in one numpy.loadtxt call, numpy's C float parser:
 its grammar is Python float()'s without digit-group underscores and
@@ -30,9 +30,9 @@ import numpy as np
 
 from . import _kernels
 from .errors import CoregistrationError, GridFormatError, InputError, open_text
-from .ptf import predict_batch, required_inputs
+from .ptf import predict_batch, required_inputs, uses_class_table
 from .retention import FIELD_CAPACITY_HEAD, SATURATION_HEAD, WILTING_POINT_HEAD
-from .texture import TEXTURE_SUM_TOLERANCE, classify_texture_array
+from .texture import TEXTURE_SUM_TOLERANCE, USDA_CLASSES, classify_texture_array
 
 MAP_HEADS = (SATURATION_HEAD, FIELD_CAPACITY_HEAD, WILTING_POINT_HEAD)
 HEAD_LABELS = {SATURATION_HEAD: "sat", FIELD_CAPACITY_HEAD: "fc", WILTING_POINT_HEAD: "wp"}
@@ -340,13 +340,21 @@ def apply_ensemble_map(layers, replica_weights, heads=MAP_HEADS, topsoil=True,
         n_valid += n_cells
 
         texture = classify_texture_array(cells["sand"], cells["silt"], cells["clay"])
+        present = np.bincount(texture, minlength=len(USDA_CLASSES)) > 0
+        class_of = np.cumsum(present)[texture] - 1  # each cell's row in a class batch
         thetas = np.empty((len(members), len(heads), n_cells))
         for k, m in enumerate(members):
-            batch = predict_batch(m, texture=texture, **cells,
-                                  topsoil=np.full(n_cells, 1.0 if topsoil else 0.0))
+            if uses_class_table(m):  # one curve per texture class present
+                batch, at = predict_batch(m, texture=np.flatnonzero(present)), class_of
+            else:
+                batch, at = predict_batch(m, texture=texture, **cells, topsoil=np.full(
+                    n_cells, 1.0 if topsoil else 0.0)), slice(None)
             for t, head in enumerate(heads):
-                thetas[k, t] = _kernels.theta_points(
-                    batch.codes, batch.rows, np.full(n_cells, head))
+                if head == 0.0:  # saturation: every curve gives theta_s exactly
+                    thetas[k, t] = batch.rows[at, _kernels.THETA_S_COLUMN[batch.codes[0]]]
+                else:
+                    thetas[k, t] = _kernels.theta_points(
+                        batch.codes, batch.rows, np.full(len(batch), head))[at]
 
         mean, sd = _kernels.replica_mean_std(weight_matrix, thetas.reshape(len(members), -1))
         mean, sd = mean.reshape(len(heads), n_cells), sd.reshape(len(heads), n_cells)

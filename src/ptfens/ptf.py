@@ -305,6 +305,11 @@ def registered_ann(ptf):
     return _ann_registry.get(PtfId(ptf))
 
 
+def uses_class_table(ptf):
+    """Whether a PTF predicts by class-table lookup: no network registered."""
+    return PtfId(ptf) in _CLASS_TABLES and registered_ann(ptf) is None
+
+
 def clear_ann_registry():
     _ann_registry.clear()
 
@@ -361,7 +366,7 @@ def predict_batch(ptf, sand=None, silt=None, clay=None, bulk_density=None,
         raise InputError("missing required predictor 'sand'")
 
     flags = {}
-    if ptf in _CLASS_TABLES and registered_ann(ptf) is None:
+    if uses_class_table(ptf):
         if texture is None:
             sand = _as_float_array("sand", sand, n)
             silt = _as_float_array("silt", silt, n)
@@ -421,8 +426,7 @@ def _record_arrays(ptf, rec):
     """Length-1 predictor arrays from a record, with named-field errors."""
     ptf = PtfId(ptf)
     kwargs = {}
-    class_lookup = ptf in _CLASS_TABLES and registered_ann(ptf) is None
-    if class_lookup and rec.texture_class is not None:
+    if uses_class_table(ptf) and rec.texture_class is not None:
         if rec.texture_class not in USDA_CLASSES:
             raise InputError(f"unknown texture class {rec.texture_class!r}")
         kwargs["texture"] = np.array([USDA_CLASSES.index(rec.texture_class)])

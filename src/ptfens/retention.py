@@ -3,7 +3,7 @@
 Pressure head psi is a positive suction magnitude in cm of water throughout
 (0 = saturation, larger = drier). All parameter containers are immutable and
 validated on construction and pack into the kernels' (family code, row)
-form. The curve formulas live only in _kernels.theta_points: theta_at
+form. The curve formulas live only in _kernels, behind theta_points: theta_at
 evaluates one parameter set through it at a scalar psi or an array of psi
 values, and theta_many evaluates many parameter sets point by point.
 """

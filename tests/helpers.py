@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from ptfens import PredictorRecord, predict_theta
+from ptfens import USDA_CLASSES, PredictorRecord, predict_theta
+from ptfens import ptf as ptf_module
 from ptfens.dataset import RetentionObservation, SoilSample
 
 FC = 330.0
@@ -57,3 +58,11 @@ def synthetic_population(rng, n, true_ptf, noise=0.0, prefix="s",
         samples.append(make_sample(f"{prefix}{i:04d}", sand[i], silt[i], clay[i],
                                    bd=bd[i], oc=oc[i], obs=obs))
     return samples
+
+
+def drop_class(monkeypatch, ptf, texture_class):
+    """Make ptf's class table lack one texture class."""
+    real = ptf_module._class_rows
+    rows = real(ptf).copy()
+    rows[USDA_CLASSES.index(texture_class)] = np.nan
+    monkeypatch.setattr(ptf_module, "_class_rows", lambda p: rows if p == ptf else real(p))

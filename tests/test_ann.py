@@ -189,3 +189,25 @@ def test_malformed_file_reports_line(tmp_path):
     )  # second weight row missing
     with pytest.raises(AnnSpecError):
         read_ann_file(path)
+
+
+ANN_TEXT = ("layers 2 2\nhidden_activation sigmoid\ninput_names a b\ninput_offset 0 0\n"
+            "input_scale 1 1\noutput_names u v\noutput_offset 0 0\noutput_scale 1 1\n"
+            "output_transforms none none\nweights 1\n1 0\n0 1\nbias 1\n0 0\n")
+
+
+@pytest.mark.parametrize("line, bad, message", [
+    ("layers 2 2", "layers 2x 2", "line 1: 'layers' needs positive integers, got '2x 2'"),
+    ("layers 2 2", "layers 2 0 2", "line 1: 'layers' needs positive integers, got '2 0 2'"),
+    ("weights 1", "weights x", "line 10: 'weights' needs positive integers, got 'x'"),
+    ("bias 1", "bias one", "line 13: 'bias' needs positive integers, got 'one'"),
+    ("weights 1", "weights", "line 10: expected 'weights <transition>', got 'weights'"),
+], ids=["layers_token", "layers_zero", "weights_token", "bias_token", "weights_bare"])
+def test_malformed_sizes_name_file_and_line(tmp_path, line, bad, message):
+    path = tmp_path / "net.ann"
+    path.write_text(ANN_TEXT)
+    assert read_ann_file(path).layer_sizes == (2, 2)
+    path.write_text(ANN_TEXT.replace(line + "\n", bad + "\n", 1))
+    with pytest.raises(AnnSpecError) as err:
+        read_ann_file(path)
+    assert str(err.value) == f"{path}: {message}"

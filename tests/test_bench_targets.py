@@ -3,7 +3,9 @@
 pipebench/tracer.py wraps package functions by (module, attribute); a target
 that a refactor renames or deletes is a failed benchmark check. The other
 pipebench scripts import from ptfens; a name that a refactor deletes makes
-every benchmark run fail before it measures anything. These tests fail
+every benchmark run fail before it measures anything. A refactor can also
+leave a target in place but stop calling it, so one test checks a count the
+tracer takes against the work the program really does. These tests fail
 first, in the unit suite.
 """
 
@@ -12,6 +14,12 @@ import glob
 import importlib
 import importlib.util
 import os
+
+import numpy as np
+
+from ptfens import (MAP_HEADS, Grid, PtfId, SoilLayerStack, WeightVector,
+                    classify_texture_array, mapping)
+from ptfens.ptf import uses_class_table
 
 PIPEBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "pipebench")
 TRACER = os.path.join(PIPEBENCH, "tracer.py")
@@ -79,3 +87,32 @@ def test_every_benchmark_import_resolves():
                 except (ImportError, AttributeError):
                     missing.append(f"{os.path.basename(path)}: {name}")
     assert names and missing == []
+
+
+def test_tracer_counts_the_map_curve_points():
+    """kernels.theta_points_points is the number of curve points the map
+    evaluates: head 0 is read, not evaluated, and a class-table member is
+    evaluated once per texture class present."""
+    rng = np.random.default_rng(5)
+    fractions = rng.dirichlet((1.0, 1.0, 1.0), size=(9, 8)) * 100.0
+    grids = [Grid(ncols=8, nrows=9, xllcorner=0.0, yllcorner=0.0, cellsize=1.0,
+                  nodata=-9999.0, values=fractions[..., i]) for i in range(3)]
+    members = (PtfId.COSBY0, PtfId.CARSEL, PtfId.COSBY1, PtfId.COSBY2)
+    replicas = [WeightVector.normalized(members, rng.uniform(0.1, 1.0, 4))
+                for _ in range(3)]
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        product = mapping.apply_ensemble_map(SoilLayerStack(*grids), replicas)
+    finally:
+        tracer.uninstall()
+    metrics = tracer_module.layer_metrics(tracer.spans, 0)
+
+    n_classes = len(np.unique(classify_texture_array(*(g.values for g in grids))))
+    evaluated_heads = sum(head != 0.0 for head in MAP_HEADS)
+    points = sum(evaluated_heads * (n_classes if uses_class_table(m) else 72)
+                 for m in members)
+    assert tracer.problems == set()
+    assert product.n_valid_cells == metrics["mapping.valid_cells"] == 72
+    assert metrics["kernels.theta_points_points"] == points

@@ -27,7 +27,7 @@ from ptfens.cli import main, read_config
 from ptfens.ensemble import GLOBAL_STRATUM, ensemble_theta, point_matrix
 from ptfens.metrics import FitSummary
 from ptfens.ptf import predict_batch
-from helpers import make_sample, synthetic_population
+from helpers import drop_class, make_sample, synthetic_population
 
 SCHEMA_TEXT = """\
 sample_id = pedon
@@ -386,6 +386,32 @@ def test_predict_malformed_weight_file(capsys, tmp_path, body, message):
     assert str(weights) in err and message in err
 
 
+def test_predict_malformed_network_file(capsys, tmp_path):
+    (tmp_path / "nets").mkdir()
+    net = tmp_path / "nets" / "rosetta_h2w.ann"
+    net.write_text("layers 3x 6 4\n")
+    weights = tmp_path / "weights.tsv"
+    write_weights(weights, WeightVector(members=(PtfId.COSBY1,), weights=(1.0,)))
+    code, _, err = run(capsys, "predict", "--weights", weights, "--sand", "40",
+                       "--silt", "40", "--clay", "20", "--rosetta-dir", tmp_path / "nets",
+                       "--out", tmp_path / "pred")
+    assert code == 2
+    assert err == (f"data error: {net}: line 1: 'layers' needs positive integers, "
+                   "got '3x 6 4'\n")
+
+
+@pytest.mark.parametrize("psi", ["", ",", " , "])
+def test_predict_empty_psi_list(capsys, tmp_path, psi):
+    weights = tmp_path / "weights.tsv"
+    write_weights(weights, WeightVector(members=(PtfId.COSBY1,), weights=(1.0,)))
+    out = tmp_path / "pred"
+    code, _, err = run(capsys, "predict", "--weights", weights, "--sand", "40",
+                       "--silt", "40", "--clay", "20", "--psi", psi, "--out", out)
+    assert code == 1
+    assert err == f"error: bad --psi list {psi!r}: no suction given\n"
+    assert not (out / "predictions.tsv").exists()
+
+
 REPLICA_TABLE = ("stratum\treplica\tcal_rmse\tval_rmse\tw_cosby1\tw_carsel\n"
                  "global\t0\t0.01\t\t0.5\t0.5\nglobal\t1\t0.01\t\t0.4\t0.6\n")
 
@@ -557,6 +583,16 @@ def test_map_negative_fraction_cell_is_nodata(capsys, tmp_path):
             grid = read_grid(out / f"{kind}_{label}.asc")
             assert grid.valid_mask().tolist() == [[True, False]]
             assert grid.values[0, 1] == -9999.0
+
+
+def test_map_class_table_lacking_a_present_class(capsys, monkeypatch, tmp_path):
+    (tmp_path / "replicas.tsv").write_text(REPLICA_TABLE)
+    write_layer_grids(tmp_path)
+    drop_class(monkeypatch, PtfId.CARSEL, "loam")  # the top-left cell's class
+    code, stdout, err = run(capsys, *map_argv(tmp_path, tmp_path, tmp_path / "maps"))
+    assert (code, stdout) == (2, "")
+    assert err == "data error: PTF carsel has no entry for texture class(es): loam\n"
+    assert not (tmp_path / "maps" / "mean_sat.asc").exists()
 
 
 def test_map_refuses_single_replica(capsys, sample_file, tmp_path):

@@ -95,3 +95,47 @@ def test_zero_weight_genome_is_uniform():
     observed = np.array([0.2, 0.2])
     out = _kernels.chi2_population(np.zeros((1, 2)), preds, observed)
     assert out[0] == pytest.approx(0.0, abs=1e-30)  # uniform mix hits exactly
+
+
+# clamped extremes of the parameter domain (ptf._clamp_*), theta_r both zeros
+EXTREMES = {
+    FAMILY_VG: ([0.0, -0.0, 0.05], [1e-6, 0.4, 1.0], [1e-8, 0.02, 50.0],
+                [1.0 + 1e-6, 1.5, 12.0]),
+    FAMILY_BC: ([0.0, -0.0, 0.05], [1e-6, 0.4, 1.0], [1e-6, 20.0, 1e4],
+                [1e-6, 0.4, 30.0]),
+    FAMILY_CMP: ([1e-6, 0.4, 1.0], [1e-6, 20.0, 1e4], [1e-6, 5.0, 30.0], [0.0]),
+}
+
+
+@st.composite
+def one_family_rows(draw):
+    """A family code and 1-40 parameter rows drawn from its clamped domain,
+    its extremes included."""
+    code = draw(st.sampled_from((FAMILY_VG, FAMILY_BC, FAMILY_CMP)))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.column_stack([
+        np.where(rng.random(n) < 0.3, rng.choice(ends, n),
+                 rng.uniform(min(ends), max(ends), n)) for ends in EXTREMES[code]])
+    if code != FAMILY_CMP:  # theta_r < theta_s, as the clamps keep it
+        rows[:, 0] = np.where(rows[:, 0] < rows[:, 1], rows[:, 0], 0.0)
+    return np.full(n, code, dtype=np.int8), rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(one_family_rows())
+def test_theta_points_at_saturation_is_theta_s(batch):
+    codes, rows = batch
+    got = _kernels.theta_points(codes, rows, np.zeros(len(codes)))
+    theta_s = rows[:, _kernels.THETA_S_COLUMN[codes[0]]]
+    assert got.tobytes() == theta_s.tobytes()
+
+
+def test_theta_points_mixed_batch_matches_per_family():
+    rng = np.random.default_rng(91)
+    codes, params, psi = mixed_family_batch(rng, 5000)
+    got = _kernels.theta_points(codes, params, psi)
+    for code in (FAMILY_VG, FAMILY_BC, FAMILY_CMP):
+        own = codes == code
+        alone = _kernels.theta_points(codes[own], params[own], psi[own])
+        assert got[own].tobytes() == alone.tobytes()

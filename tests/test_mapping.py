@@ -8,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ptfens import (
+    USDA_CLASSES,
+    AnnSpec,
     CoregistrationError,
     Grid,
     GridFormatError,
@@ -16,14 +18,22 @@ from ptfens import (
     PredictorRecord,
     PtfId,
     SoilLayerStack,
+    TableLookupError,
     WeightVector,
     apply_ensemble_map,
+    classify_texture_array,
+    clear_ann_registry,
+    predict_batch,
     predict_theta,
     read_grid,
+    register_ann,
+    required_inputs,
     write_grid,
     write_grids,
 )
+from ptfens import _kernels
 from ptfens.mapping import DEFAULT_NODATA, HEAD_LABELS
+from helpers import drop_class
 
 MEMBERS = (PtfId.COSBY1, PtfId.CARSEL)
 REPLICAS = [
@@ -469,6 +479,97 @@ def test_map_memory_flat_in_replicas_and_width():
              for ncols in (64, 512)]
     narrow, wide = (peak - retained for peak, retained in peaks)
     assert wide <= 1.1 * narrow
+
+
+def reference_map(layers, replicas, nodata=DEFAULT_NODATA):
+    """The six grids by the per-cell loop: every member's curve at every head
+    on every valid cell, in one block (the layers must hold no off-sum or
+    negative-fraction cell)."""
+    members = replicas[0].members
+    names = sorted({f for m in members for f in required_inputs(m)})
+    valid = np.logical_and.reduce([layers.layer(n).valid_mask() for n in names])
+    cells = {n: layers.layer(n).values[valid] for n in names}
+    n = int(valid.sum())
+    texture = classify_texture_array(cells["sand"], cells["silt"], cells["clay"])
+    thetas = np.empty((len(members), len(MAP_HEADS), n))
+    for k, m in enumerate(members):
+        batch = predict_batch(m, texture=texture, **cells, topsoil=np.ones(n))
+        for t, head in enumerate(MAP_HEADS):
+            thetas[k, t] = _kernels.theta_points(batch.codes, batch.rows, np.full(n, head))
+    weights = np.stack([wv.as_array() for wv in replicas])
+    mean, sd = _kernels.replica_mean_std(weights, thetas.reshape(len(members), -1))
+    mean, sd = mean.reshape(len(MAP_HEADS), n), sd.reshape(len(MAP_HEADS), n)
+    grids = {}
+    for t, head in enumerate(MAP_HEADS):
+        for kind, values in (("mean", mean[t]), ("cv", np.divide(
+                sd[t], mean[t], where=mean[t] != 0.0, out=np.full(n, nodata)))):
+            grid = np.full(valid.shape, nodata)
+            grid[valid] = values
+            grids[kind, head] = grid
+    return grids
+
+
+def full_stack(rng, nrows=14, ncols=11):
+    """Sand, silt, clay, bulk density and organic carbon grids over the whole
+    texture triangle, with one nodata cell."""
+    fractions = rng.dirichlet((1.0, 1.0, 1.0), size=(nrows, ncols)) * 100.0
+    sand, silt, clay = (fractions[..., i] for i in range(3))
+    bd = rng.uniform(1.0, 1.8, size=(nrows, ncols))
+    bd[3, 4] = DEFAULT_NODATA
+    return SoilLayerStack(sand=small_grid(sand), silt=small_grid(silt),
+                          clay=small_grid(clay), bulk_density=small_grid(bd),
+                          organic_carbon=small_grid(rng.uniform(0.1, 4.0, (nrows, ncols))))
+
+
+TABLE_AND_REGRESSION = (PtfId.COSBY0, PtfId.CARSEL, PtfId.CLAPP, PtfId.ROSETTA_H1W,
+                PtfId.COSBY1, PtfId.COSBY2, PtfId.RAWLS, PtfId.CAMPBELL,
+                PtfId.WOSTEN, PtfId.WEYNANTS, PtfId.VEREECKEN)
+
+
+def random_net(rng):
+    """A rosetta_h1w network: a varied curve for each cell."""
+    return AnnSpec(
+        layer_sizes=(3, 4, 4),
+        weights=(rng.normal(size=(4, 3)), rng.normal(scale=0.1, size=(4, 4))),
+        biases=(rng.normal(size=4), np.zeros(4)),
+        hidden_activation="sigmoid", input_names=("sand", "silt", "clay"),
+        input_offset=np.full(3, 33.0), input_scale=np.full(3, 30.0),
+        output_names=("theta_r", "theta_s", "alpha", "n"),
+        output_offset=np.array([0.05, 0.45, -2.0, 0.2]), output_scale=np.ones(4),
+        output_transforms=("none", "none", "pow10", "pow10"))
+
+
+@pytest.mark.parametrize("network", [False, True], ids=["table", "h1w_network"])
+def test_map_bytes_match_per_cell_loop(network):
+    rng = np.random.default_rng(72)
+    layers = full_stack(rng)
+    replicas = [WeightVector.normalized(TABLE_AND_REGRESSION, rng.uniform(0.1, 1.0, 11))
+                for _ in range(5)]
+    if network:  # rosetta_h1w leaves its table: one curve per cell
+        register_ann(PtfId.ROSETTA_H1W, random_net(rng))
+    try:
+        product = apply_ensemble_map(layers, replicas)
+        want = reference_map(layers, replicas)
+    finally:
+        clear_ann_registry()
+    assert product.n_valid_cells == 14 * 11 - 1
+    for head in MAP_HEADS:
+        assert product.mean[head].values.tobytes() == want["mean", head].tobytes()
+        assert product.cv[head].values.tobytes() == want["cv", head].tobytes()
+
+
+def test_map_class_table_lacking_a_present_class(monkeypatch):
+    layers = layer_stack()
+    classes = {USDA_CLASSES[c] for c in classify_texture_array(
+        layers.sand.values.ravel(), layers.silt.values.ravel(), layers.clay.values.ravel())}
+    absent = next(c for c in USDA_CLASSES if c not in classes)
+    drop_class(monkeypatch, PtfId.CARSEL, absent)
+    whole = apply_ensemble_map(layers, REPLICAS)  # a class no cell has is not looked up
+    assert whole.n_valid_cells == 9
+    drop_class(monkeypatch, PtfId.CARSEL, "loam")  # cell (0, 0)
+    with pytest.raises(TableLookupError, match="carsel has no entry for texture class"
+                                               r"\(es\): loam$"):
+        apply_ensemble_map(layers, REPLICAS)
 
 
 def test_map_requires_two_replicas():
