@@ -2,8 +2,9 @@
 
 Thirteen published point predictors of retention-curve parameters, weighted
 ensembles of them calibrated by exact least squares on the weight simplex
-(or, as an opt-in, the paper's genetic algorithm) with bootstrap
-uncertainty, and application of calibrated ensembles to gridded soil layers.
+with bootstrap uncertainty, and application of calibrated ensembles to
+gridded soil layers. The paper's genetic algorithm (optimize_weights) is kept
+as a standalone solver on a point set; calibration does not use it.
 """
 
 __version__ = "0.1.0"

@@ -76,11 +76,14 @@ def replica_mean_std(weights, thetas):
     With D = QR the centred weights, the mean is mean_row @ theta and the sd
     ||R theta|| / sqrt(n_replicas - 1): O(m**2) per point, never negative, no
     (replicas x points) matrix. Identical rows give sd 0 and row 0's estimate
-    exactly (a float mean of identical rows can differ from the row)."""
+    exactly (a float mean of identical rows can differ from the row). The
+    products are np.einsum without optimize, which never calls BLAS, so the
+    bytes do not depend on a threaded BLAS's thread count."""
     if (weights == weights[0]).all():
-        mean = weights[0] @ thetas
+        mean = np.einsum("k,kj->j", weights[0], thetas)
         return mean, np.zeros_like(mean)
     mean_row = weights.mean(axis=0)
-    spread = np.linalg.qr(weights - mean_row, mode="r") @ thetas  # R theta
+    r_factor = np.linalg.qr(weights - mean_row, mode="r")
+    spread = np.einsum("ik,kj->ij", r_factor, thetas)  # R theta
     sd = np.sqrt(np.einsum("ij,ij->j", spread, spread) / (len(weights) - 1))
-    return mean_row @ thetas, sd
+    return np.einsum("k,kj->j", mean_row, thetas), sd

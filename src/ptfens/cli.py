@@ -149,6 +149,8 @@ def _psi_list(settings):
         raise ConfigError(f"bad --psi list {raw!r}") from None
     if not heads:
         raise ConfigError(f"bad --psi list {raw!r}: no suction given")
+    if not all(0.0 <= h < np.inf for h in heads):  # NaN fails too
+        raise ConfigError(f"bad --psi list {raw!r}: suction must be finite and >= 0 cm")
     return heads
 
 
@@ -251,18 +253,10 @@ def cmd_calibrate(settings, out_dir, seed):
     meta_base = {"members": ",".join(m.value for m in members),
                  "replicas": n_replicas, "seed": seed, "scheme": scheme}
 
+    model = None
     if scheme == "global":
-        result = ensemble.calibrate(members, samples, n_replicas=n_replicas,
-                                    seed=seed)
-        calibrations = {ensemble.GLOBAL_STRATUM: result}
-        ensemble.write_weights(
-            os.path.join(out_dir, "weights_global.tsv"), result.mean_weights,
-            meta={**meta_base, "stratum": ensemble.GLOBAL_STRATUM,
-                  "mean_cal_rmse": result.mean_cal_rmse,
-                  "mean_val_rmse": result.mean_val_rmse})
-        print(f"stratum=global points={result.n_points} "
-              f"cal_rmse={result.mean_cal_rmse:.4f} "
-              f"val_rmse={result.mean_val_rmse if result.mean_val_rmse is None else format(result.mean_val_rmse, '.4f')}")
+        calibrations = {ensemble.GLOBAL_STRATUM: ensemble.calibrate(
+            members, samples, n_replicas=n_replicas, seed=seed)}
     else:
         if scheme not in dataset.STRATIFICATION_SCHEMES:
             raise ConfigError(f"unknown scheme {scheme!r}; choose global or one of "
@@ -274,21 +268,23 @@ def cmd_calibrate(settings, out_dir, seed):
                 oc_edges = tuple(float(e) for e in str(raw_edges).split(","))
             except ValueError:
                 raise ConfigError(f"bad --oc-edges list {raw_edges!r}") from None
+        if scheme == "oc":
+            meta_base["oc_edges"] = ",".join(map(repr, oc_edges))
         model = ensemble.calibrate_stratified(
             members, samples, scheme, n_replicas=n_replicas, seed=seed,
             min_stratum_points=settings.get("min_stratum_points", 50, int),
             oc_edges=oc_edges)
         calibrations = model.calibrations
+
+    for key, result in calibrations.items():
+        cal_rmse, val_rmse = result.mean_cal_rmse, result.mean_val_rmse
         ensemble.write_weights(
-            os.path.join(out_dir, "weights_global.tsv"), model.fallback,
-            meta={**meta_base, "stratum": ensemble.GLOBAL_STRATUM})
-        for key, vector in model.strata.items():
-            result = model.calibrations[key]
-            ensemble.write_weights(
-                os.path.join(out_dir, _stratum_filename(key)), vector,
-                meta={**meta_base, "stratum": key,
-                      "mean_cal_rmse": result.mean_cal_rmse,
-                      "mean_val_rmse": result.mean_val_rmse})
+            os.path.join(out_dir, _stratum_filename(key)), result.mean_weights,
+            meta={**meta_base, "stratum": key, "mean_cal_rmse": cal_rmse,
+                  "mean_val_rmse": val_rmse})
+        print(f"stratum={key} points={result.n_points} cal_rmse={cal_rmse:.4f} "
+              f"val_rmse={val_rmse if val_rmse is None else format(val_rmse, '.4f')}")
+    if model is not None:
         for key in model.below_threshold:
             print(f"stratum={key} below min_stratum_points, uses global fallback")
         print(f"pooled_rmse_stratified={model.pooled_rmse_stratified:.4f} "

@@ -600,8 +600,8 @@ def stratify(samples, scheme, oc_edges=DEFAULT_OC_EDGES):
 @dataclass(frozen=True)
 class BootstrapReplica:
     index: int
-    calibration_ids: tuple  # sample ids drawn with replacement, with multiplicity
-    validation_ids: tuple   # out-of-bag ids in original order
+    calibration_rows: tuple  # table rows drawn with replacement, in draw order
+    validation_rows: tuple   # out-of-bag rows, ascending
 
 
 def _seed_path(seed):
@@ -613,7 +613,8 @@ def _seed_path(seed):
 
 
 def bootstrap_split(samples, n_replicas, seed):
-    """Resample whole samples with replacement; out-of-bag ids validate.
+    """Resample whole samples (rows of the sample table) with replacement;
+    out-of-bag rows validate.
 
     seed can be an int or a tuple of non-negative ints (a derived seed path);
     replica r draws from a generator seeded with seed + (r, 0).
@@ -629,15 +630,12 @@ def bootstrap_split(samples, n_replicas, seed):
         raise InputError("no samples to resample")
     replicas = []
     for r in range(n_replicas):
-        rng = np.random.default_rng(path + (r, 0))
-        draw = rng.integers(0, n, size=n)
+        draw = np.random.default_rng(path + (r, 0)).integers(0, n, size=n)
         out_of_bag = np.ones(n, dtype=bool)
         out_of_bag[draw] = False
         replicas.append(BootstrapReplica(
-            index=r,
-            calibration_ids=tuple(map(ids.__getitem__, draw.tolist())),
-            validation_ids=tuple(map(ids.__getitem__, np.flatnonzero(out_of_bag).tolist())),
-        ))
+            index=r, calibration_rows=tuple(draw.tolist()),
+            validation_rows=tuple(np.flatnonzero(out_of_bag).tolist())))
     return tuple(replicas)
 
 

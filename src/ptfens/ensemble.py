@@ -3,31 +3,30 @@
 The ensemble prediction is the weighted mean of its member predictions,
 theta_ens = sum_j a_j theta_j / sum_j a_j, and calibration minimizes the
 sum of squared errors chi2(a) against observed water contents over the
-weight simplex. That objective is a convex quadratic, so the default
-calibrator, simplex_weights, solves it exactly with a primal active-set
-method. The paper's real-coded genetic algorithm, optimize_weights, runs
-only when a GaConfig is passed. Both return a vector that is never worse
-than the best single member on the calibration points: the active-set
-method starts from that corner and only descends, and the GA ends with an
-explicit corner sweep.
+weight simplex. That objective is a convex quadratic, so every replica is
+fitted exactly by simplex_weights, a primal active-set method that starts
+from the best single member and only descends: a calibrated ensemble is
+never worse than that member on its calibration points. The paper's
+real-coded genetic algorithm, optimize_weights, is kept only as a
+standalone function on a point set; calibration does not call it.
 
 Uncertainty comes from bootstrap replicas: each replica resamples whole
-samples with replacement, calibrates on the drawn points, and validates on
-the out-of-bag samples. Stratified calibration runs the same procedure per
-stratum and falls back to the global weights for strata with too few points.
-Strata are assigned by dataset.stratum_indices over the sample table's
-columns; a StratifiedModel holds the per-stratum weights that calibrate
-writes, and predictions and maps apply one weight vector at a time.
+samples (rows of the sample table) with replacement, calibrates on the
+drawn rows' points, and validates on the out-of-bag rows. Stratified
+calibration runs the same procedure per stratum and falls back to the
+global weights for strata with too few points. Strata are assigned by
+dataset.stratum_indices over the sample table's columns; a StratifiedModel
+holds one CalibrationResult per calibrated stratum and the global one, and
+predictions and maps apply one weight vector at a time.
 
 All randomness derives from one master seed. Replica r of a calibration
-seeds its bootstrap draw with (seed..., r, 0) and, under the GA, its
-optimizer with (seed..., r, 1); stratum calibrations extend the seed with a
-crc32 of the stratum key. Reruns are bit-identical.
+draws its bootstrap from (seed..., r, 0); stratum calibrations extend the
+seed with a crc32 of the stratum key. Reruns are bit-identical.
 """
 
 import csv
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -384,8 +383,6 @@ class ReplicaResult:
     weights: "WeightVector"
     cal_rmse: float
     val_rmse: float = None  # None when the replica has no out-of-bag points
-    n_cal_points: int = 0
-    n_val_points: int = 0
 
 
 @dataclass(frozen=True)
@@ -395,7 +392,6 @@ class CalibrationResult:
     mean_weights: "WeightVector"
     weight_std: tuple
     n_points: int
-    seed: tuple = field(default=(0,), compare=False)
 
     def __post_init__(self):
         if not self.replicas:
@@ -413,34 +409,25 @@ class CalibrationResult:
         return float(np.mean(vals)) if vals else None
 
 
-def _calibrate_points(points, samples, point_of, n_replicas, ga, seed_path):
+def _calibrate_points(points, samples, point_of, n_replicas, seed_path):
     """Bootstrap-calibrate on one point set; used for both global and strata.
 
     The replicas resample the rows of samples, a SampleTable; point_of maps
     each of its observations to a point (a column of points.member_preds),
     or to -1 for an observation this calibration leaves out.
     """
-    replicas = bootstrap_split(samples, n_replicas, seed_path)
-    row_of = {sid: i for i, sid in enumerate(samples.ids)}
-
-    def points_of(ids):
-        rows = np.fromiter(map(row_of.__getitem__, ids), np.int64, len(ids))
+    def points_of(rows):
         idx = point_of[samples.obs_index(rows)]
         return idx[idx >= 0]
 
     results = []
-    for rep in replicas:
-        cal_idx = points_of(rep.calibration_ids)
+    for rep in bootstrap_split(samples, n_replicas, seed_path):
+        cal_idx = points_of(rep.calibration_rows)
         if cal_idx.size == 0:
             raise InputError("bootstrap replica drew no observation points")
         preds_cal = np.ascontiguousarray(points.member_preds[:, cal_idx])
         obs_cal = np.ascontiguousarray(points.observed[cal_idx])
-        if ga is None:
-            wv = simplex_weights(preds_cal, obs_cal, members=points.members)
-        else:
-            rng = np.random.default_rng(seed_path + (rep.index, 1))
-            wv = optimize_weights(preds_cal, obs_cal, ga, rng=rng,
-                                  members=points.members)
+        wv = simplex_weights(preds_cal, obs_cal, members=points.members)
 
         ens_chi2 = chi2(wv, preds_cal, obs_cal)
         corner = np.min(np.sum((preds_cal - obs_cal) ** 2, axis=1))
@@ -449,13 +436,12 @@ def _calibrate_points(points, samples, point_of, n_replicas, ga, seed_path):
         cal_rmse = float(np.sqrt(ens_chi2 / cal_idx.size))
 
         val_rmse = None
-        val_idx = points_of(rep.validation_ids)
+        val_idx = points_of(rep.validation_rows)
         if val_idx.size:
             val_rmse = float(np.sqrt(chi2(wv, points.member_preds[:, val_idx],
                                           points.observed[val_idx]) / val_idx.size))
-        results.append(ReplicaResult(
-            index=rep.index, weights=wv, cal_rmse=cal_rmse, val_rmse=val_rmse,
-            n_cal_points=int(cal_idx.size), n_val_points=int(val_idx.size)))
+        results.append(ReplicaResult(index=rep.index, weights=wv, cal_rmse=cal_rmse,
+                                     val_rmse=val_rmse))
 
     w = np.stack([r.weights.as_array() for r in results])
     mean_w = WeightVector.normalized(points.members, w.mean(axis=0))
@@ -463,35 +449,36 @@ def _calibrate_points(points, samples, point_of, n_replicas, ga, seed_path):
     total_points = int(np.count_nonzero(point_of >= 0))
     return CalibrationResult(
         members=points.members, replicas=tuple(results), mean_weights=mean_w,
-        weight_std=tuple(float(s) for s in std), n_points=total_points,
-        seed=seed_path)
+        weight_std=tuple(float(s) for s in std), n_points=total_points)
 
 
-def calibrate(members, samples, n_replicas=100, ga=None, seed=0):
-    """Bootstrap-calibrate ensemble weights on every observation point.
-
-    Each replica is fitted by simplex_weights, or by the genetic algorithm
-    when a GaConfig is given.
-    """
+def calibrate(members, samples, n_replicas=100, seed=0):
+    """Bootstrap-calibrate ensemble weights on every observation point; each
+    replica is fitted by simplex_weights."""
     points = _PointSet(members, samples)
     return _calibrate_points(points, points.samples, np.arange(points.psi.size),
-                             n_replicas, ga, _seed_path(seed))
+                             n_replicas, _seed_path(seed))
 
 
 @dataclass(frozen=True)
 class StratifiedModel:
-    """Per-stratum weight vectors with a global fallback."""
+    """Per-stratum calibrations with the global one as fallback; strata and
+    fallback are their mean weight vectors."""
 
-    scheme: str
     members: tuple
-    strata: dict                 # stratum key -> WeightVector
-    fallback: "WeightVector"
-    calibrations: dict           # stratum key (and "global") -> CalibrationResult
+    calibrations: dict           # "global", then each calibrated stratum -> CalibrationResult
     below_threshold: tuple       # stratum keys that fell back for lack of points
-    min_stratum_points: int
-    oc_edges: tuple
     pooled_rmse_stratified: float
     pooled_rmse_global: float
+
+    @property
+    def fallback(self):
+        return self.calibrations[GLOBAL_STRATUM].mean_weights
+
+    @property
+    def strata(self):
+        return {key: result.mean_weights for key, result in self.calibrations.items()
+                if key != GLOBAL_STRATUM}
 
     @property
     def n_params(self):
@@ -502,16 +489,15 @@ def _stratum_seed(seed_path, key):
     return seed_path + (zlib.crc32(key.encode("utf-8")),)
 
 
-def calibrate_stratified(members, samples, scheme, n_replicas=100, ga=None,
-                         seed=0, min_stratum_points=50, oc_edges=DEFAULT_OC_EDGES):
+def calibrate_stratified(members, samples, scheme, n_replicas=100, seed=0,
+                         min_stratum_points=50, oc_edges=DEFAULT_OC_EDGES):
     """Calibrate one weight vector per stratum plus the global fallback.
 
     Sample-level schemes (texture, oc, order, temperature) partition samples;
     the pressure scheme calibrates separate vectors on the observations at
     330 and 15000 cm. Strata with fewer points than min_stratum_points are
-    not calibrated and use the global weights. ga selects the solver as in
-    calibrate. The strata are planned before any fit, so a bad scheme or
-    oc_edges fails first.
+    not calibrated and use the global weights. The strata are planned before
+    any fit, so a bad scheme or oc_edges fails first.
     """
     seed_path = _seed_path(seed)
     points = _PointSet(members, samples)
@@ -528,11 +514,8 @@ def calibrate_stratified(members, samples, scheme, n_replicas=100, ga=None,
         for key in sorted(k for k in groups if k != "unassigned"):
             plan.append((key, groups[key], table.obs_index(groups[key])))
 
-    global_result = _calibrate_points(points, table, np.arange(points.psi.size),
-                                      n_replicas, ga, seed_path)
-    fallback = global_result.mean_weights
-    calibrations = {GLOBAL_STRATUM: global_result}
-    strata = {}
+    calibrations = {GLOBAL_STRATUM: _calibrate_points(
+        points, table, np.arange(points.psi.size), n_replicas, seed_path)}
     below = []
     point_vectors = {}  # stratum key -> flat point indices it covers
     for key, rows, point_of in plan:
@@ -540,11 +523,10 @@ def calibrate_stratified(members, samples, scheme, n_replicas=100, ga=None,
         if covered.size < min_stratum_points:
             below.append(key)
             continue
-        result = _calibrate_points(points, table.take(rows), point_of, n_replicas, ga,
-                                   _stratum_seed(seed_path, key))
-        calibrations[key] = result
-        strata[key] = result.mean_weights
+        calibrations[key] = _calibrate_points(points, table.take(rows), point_of,
+                                              n_replicas, _stratum_seed(seed_path, key))
         point_vectors[key] = covered
+    fallback = calibrations[GLOBAL_STRATUM].mean_weights
 
     # pooled comparison on the identical full point set
     def pooled_rmse(vector_for):
@@ -559,14 +541,10 @@ def calibrate_stratified(members, samples, scheme, n_replicas=100, ga=None,
             ens[rest] = fallback.as_array() @ points.member_preds[:, rest]
         return float(np.sqrt(np.mean((ens - points.observed) ** 2)))
 
-    pooled_strat = pooled_rmse(lambda key: strata[key])
-    pooled_glob = pooled_rmse(lambda key: fallback)
-
     return StratifiedModel(
-        scheme=scheme, members=points.members, strata=strata, fallback=fallback,
-        calibrations=calibrations, below_threshold=tuple(below),
-        min_stratum_points=min_stratum_points, oc_edges=tuple(oc_edges),
-        pooled_rmse_stratified=pooled_strat, pooled_rmse_global=pooled_glob)
+        members=points.members, calibrations=calibrations, below_threshold=tuple(below),
+        pooled_rmse_stratified=pooled_rmse(lambda key: calibrations[key].mean_weights),
+        pooled_rmse_global=pooled_rmse(lambda key: fallback))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ pipebench/tracer.py wraps package functions by (module, attribute); a target
 that a refactor renames or deletes is a failed benchmark check. The other
 pipebench scripts import from ptfens; a name that a refactor deletes makes
 every benchmark run fail before it measures anything. A refactor can also
-leave a target in place but stop calling it, so one test checks a count the
-tracer takes against the work the program really does. These tests fail
+leave a target in place but stop calling it, or keep calling one it should
+not, so two tests check counts the tracer takes against the work the program
+really does. These tests fail
 first, in the unit suite.
 """
 
@@ -18,8 +19,9 @@ import os
 import numpy as np
 
 from ptfens import (MAP_HEADS, Grid, PtfId, SoilLayerStack, WeightVector,
-                    classify_texture_array, mapping)
+                    calibrate_stratified, classify_texture_array, mapping)
 from ptfens.ptf import uses_class_table
+from helpers import synthetic_population
 
 PIPEBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "pipebench")
 TRACER = os.path.join(PIPEBENCH, "tracer.py")
@@ -116,3 +118,27 @@ def test_tracer_counts_the_map_curve_points():
     assert tracer.problems == set()
     assert product.n_valid_cells == metrics["mapping.valid_cells"] == 72
     assert metrics["kernels.theta_points_points"] == points
+
+
+def test_tracer_sees_one_bootstrap_per_fit_and_no_ga():
+    """Stratified calibration draws one bootstrap per fit (the global one and
+    each calibrated stratum, none for a stratum that falls back) and never
+    reaches the genetic algorithm."""
+    rng = np.random.default_rng(6)
+    samples = synthetic_population(rng, 80, PtfId.COSBY1, noise=0.02)
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        model = calibrate_stratified((PtfId.COSBY1, PtfId.CARSEL, PtfId.WOSTEN), samples,
+                                     "texture", n_replicas=3, seed=2, min_stratum_points=20)
+    finally:
+        tracer.uninstall()
+    metrics = tracer_module.layer_metrics(tracer.spans, 0)
+    draws = sum(span[tracer_module.NAME] == "dataset.bootstrap_split"
+                for span in tracer.spans)
+    assert tracer.problems == set()
+    assert model.strata and model.below_threshold  # both kinds of stratum occur
+    assert draws == len(model.calibrations) == 1 + len(model.strata)
+    assert metrics["ensemble.optimize_weights_calls"] == 0
+    assert metrics["kernels.chi2_population_calls"] == 0

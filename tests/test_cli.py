@@ -236,6 +236,27 @@ def test_calibrate_stratified_outputs(capsys, tmp_path):
     assert (out / "weights_psi_15000.tsv").exists()
     table = (out / "replicas.tsv").read_text()
     assert "psi:330" in table and "psi:15000" in table
+    for key, points in ((GLOBAL_STRATUM, 40), ("psi:330", 20), ("psi:15000", 20)):
+        _, meta = ensemble.read_weights(out / f"weights_{key.replace(':', '_')}.tsv")
+        assert meta["stratum"] == key and float(meta["mean_cal_rmse"]) > 0.0
+        assert f"stratum={key} points={points} cal_rmse=" in stdout
+
+
+@pytest.mark.parametrize("edges, recorded", [(None, "0.1,0.3,0.6,1.0,2.0,4.0,8.0"),
+                                             ("0.5,2", "0.5,2.0")])
+def test_calibrate_oc_files_record_the_edges(capsys, sample_file, tmp_path, edges,
+                                             recorded):
+    out = tmp_path / "oc"
+    flags = () if edges is None else ("--oc-edges", edges)
+    code, _, _ = run(capsys, "calibrate", "--data", sample_file, "--members", "cosby1,carsel",
+                     "--scheme", "oc", *flags, "--min-stratum-points", "1",
+                     "--replicas", "2", "--out", out)
+    assert code == 0
+    files = sorted(out.glob("weights_oc_*.tsv"))
+    assert files
+    for path in [out / "weights_global.tsv", *files]:
+        assert ensemble.read_weights(path)[1]["oc_edges"] == recorded
+    assert ensemble.read_replica_table(out / "replicas.tsv")[2]["oc_edges"] == recorded
 
 
 @pytest.mark.parametrize("edges, shown", [("0.1,abc", "'0.1,abc'"),
@@ -412,6 +433,23 @@ def test_predict_empty_psi_list(capsys, tmp_path, psi):
     assert not (out / "predictions.tsv").exists()
 
 
+@pytest.mark.parametrize("psi", ["-5", "nan", "inf", "1e400"])
+@pytest.mark.parametrize("with_data", [False, True], ids=["record", "data"])
+def test_predict_bad_suction_is_a_config_error(capsys, tmp_path, sample_file, psi,
+                                               with_data):
+    weights = tmp_path / "weights.tsv"
+    write_weights(weights, WeightVector(members=(PtfId.COSBY1,), weights=(1.0,)))
+    out = tmp_path / "pred"
+    inputs = ("--data", sample_file) if with_data else ("--sand", "40", "--silt", "40",
+                                                        "--clay", "20")
+    code, _, err = run(capsys, "predict", "--weights", weights, *inputs, "--psi", psi,
+                       "--out", out)
+    assert code == 1
+    assert err == (f"error: bad --psi list {psi!r}: suction must be finite "
+                   "and >= 0 cm\n")
+    assert not (out / "predictions.tsv").exists()
+
+
 REPLICA_TABLE = ("stratum\treplica\tcal_rmse\tval_rmse\tw_cosby1\tw_carsel\n"
                  "global\t0\t0.01\t\t0.5\t0.5\nglobal\t1\t0.01\t\t0.4\t0.6\n")
 
@@ -522,22 +560,64 @@ def test_map_output_failure_matches_serial(capsys, monkeypatch, sample_file, tmp
                                   f"Is a directory: '<out>/{bad}'\n")
 
 
+def package_env(**extra):
+    """The environment of a subprocess that imports this checkout's ptfens."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ptfens.__file__)))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), **extra}
+
+
 def test_map_subprocess_prints_summary_once(capsys, sample_file, tmp_path):
     cal = tmp_path / "cal"
     assert run(capsys, "calibrate", "--data", sample_file, "--members", "cosby1,carsel",
                "--replicas", "3", "--seed", "5", "--out", cal)[0] == 0
     write_layer_grids(tmp_path)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ptfens.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-m", "ptfens",
                            *map(str, map_argv(cal, tmp_path, tmp_path / "maps"))],
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                          env=env, timeout=120, check=False)
+                          env=package_env(), timeout=120, check=False)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("stratum=global replicas=3 valid_cells=4 ")
     assert proc.stdout.count("\n") == 1
     assert len(list((tmp_path / "maps").glob("*.asc"))) == 6
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="needs 2 usable CPUs for a threaded BLAS")
+def test_map_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """A 300 x 220 map (66,000 cells, one block) writes the same bytes with
+    one and two OpenBLAS threads: the replica mean and spread sum over
+    members without BLAS, whose threads split a product differently."""
+    rng = np.random.default_rng(3)
+    fractions = rng.dirichlet((2.0, 2.0, 2.0), size=(300, 220)) * 100.0
+    layers = {"sand": fractions[..., 0], "silt": fractions[..., 1],
+              "clay": fractions[..., 2], "bd": rng.uniform(1.0, 1.8, (300, 220)),
+              "oc": rng.uniform(0.1, 4.0, (300, 220))}
+    argv = ["map", "--weights", str(tmp_path / "replicas.tsv")]
+    for name, values in layers.items():
+        write_grid(tmp_path / f"{name}.asc", Grid(ncols=220, nrows=300, xllcorner=0.0,
+                                                  yllcorner=0.0, cellsize=1.0,
+                                                  nodata=-9999.0, values=values))
+        argv += [f"--{name}-grid", str(tmp_path / f"{name}.asc")]
+    members = ("cosby0", "carsel", "clapp", "rosetta_h1w", "cosby1", "cosby2", "rawls",
+               "campbell", "wosten", "weynants", "vereecken")
+    rows = ["\t".join(["global", str(r), "0.01", ""]
+                      + [repr(w) for w in rng.dirichlet(np.ones(len(members))).tolist()])
+            for r in range(8)]
+    (tmp_path / "replicas.tsv").write_text(
+        "\t".join(["stratum", "replica", "cal_rmse", "val_rmse"]
+                  + [f"w_{m}" for m in members]) + "\n" + "\n".join(rows) + "\n")
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"maps_{threads}"
+        proc = subprocess.run([sys.executable, "-m", "ptfens", *argv, "--out", str(out)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              env=package_env(OPENBLAS_NUM_THREADS=threads),
+                              timeout=300, check=False)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        written.append({p.name: p.read_bytes() for p in sorted(out.glob("*.asc"))})
+    assert len(written[0]) == 6
+    assert [name for name in written[0] if written[0][name] != written[1][name]] == []
 
 
 REPLICA_HEADER = "stratum\treplica\tcal_rmse\tval_rmse\tw_cosby1\tw_carsel\n"

@@ -386,8 +386,8 @@ def test_oc_edges_must_be_finite_and_increasing(edges):
 def test_bootstrap_single_sample():
     samples = [make_sample("only", 40, 40, 20, obs=[(330, 0.3)])]
     (rep,) = bootstrap_split(samples, 1, seed=0)
-    assert rep.calibration_ids == ("only",)
-    assert rep.validation_ids == ()
+    assert rep.calibration_rows == (0,)
+    assert rep.validation_rows == ()
 
 
 def test_bootstrap_deterministic_and_sized():
@@ -399,18 +399,18 @@ def test_bootstrap_deterministic_and_sized():
     assert a == b
     c = bootstrap_split(samples, 10, seed=8)
     assert a != c
-    ids = {s.sample_id for s in samples}
     for rep in a:
-        assert len(rep.calibration_ids) == 50  # multiset size = source size
-        assert set(rep.calibration_ids) | set(rep.validation_ids) == ids
-        assert set(rep.calibration_ids) & set(rep.validation_ids) == set()
+        assert len(rep.calibration_rows) == 50  # multiset size = source size
+        assert set(rep.calibration_rows) | set(rep.validation_rows) == set(range(50))
+        assert set(rep.calibration_rows) & set(rep.validation_rows) == set()
+        assert list(rep.validation_rows) == sorted(rep.validation_rows)
 
 
 def test_bootstrap_oob_fraction():
     samples = [make_sample(f"S{i}", 40, 40, 20, obs=[(330, 0.3)])
                for i in range(400)]
     reps = bootstrap_split(samples, 40, seed=3)
-    oob = np.mean([len(r.validation_ids) / 400 for r in reps])
+    oob = np.mean([len(r.validation_rows) / 400 for r in reps])
     assert abs(oob - np.exp(-1.0)) < 0.03
 
 

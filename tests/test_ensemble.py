@@ -29,7 +29,7 @@ from ptfens import (
 )
 from ptfens import ensemble as ensemble_module
 from ptfens.dataset import SampleTable, bootstrap_split
-from ptfens.ensemble import GLOBAL_STRATUM, point_matrix
+from ptfens.ensemble import GLOBAL_STRATUM, ReplicaResult, point_matrix
 from helpers import make_sample, synthetic_population
 
 MEMBERS = (PtfId.COSBY1, PtfId.CARSEL, PtfId.WOSTEN)
@@ -319,9 +319,8 @@ def test_calibrate_default_is_simplex_weights():
     samples = synthetic_population(rng, 20, PtfId.WOSTEN, noise=0.02)
     result = calibrate(MEMBERS, samples, n_replicas=3, seed=21)
     preds, observed, _ = point_matrix(MEMBERS, samples)  # two points per sample
-    index = {s.sample_id: i for i, s in enumerate(samples)}
     for rep, fitted in zip(bootstrap_split(samples, 3, (21,)), result.replicas):
-        cols = [2 * index[sid] + k for sid in rep.calibration_ids for k in (0, 1)]
+        cols = [2 * row + k for row in rep.calibration_rows for k in (0, 1)]
         assert fitted.weights == simplex_weights(preds[:, cols], observed[cols],
                                                  members=MEMBERS)
 
@@ -367,8 +366,7 @@ def test_consumers_read_a_table_or_any_sequence_alike():
 def test_calibrate_prefers_true_model():
     rng = np.random.default_rng(58)
     samples = synthetic_population(rng, 40, PtfId.COSBY1, noise=0.01)
-    result = calibrate(MEMBERS, samples, n_replicas=6,
-                       ga=GaConfig(population=30, generations=60), seed=4)
+    result = calibrate(MEMBERS, samples, n_replicas=6, seed=4)
     weights = dict(zip(result.members, result.mean_weights.weights))
     assert weights[PtfId.COSBY1] > 0.8
     assert result.mean_cal_rmse < 0.02
@@ -377,8 +375,7 @@ def test_calibrate_prefers_true_model():
 def test_calibrate_replica_bookkeeping():
     rng = np.random.default_rng(59)
     samples = synthetic_population(rng, 25, PtfId.CARSEL, noise=0.02)
-    result = calibrate(MEMBERS, samples, n_replicas=5,
-                       ga=GaConfig(population=24, generations=40), seed=5)
+    result = calibrate(MEMBERS, samples, n_replicas=5, seed=5)
     assert isinstance(result, CalibrationResult)
     assert len(result.replicas) == 5
     assert result.n_points == 50
@@ -387,20 +384,17 @@ def test_calibrate_replica_bookkeeping():
     for rep in result.replicas:
         assert sum(rep.weights.weights) == pytest.approx(1.0, abs=1e-12)
         assert rep.val_rmse is None or rep.val_rmse > 0.0
-        assert rep.n_cal_points + rep.n_val_points <= 4 * len(samples)
+    assert [rep.index for rep in result.replicas] == list(range(5))
 
 
 def test_calibrate_deterministic():
     rng = np.random.default_rng(60)
     samples = synthetic_population(rng, 20, PtfId.COSBY1, noise=0.02)
-    a = calibrate(MEMBERS, samples, n_replicas=4,
-                  ga=GaConfig(population=20, generations=30), seed=6)
-    b = calibrate(MEMBERS, samples, n_replicas=4,
-                  ga=GaConfig(population=20, generations=30), seed=6)
+    a = calibrate(MEMBERS, samples, n_replicas=4, seed=6)
+    b = calibrate(MEMBERS, samples, n_replicas=4, seed=6)
     assert a.mean_weights == b.mean_weights
     assert [r.cal_rmse for r in a.replicas] == [r.cal_rmse for r in b.replicas]
-    c = calibrate(MEMBERS, samples, n_replicas=4,
-                  ga=GaConfig(population=20, generations=30), seed=7)
+    c = calibrate(MEMBERS, samples, n_replicas=4, seed=7)
     assert [r.cal_rmse for r in a.replicas] != [r.cal_rmse for r in c.replicas]
 
 
@@ -409,18 +403,17 @@ def test_calibrate_dominance_per_replica():
     samples = synthetic_population(rng, 30, PtfId.CARSEL, noise=0.03)
     seed = 8
     n_replicas = 6
-    result = calibrate(MEMBERS, samples, n_replicas=n_replicas,
-                       ga=GaConfig(population=24, generations=40), seed=seed)
+    result = calibrate(MEMBERS, samples, n_replicas=n_replicas, seed=seed)
 
     preds, observed, _ = point_matrix(MEMBERS, samples)
-    offsets = {}
+    offsets = []
     start = 0
     for s in samples:
-        offsets[s.sample_id] = np.arange(start, start + len(s.observations))
+        offsets.append(np.arange(start, start + len(s.observations)))
         start += len(s.observations)
     replicas = bootstrap_split(samples, n_replicas, (seed,))
     for rep, rr in zip(replicas, result.replicas):
-        idx = np.concatenate([offsets[sid] for sid in rep.calibration_ids])
+        idx = np.concatenate([offsets[row] for row in rep.calibration_rows])
         member_rmse = np.sqrt(np.mean((preds[:, idx] - observed[idx]) ** 2,
                                       axis=1))
         assert rr.cal_rmse <= member_rmse.min() + 1e-6
@@ -445,8 +438,7 @@ def test_stratified_two_population_improvement():
     rng = np.random.default_rng(62)
     samples = two_class_population(rng)
     model = calibrate_stratified(
-        (PtfId.COSBY1, PtfId.CARSEL), samples, "texture", n_replicas=4,
-        ga=GaConfig(population=24, generations=40), seed=9,
+        (PtfId.COSBY1, PtfId.CARSEL), samples, "texture", n_replicas=4, seed=9,
         min_stratum_points=40)
     assert set(model.strata) == {"texture:sand", "texture:clay"}
     w_sand = dict(zip(model.members, model.strata["texture:sand"].weights))
@@ -460,8 +452,7 @@ def test_stratified_below_threshold_falls_back():
     rng = np.random.default_rng(63)
     samples = synthetic_population(rng, 12, PtfId.COSBY1, noise=0.02)
     model = calibrate_stratified(
-        (PtfId.COSBY1, PtfId.CARSEL), samples, "texture", n_replicas=3,
-        ga=GaConfig(population=16, generations=20), seed=10,
+        (PtfId.COSBY1, PtfId.CARSEL), samples, "texture", n_replicas=3, seed=10,
         min_stratum_points=10**6)
     assert model.strata == {}
     assert model.below_threshold
@@ -474,8 +465,7 @@ def test_stratified_pressure_scheme():
     rng = np.random.default_rng(64)
     samples = synthetic_population(rng, 40, PtfId.COSBY1, noise=0.02)
     model = calibrate_stratified(
-        (PtfId.COSBY1, PtfId.CARSEL), samples, "pressure", n_replicas=3,
-        ga=GaConfig(population=16, generations=25), seed=11,
+        (PtfId.COSBY1, PtfId.CARSEL), samples, "pressure", n_replicas=3, seed=11,
         min_stratum_points=20)
     assert set(model.strata) == {"psi:330", "psi:15000"}
     assert model.n_params == 2 * 2
@@ -511,8 +501,7 @@ def test_weight_file_round_trip(tmp_path):
 def test_replica_table_round_trip(tmp_path):
     rng = np.random.default_rng(67)
     samples = synthetic_population(rng, 15, PtfId.COSBY1, noise=0.02)
-    result = calibrate(MEMBERS, samples, n_replicas=3,
-                       ga=GaConfig(population=16, generations=20), seed=14)
+    result = calibrate(MEMBERS, samples, n_replicas=3, seed=14)
     path = tmp_path / "replicas.tsv"
     write_replica_table(path, {GLOBAL_STRATUM: result}, meta={"seed": 14})
     members, strata, meta = read_replica_table(path)
@@ -526,3 +515,96 @@ def test_replica_table_round_trip(tmp_path):
         assert back.val_rmse == orig.val_rmse
         assert np.allclose(back.weights.as_array(),
                            orig.weights.as_array(), rtol=0, atol=1e-15)
+
+
+ROUND_TRIP = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+_UNIT = st.floats(0.0, 1.0)
+_PRINTABLE = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=16)
+
+
+@pytest.fixture(scope="module")
+def table_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("tables") / "table.tsv"
+
+
+@st.composite
+def weight_vectors(draw, members=None):
+    if members is None:
+        members = draw(st.lists(st.sampled_from(list(PtfId)), min_size=1, max_size=13,
+                                unique=True))
+    raw = draw(st.lists(_UNIT, min_size=len(members), max_size=len(members)))
+    return WeightVector.normalized(members, raw)
+
+
+@st.composite
+def table_meta(draw):
+    """The metadata calibrate writes (oc_edges and a None val_rmse included)
+    plus free key = value lines."""
+    edges = sorted(set(draw(st.lists(st.floats(1e-6, 100.0), min_size=1, max_size=8))))
+    meta = {"members": "cosby1,carsel", "replicas": draw(st.integers(1, 10**6)),
+            "seed": draw(st.integers(0, 2**63)), "scheme": "oc",
+            "oc_edges": ",".join(map(repr, edges)),
+            "mean_cal_rmse": draw(_UNIT), "mean_val_rmse": draw(st.none() | _UNIT)}
+    extra = draw(st.dictionaries(st.from_regex(r"x_[a-z_]{1,10}", fullmatch=True),
+                                 st.one_of(st.integers(), st.floats(), _PRINTABLE.map(str.strip)),
+                                 max_size=3))
+    return {**meta, **extra}, tuple(edges)
+
+
+def check_meta(read_back, written):
+    meta, edges = written
+    assert read_back == {key: str(value) for key, value in meta.items()}
+    assert tuple(float(e) for e in read_back["oc_edges"].split(",")) == edges
+    assert float(read_back["mean_cal_rmse"]) == meta["mean_cal_rmse"]
+    if meta["mean_val_rmse"] is None:
+        assert read_back["mean_val_rmse"] == "None"
+
+
+@ROUND_TRIP
+@given(weight_vectors(), table_meta())
+def test_weight_file_round_trip_property(table_file, vector, meta):
+    write_weights(table_file, vector, meta=meta[0])
+    back, read_meta = read_weights(table_file)
+    assert back == vector  # members and every weight bit
+    check_meta(read_meta, meta)
+
+
+@st.composite
+def calibration_sets(draw):
+    """Stratum key -> CalibrationResult over one member list, the global
+    stratum first, with val_rmse None on some replicas."""
+    members = tuple(draw(st.lists(st.sampled_from(list(PtfId)), min_size=1, max_size=13,
+                                  unique=True)))
+    keys = draw(st.lists(st.from_regex(r"(texture|oc|psi):[a-z0-9][a-z0-9 .]{0,11}",
+                                       fullmatch=True), max_size=3, unique=True))
+    calibrations = {}
+    for key in [GLOBAL_STRATUM, *keys]:
+        replicas = tuple(
+            ReplicaResult(index=r, weights=draw(weight_vectors(members)),
+                          cal_rmse=draw(_UNIT), val_rmse=draw(st.none() | _UNIT))
+            for r in range(draw(st.integers(1, 4))))
+        calibrations[key] = CalibrationResult(
+            members=members, replicas=replicas, mean_weights=replicas[0].weights,
+            weight_std=(0.0,) * len(members), n_points=draw(st.integers(1, 10**6)))
+    return calibrations
+
+
+@ROUND_TRIP
+@given(calibration_sets(), table_meta())
+def test_replica_table_round_trip_property(table_file, calibrations, meta):
+    write_replica_table(table_file, calibrations, meta=meta[0])
+    members, strata, read_meta = read_replica_table(table_file)
+    assert members == next(iter(calibrations.values())).members
+    assert list(strata) == list(calibrations)
+    # the reader normalizes each row again: a written row sums to 1 within
+    # about one rounding per member, so a weight may move by as much
+    rtol = 2.3e-16 * (len(members) + 1)
+    for key, result in calibrations.items():
+        assert len(strata[key]) == len(result.replicas)
+        for back, orig in zip(strata[key], result.replicas):
+            assert (back.index, back.cal_rmse, back.val_rmse) == \
+                (orig.index, orig.cal_rmse, orig.val_rmse)
+            assert back.weights.members == orig.weights.members
+            np.testing.assert_allclose(back.weights.as_array(), orig.weights.as_array(),
+                                       rtol=rtol, atol=0.0)
+    check_meta(read_meta, meta)

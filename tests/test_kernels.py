@@ -83,9 +83,10 @@ def test_replica_mean_std_matches_explicit_estimates(problem):
     est = weights.astype(np.longdouble) @ thetas.astype(np.longdouble)
     np.testing.assert_allclose(mean, est.mean(axis=0), rtol=1e-12, atol=0.0)
     if (weights == weights[0]).all():
-        # exact, where a generic std leaves rounding residue
+        # exact, where a generic std leaves rounding residue; row 0's estimate
+        # is formed as the kernel forms every product, by einsum, not BLAS
         assert np.all(sd == 0.0)
-        assert np.array_equal(mean, weights[0] @ thetas)
+        assert np.array_equal(mean, np.einsum("k,kj->j", weights[0], thetas))
     else:
         np.testing.assert_allclose(sd, est.std(axis=0, ddof=1), rtol=1e-12, atol=0.0)
 
