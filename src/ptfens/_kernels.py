@@ -10,7 +10,8 @@ record plus a float64 row of up to four parameters,
 theta_points is the one entry to the curve formulas (_vg, _bc, _cmp); the
 scalar evaluator retention.theta_at and every batch path call it. At psi = 0
 each formula gives theta_s exactly, so a caller may read it (THETA_S_COLUMN).
-replica_mean_std gives the map's replica spread in closed form from the weights.
+replica_mean_std gives the map's replica spread in closed form from the weights,
+one row of the triangular factor at a time, holding one points-long sum.
 """
 
 import numpy as np
@@ -74,16 +75,28 @@ def replica_mean_std(weights, thetas):
 
     weights: (n_replicas >= 2, n_members); thetas: (n_members, n_points).
     With D = QR the centred weights, the mean is mean_row @ theta and the sd
-    ||R theta|| / sqrt(n_replicas - 1): O(m**2) per point, never negative, no
-    (replicas x points) matrix. Identical rows give sd 0 and row 0's estimate
-    exactly (a float mean of identical rows can differ from the row). The
-    products are np.einsum without optimize, which never calls BLAS, so the
-    bytes do not depend on a threaded BLAS's thread count."""
+    ||R theta|| / sqrt(n_replicas - 1): O(m**2) per point, never negative.
+    Row i of R theta is formed from R[i, i:] and thetas[i:] only (R is upper
+    triangular) and its square added into one points-long sum, so neither a
+    (replicas x points) nor a (members x points) matrix is held. Identical
+    rows give sd 0 and row 0's estimate exactly (a float mean of identical
+    rows can differ from the row). Every product is np.einsum without
+    optimize, which never calls BLAS and, on C-ordered columns, sums member
+    by member, so the bytes depend neither on a threaded BLAS's thread count
+    nor on the batch; einsum sums a single column in another order, so one
+    column is computed as two."""
+    n_points = thetas.shape[1]
+    thetas = np.ascontiguousarray(np.repeat(thetas, 2, axis=1) if n_points == 1 else thetas)
     if (weights == weights[0]).all():
-        mean = np.einsum("k,kj->j", weights[0], thetas)
+        mean = np.einsum("k,kj->j", weights[0], thetas)[:n_points]
         return mean, np.zeros_like(mean)
     mean_row = weights.mean(axis=0)
     r_factor = np.linalg.qr(weights - mean_row, mode="r")
-    spread = np.einsum("ik,kj->ij", r_factor, thetas)  # R theta
-    sd = np.sqrt(np.einsum("ij,ij->j", spread, spread) / (len(weights) - 1))
-    return np.einsum("k,kj->j", mean_row, thetas), sd
+    sum_sq = np.zeros(thetas.shape[1])
+    row = np.empty_like(sum_sq)
+    for i in range(len(r_factor)):
+        np.einsum("k,kj->j", r_factor[i, i:], thetas[i:], out=row)  # row i of R theta
+        row *= row
+        sum_sq += row
+    sd = np.sqrt(sum_sq[:n_points] / (len(weights) - 1))
+    return np.einsum("k,kj->j", mean_row, thetas)[:n_points], sd

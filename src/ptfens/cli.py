@@ -384,6 +384,7 @@ def cmd_map(settings, out_dir, seed):
           f"missing_layer_cells={product.missing_layer_cells} "
           f"texture_sum_cells={product.texture_sum_cells} "
           f"negative_fraction_cells={product.negative_fraction_cells} "
+          f"out_of_range_cells={product.out_of_range_cells} "
           f"zero_mean_cv_cells={product.cv_zero_mean_cells}")
     return 0
 

@@ -1,6 +1,9 @@
 """Shared builders for synthetic samples and populations used across tests."""
 
+import re
+
 import numpy as np
+from hypothesis import strategies as st
 
 from ptfens import USDA_CLASSES, PredictorRecord, predict_theta
 from ptfens import ptf as ptf_module
@@ -66,3 +69,37 @@ def drop_class(monkeypatch, ptf, texture_class):
     rows = real(ptf).copy()
     rows[USDA_CLASSES.index(texture_class)] = np.nan
     monkeypatch.setattr(ptf_module, "_class_rows", lambda p: rows if p == ptf else real(p))
+
+
+# tokens a reader must reject or accept cleanly: numbers at the edges of the
+# float grammar, words of the formats, separators, control and non-ASCII text
+SPLICE_TOKENS = (
+    "0", "-1", "3", "2.5", "-9999", "1e999", "-1e400", "5e-324", "nan", "-inf",
+    "1_0", "\u0663", "0x10", "1e", "+", "--1", "1..2", "1,5", "#", "# x",
+    "99999999999999999999999", "ncols", "nrows", "cellsize", "NODATA_value",
+    "layers", "weights", "bias", "input_scale", "output_transforms", "sigmoid",
+    "pow10", " ", "\t", "\n", "\r", "\r\n", "\n\n", "\x00", "\x0c", "\x85",
+    "\u2028", "\u3000", "\ufeff", "\u00e9", "")
+
+
+@st.composite
+def spliced_text(draw, text):
+    """text with up to six token edits: a whitespace-separated token (or the
+    whitespace between two) replaced, deleted, duplicated, or preceded by
+    another, each new token drawn from the text itself or SPLICE_TOKENS."""
+    parts = re.split(r"(\s+)", text)
+    pool = st.sampled_from(sorted(set(parts)) + list(SPLICE_TOKENS))
+    for _ in range(draw(st.integers(1, 6))):
+        i = draw(st.integers(0, len(parts) - 1))
+        op = draw(st.sampled_from(("replace", "delete", "duplicate", "insert")))
+        if op == "replace":
+            parts[i] = draw(pool)
+        elif op == "delete":
+            del parts[i]
+        elif op == "duplicate":
+            parts.insert(i, parts[i])
+        else:
+            parts.insert(i, draw(pool))
+        if not parts:
+            parts = [""]
+    return "".join(parts)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptfens import AnnSpec, AnnSpecError, ann_forward, read_ann_file, write_ann_file
+from ptfens.ann import _ACTIVATIONS, _OUTPUT_TRANSFORMS
+from helpers import spliced_text
 
 
 def identity_spec(d=3):
@@ -211,3 +214,70 @@ def test_malformed_sizes_name_file_and_line(tmp_path, line, bad, message):
     with pytest.raises(AnnSpecError) as err:
         read_ann_file(path)
     assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.fixture(scope="module")
+def ann_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("nets") / "net.ann"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(spliced_text("# a network\n" + ANN_TEXT.replace("0 1\n", "0 1 # row\n", 1)))
+def test_read_ann_file_token_splice_fuzz(ann_file, text):
+    """A spliced weight file reads as a consistent AnnSpec or raises
+    AnnSpecError; nothing else escapes."""
+    with open(ann_file, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    try:
+        spec = read_ann_file(ann_file)
+    except AnnSpecError:
+        return
+    assert [w.shape for w in spec.weights] == list(
+        zip(spec.layer_sizes[1:], spec.layer_sizes[:-1]))
+
+
+NAMES = st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=8)
+DOUBLES = st.one_of(st.floats(allow_nan=False),
+                    st.sampled_from([-0.0, 5e-324, -2.2250738585072009e-308]))
+
+
+@st.composite
+def ann_specs(draw):
+    """Networks of 2 to 4 layers of 1 to 5 units, every weight and scaling
+    entry any non-NaN double (input scales nonzero)."""
+    sizes = tuple(draw(st.lists(st.integers(1, 5), min_size=2, max_size=4)))
+
+    def doubles(*shape, values=DOUBLES):
+        flat = draw(st.lists(values, min_size=int(np.prod(shape)),
+                             max_size=int(np.prod(shape))))
+        return np.array(flat, dtype=np.float64).reshape(shape)
+
+    return AnnSpec(
+        layer_sizes=sizes,
+        weights=tuple(doubles(b, a) for a, b in zip(sizes, sizes[1:])),
+        biases=tuple(doubles(b) for b in sizes[1:]),
+        hidden_activation=draw(st.sampled_from(sorted(_ACTIVATIONS))),
+        input_names=tuple(draw(NAMES) for _ in range(sizes[0])),
+        input_offset=doubles(sizes[0]),
+        input_scale=doubles(sizes[0], values=DOUBLES.filter(lambda v: v != 0.0)),
+        output_names=tuple(draw(NAMES) for _ in range(sizes[-1])),
+        output_offset=doubles(sizes[-1]),
+        output_scale=doubles(sizes[-1]),
+        output_transforms=tuple(draw(st.sampled_from(sorted(_OUTPUT_TRANSFORMS)))
+                                for _ in range(sizes[-1])))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ann_specs())
+def test_ann_file_round_trip_is_bit_exact(ann_file, spec):
+    write_ann_file(ann_file, spec)
+    back = read_ann_file(ann_file)
+    for name in ("layer_sizes", "hidden_activation", "input_names", "output_names",
+                 "output_transforms"):
+        assert getattr(back, name) == getattr(spec, name)
+    pairs = list(zip(back.weights + back.biases, spec.weights + spec.biases))
+    pairs += [(getattr(back, name), getattr(spec, name)) for name in (
+        "input_offset", "input_scale", "output_offset", "output_scale")]
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -585,9 +586,10 @@ def test_map_subprocess_prints_summary_once(capsys, sample_file, tmp_path):
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
                     reason="needs 2 usable CPUs for a threaded BLAS")
 def test_map_bytes_do_not_depend_on_blas_threads(tmp_path):
-    """A 300 x 220 map (66,000 cells, one block) writes the same bytes with
-    one and two OpenBLAS threads: the replica mean and spread sum over
-    members without BLAS, whose threads split a product differently."""
+    """A 300 x 220 map (66,000 cells, nine blocks of 37 rows) writes the
+    same bytes with one and two OpenBLAS threads: the replica mean and
+    spread sum over members without BLAS, whose threads split a product
+    differently."""
     rng = np.random.default_rng(3)
     fractions = rng.dirichlet((2.0, 2.0, 2.0), size=(300, 220)) * 100.0
     layers = {"sand": fractions[..., 0], "silt": fractions[..., 1],
@@ -657,12 +659,40 @@ def test_map_negative_fraction_cell_is_nodata(capsys, tmp_path):
                           "--clay-grid", tmp_path / "clay.asc", "--out", out)
     assert code == 0
     assert ("valid_cells=1 missing_layer_cells=0 texture_sum_cells=0 "
-            "negative_fraction_cells=1 zero_mean_cv_cells=0") in stdout
+            "negative_fraction_cells=1 out_of_range_cells=0 zero_mean_cv_cells=0") in stdout
     for kind in ("mean", "cv"):
         for label in ("sat", "fc", "wp"):
             grid = read_grid(out / f"{kind}_{label}.asc")
             assert grid.valid_mask().tolist() == [[True, False]]
             assert grid.values[0, 1] == -9999.0
+
+
+def test_map_negative_bulk_density_cell_is_nodata(capsys, tmp_path):
+    table = tmp_path / "replicas.tsv"
+    table.write_text("stratum\treplica\tcal_rmse\tval_rmse\tw_cosby1\tw_campbell\n"
+                     "global\t0\t0.01\t\t0.7\t0.3\n"
+                     "global\t1\t0.01\t\t0.5\t0.5\n")
+    # the right cell's bulk density is negative: campbell's curve is NaN there
+    for name, values in (("sand", [40.0, 40.0]), ("silt", [40.0, 40.0]),
+                         ("clay", [20.0, 20.0]), ("bd", [1.3, -1.2])):
+        write_grid(tmp_path / f"{name}.asc", Grid(
+            ncols=2, nrows=1, xllcorner=0.0, yllcorner=0.0, cellsize=100.0,
+            nodata=-9999.0, values=np.array([values])))
+    out = tmp_path / "maps"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(capsys, "map", "--weights", table,
+                                "--sand-grid", tmp_path / "sand.asc",
+                                "--silt-grid", tmp_path / "silt.asc",
+                                "--clay-grid", tmp_path / "clay.asc",
+                                "--bd-grid", tmp_path / "bd.asc", "--out", out)
+    assert (code, err) == (0, "")
+    assert ("valid_cells=1 missing_layer_cells=0 texture_sum_cells=0 "
+            "negative_fraction_cells=0 out_of_range_cells=1 zero_mean_cv_cells=0") in stdout
+    for kind in ("mean", "cv"):
+        for label in ("sat", "fc", "wp"):
+            grid = read_grid(out / f"{kind}_{label}.asc")
+            assert grid.valid_mask().tolist() == [[True, False]]
 
 
 def test_map_class_table_lacking_a_present_class(capsys, monkeypatch, tmp_path):

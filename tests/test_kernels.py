@@ -84,11 +84,58 @@ def test_replica_mean_std_matches_explicit_estimates(problem):
     np.testing.assert_allclose(mean, est.mean(axis=0), rtol=1e-12, atol=0.0)
     if (weights == weights[0]).all():
         # exact, where a generic std leaves rounding residue; row 0's estimate
-        # is formed as the kernel forms every product, by einsum, not BLAS
+        # is summed member by member, the order of the kernel's einsum
         assert np.all(sd == 0.0)
-        assert np.array_equal(mean, np.einsum("k,kj->j", weights[0], thetas))
+        row0 = weights[0, 0] * thetas[0]
+        for k in range(1, len(thetas)):
+            row0 = row0 + weights[0, k] * thetas[k]
+        assert np.array_equal(mean, row0)
     else:
         np.testing.assert_allclose(sd, est.std(axis=0, ddof=1), rtol=1e-12, atol=0.0)
+
+
+def full_matrix_mean_std(weights, thetas):
+    """replica_mean_std formed with the whole (members x points) R theta."""
+    if (weights == weights[0]).all():
+        mean = np.einsum("k,kj->j", weights[0], thetas)
+        return mean, np.zeros_like(mean)
+    mean_row = weights.mean(axis=0)
+    r_factor = np.linalg.qr(weights - mean_row, mode="r")
+    spread = np.einsum("ik,kj->ij", r_factor, thetas)
+    sd = np.sqrt(np.einsum("ij,ij->j", spread, spread) / (len(weights) - 1))
+    return np.einsum("k,kj->j", mean_row, thetas), sd
+
+
+@st.composite
+def spread_problems_with_zeros(draw):
+    """spread_problems with none, some or all member values set to zero."""
+    weights, thetas = draw(spread_problems())
+    share = draw(st.sampled_from((0.0, 0.3, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return weights, np.where(rng.random(thetas.shape) < share, 0.0, thetas)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(spread_problems_with_zeros())
+@example((np.tile([0.1, 0.7, 0.2], (7, 1)),  # identical rows
+          np.array([[0.3, 0.0], [0.45, 0.2], [0.0, 0.0]])))
+@example((np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]]),  # fewer replicas than members
+          np.array([[0.3, 0.0, 0.1], [0.0, 0.2, 0.1], [0.4, 0.0, 0.0]])))
+def test_replica_mean_std_triangular_equals_full_matrix(problem):
+    weights, thetas = problem
+    mean, sd = _kernels.replica_mean_std(weights, thetas)
+    # the full-matrix einsums take another summation order on one column,
+    # so they are the reference from two columns on
+    if thetas.shape[1] >= 2:
+        want_mean, want_sd = full_matrix_mean_std(weights, thetas)
+        assert mean.tobytes() == want_mean.tobytes()
+        assert sd.tobytes() == want_sd.tobytes()
+    # a point's bytes do not depend on its batch or on the layout of thetas
+    for batch in (thetas[:, -1:], np.asfortranarray(thetas),
+                  np.repeat(thetas, 2, axis=1)[:, ::2]):
+        got_mean, got_sd = _kernels.replica_mean_std(weights, batch)
+        assert got_mean.tobytes() == mean[-batch.shape[1]:].tobytes()
+        assert got_sd.tobytes() == sd[-batch.shape[1]:].tobytes()
 
 
 def test_zero_weight_genome_is_uniform():

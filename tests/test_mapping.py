@@ -2,6 +2,7 @@
 
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ptfens import (
     USDA_CLASSES,
     AnnSpec,
     CoregistrationError,
+    FIELD_CAPACITY_HEAD,
     Grid,
     GridFormatError,
     InputError,
@@ -33,7 +35,7 @@ from ptfens import (
 )
 from ptfens import _kernels
 from ptfens.mapping import DEFAULT_NODATA, HEAD_LABELS
-from helpers import drop_class
+from helpers import drop_class, spliced_text
 
 MEMBERS = (PtfId.COSBY1, PtfId.CARSEL)
 REPLICAS = [
@@ -263,6 +265,25 @@ def test_grid_tokens_parse_as_float(grid_file, tokens):
                           float_bits(want)[~np.isnan(want)])
 
 
+GRID_TEXT = "\n".join(["ncols 3", "nrows 2"] + HEADER[2:] + ["1 2.5 -9999", "4 5e-1 6"]) + "\n"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(spliced_text(GRID_TEXT))
+@example(GRID_TEXT.replace("2.5 ", "2.5\u3000"))  # non-ASCII whitespace in a row
+@example(GRID_TEXT.replace("1 2.5", "1\x00 2.5"))  # a NUL in a row
+def test_read_grid_token_splice_fuzz(grid_file, text):
+    """A spliced grid file reads as a grid of its header's shape or raises
+    GridFormatError; nothing else escapes."""
+    with open(grid_file, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    try:
+        grid = read_grid(grid_file)
+    except GridFormatError:
+        return
+    assert grid.values.shape == (grid.nrows, grid.ncols)
+
+
 def six_grids(rng):
     """Six grids of different shapes, as map writes them."""
     return [small_grid(rng.uniform(0.0, 1.0, size=(3 + k, 4))) for k in range(6)]
@@ -409,13 +430,32 @@ def test_map_texture_sum_violation_is_nodata():
 def test_map_blocked_rows_identical():
     layers = layer_stack(nodata_cell=(2, 0))
     whole = apply_ensemble_map(layers, REPLICAS)
-    for budget in (1, 3, 7):  # one cell, one row, an odd number of cells
+    for budget in (1, 3, 7, 65536):  # one cell, one row, odd; the old default
         blocked = apply_ensemble_map(layers, REPLICAS, block_cells=budget)
         for head in MAP_HEADS:
             assert np.array_equal(whole.mean[head].values, blocked.mean[head].values)
             assert np.array_equal(whole.cv[head].values, blocked.cv[head].values)
         assert whole.n_valid_cells == blocked.n_valid_cells
         assert whole.missing_layer_cells == blocked.missing_layer_cells == 1
+
+
+def test_map_one_head_row_blocks_identical():
+    """One head and one valid cell in a block: a single-column spread."""
+    rng = np.random.default_rng(75)
+    layers = full_stack(rng, nrows=4, ncols=5)
+    bd = layers.bulk_density.values.copy()
+    bd[0, :4] = DEFAULT_NODATA  # row 0 keeps one valid cell
+    layers = SoilLayerStack(sand=layers.sand, silt=layers.silt, clay=layers.clay,
+                            bulk_density=small_grid(bd),
+                            organic_carbon=layers.organic_carbon)
+    replicas = [WeightVector.normalized(TABLE_AND_REGRESSION, rng.uniform(0.1, 1.0, 11))
+                for _ in range(6)]
+    heads = (FIELD_CAPACITY_HEAD,)
+    whole = apply_ensemble_map(layers, replicas, heads=heads)
+    rows = apply_ensemble_map(layers, replicas, heads=heads, block_cells=1)
+    for kind in ("mean", "cv"):
+        assert getattr(whole, kind)[FIELD_CAPACITY_HEAD].values.tobytes() == \
+            getattr(rows, kind)[FIELD_CAPACITY_HEAD].values.tobytes()
 
 
 def test_map_nodata_counts_by_reason():
@@ -479,6 +519,26 @@ def test_map_memory_flat_in_replicas_and_width():
              for ncols in (64, 512)]
     narrow, wide = (peak - retained for peak, retained in peaks)
     assert wide <= 1.1 * narrow
+
+
+def test_map_working_set_at_default_budget():
+    """The traced working set of one map call (peak less the output grids
+    it keeps) on a 300 x 240 stack with 11 members and 20 replicas stays a
+    few blocks' worth; 65,536-cell blocks with a whole (members x points)
+    spread held about 44 MiB. The grids
+    are the bytes of the old 65,536-cell default."""
+    rng = np.random.default_rng(73)
+    layers = full_stack(rng, nrows=300, ncols=240)
+    replicas = [WeightVector.normalized(TABLE_AND_REGRESSION, rng.uniform(0.1, 1.0, 11))
+                for _ in range(20)]
+    peak, retained = _traced_map_memory(layers, replicas)
+    assert peak - retained <= 12 * 2**20
+    product = apply_ensemble_map(layers, replicas)
+    old = apply_ensemble_map(layers, replicas, block_cells=65536)
+    assert product.n_valid_cells == old.n_valid_cells == 300 * 240 - 1
+    for head in MAP_HEADS:
+        assert product.mean[head].values.tobytes() == old.mean[head].values.tobytes()
+        assert product.cv[head].values.tobytes() == old.cv[head].values.tobytes()
 
 
 def reference_map(layers, replicas, nodata=DEFAULT_NODATA):
@@ -556,6 +616,53 @@ def test_map_bytes_match_per_cell_loop(network):
     for head in MAP_HEADS:
         assert product.mean[head].values.tobytes() == want["mean", head].tobytes()
         assert product.cv[head].values.tobytes() == want["cv", head].tobytes()
+
+
+def test_map_out_of_range_bd_or_oc_cell_is_nodata():
+    """A negative or physically impossible bulk density or organic carbon
+    makes its cell nodata, counted, with no warning; the other cells keep
+    the bytes they have when those cells are plain nodata."""
+    rng = np.random.default_rng(74)
+    layers = full_stack(rng)
+    replicas = [WeightVector.normalized(TABLE_AND_REGRESSION, rng.uniform(0.1, 1.0, 11))
+                for _ in range(4)]
+    bd, oc = layers.bulk_density.values.copy(), layers.organic_carbon.values.copy()
+    sand, silt = layers.sand.values.copy(), layers.silt.values.copy()
+    bad_cells = {(0, 0): ("bd", -1.2), (1, 1): ("oc", -0.5), (2, 2): ("bd", 1e300),
+                 (5, 5): ("oc", 1e6), (6, 6): ("bd", 2.66), (7, 7): ("oc", 100.5)}
+    for cell, (name, value) in bad_cells.items():
+        (bd if name == "bd" else oc)[cell] = value
+    for cell, (name, value) in {(8, 8): ("bd", 0.0), (9, 9): ("bd", 2.65),
+                                (10, 10): ("oc", 0.0), (11, 1): ("oc", 100.0)}.items():
+        (bd if name == "bd" else oc)[cell] = value  # the limits themselves are valid
+    # negative sand that still sums to 100, and a negative bd: counted once,
+    # under the negative fraction
+    sand[12, 2], silt[12, 2], bd[12, 2] = -0.5, silt[12, 2] + sand[12, 2] + 0.5, -1.0
+
+    def stack(bd, oc):
+        return SoilLayerStack(sand=small_grid(sand), silt=small_grid(silt),
+                              clay=layers.clay, bulk_density=small_grid(bd),
+                              organic_carbon=small_grid(oc))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        product = apply_ensemble_map(stack(bd, oc), replicas)
+    assert product.out_of_range_cells == len(bad_cells)
+    assert product.negative_fraction_cells == 1
+    assert product.missing_layer_cells == 1  # full_stack's nodata bd cell
+    assert product.n_valid_cells == 14 * 11 - 1 - 1 - len(bad_cells)
+    for cell in bad_cells:
+        assert all(product.mean[h].values[cell] == DEFAULT_NODATA for h in MAP_HEADS)
+
+    bd_hole = bd.copy()
+    for cell in bad_cells:
+        bd_hole[cell] = DEFAULT_NODATA
+    oc_clean = np.where((oc >= 0.0) & (oc <= 100.0), oc, 1.0)
+    holed = apply_ensemble_map(stack(bd_hole, oc_clean), replicas)
+    assert holed.out_of_range_cells == 0
+    for head in MAP_HEADS:
+        assert product.mean[head].values.tobytes() == holed.mean[head].values.tobytes()
+        assert product.cv[head].values.tobytes() == holed.cv[head].values.tobytes()
 
 
 def test_map_class_table_lacking_a_present_class(monkeypatch):
