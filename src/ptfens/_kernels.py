@@ -10,8 +10,9 @@ record plus a float64 row of up to four parameters,
 theta_points is the one entry to the curve formulas (_vg, _bc, _cmp); the
 scalar evaluator retention.theta_at and every batch path call it. At psi = 0
 each formula gives theta_s exactly, so a caller may read it (THETA_S_COLUMN).
-replica_mean_std gives the map's replica spread in closed form from the weights,
-one row of the triangular factor at a time, holding one points-long sum.
+weighted_sum is the one weighted sum of member water contents, for predict
+and the map's mean; replica_mean_std gives the map's replica spread in
+closed form from the weights, one row of the triangular factor at a time.
 """
 
 import numpy as np
@@ -70,6 +71,16 @@ def chi2_population(pop, preds, observed):
     return np.einsum("ij,ij->i", resid, resid)
 
 
+def weighted_sum(weights, thetas):
+    """weights @ thetas (members x points), summed member by member: einsum
+    without optimize never calls BLAS and sums C-ordered columns in member
+    order, so a point's bytes depend neither on the BLAS thread count nor on
+    its batch. It sums one column in another order, so that is done as two."""
+    n_points = thetas.shape[1]
+    thetas = np.ascontiguousarray(np.repeat(thetas, 2, axis=1) if n_points == 1 else thetas)
+    return np.einsum("k,kj->j", weights, thetas)[:n_points]
+
+
 def replica_mean_std(weights, thetas):
     """Across-replica mean and sample std (ddof=1) of weights @ thetas.
 
@@ -80,23 +91,15 @@ def replica_mean_std(weights, thetas):
     triangular) and its square added into one points-long sum, so neither a
     (replicas x points) nor a (members x points) matrix is held. Identical
     rows give sd 0 and row 0's estimate exactly (a float mean of identical
-    rows can differ from the row). Every product is np.einsum without
-    optimize, which never calls BLAS and, on C-ordered columns, sums member
-    by member, so the bytes depend neither on a threaded BLAS's thread count
-    nor on the batch; einsum sums a single column in another order, so one
-    column is computed as two."""
-    n_points = thetas.shape[1]
-    thetas = np.ascontiguousarray(np.repeat(thetas, 2, axis=1) if n_points == 1 else thetas)
+    rows can differ from the row). Every product is a weighted_sum."""
     if (weights == weights[0]).all():
-        mean = np.einsum("k,kj->j", weights[0], thetas)[:n_points]
+        mean = weighted_sum(weights[0], thetas)
         return mean, np.zeros_like(mean)
     mean_row = weights.mean(axis=0)
     r_factor = np.linalg.qr(weights - mean_row, mode="r")
     sum_sq = np.zeros(thetas.shape[1])
-    row = np.empty_like(sum_sq)
     for i in range(len(r_factor)):
-        np.einsum("k,kj->j", r_factor[i, i:], thetas[i:], out=row)  # row i of R theta
+        row = weighted_sum(r_factor[i, i:], thetas[i:])  # row i of R theta
         row *= row
         sum_sq += row
-    sd = np.sqrt(sum_sq[:n_points] / (len(weights) - 1))
-    return np.einsum("k,kj->j", mean_row, thetas)[:n_points], sd
+    return weighted_sum(mean_row, thetas), np.sqrt(sum_sq / (len(weights) - 1))

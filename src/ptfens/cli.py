@@ -21,7 +21,8 @@ import numpy as np
 
 from . import __version__, coeffs, dataset, ensemble, mapping, metrics
 from .errors import ConfigError, DataError, open_text
-from .ptf import ALL_PTFS, GROUPS, PredictorRecord, PtfId, load_rosetta_weights
+from .ptf import ALL_PTFS, GROUPS, PREDICTOR_FIELDS, PredictorRecord, PtfId, load_rosetta_weights
+from .texture import TEXTURE_SUM_TOLERANCE, USDA_CLASSES
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -152,6 +153,27 @@ def _psi_list(settings):
     if not all(0.0 <= h < np.inf for h in heads):  # NaN fails too
         raise ConfigError(f"bad --psi list {raw!r}: suction must be finite and >= 0 cm")
     return heads
+
+
+def _predictor_record(settings, topsoil):
+    """The record of the predict flags. A value that ingest rejects or map
+    makes nodata, or an unknown texture class, is a ConfigError naming its
+    flag."""
+    values = {name: settings.get(name, None, float) for name in PREDICTOR_FIELDS}
+    for name, value in values.items():
+        limit = mapping.LAYER_LIMITS.get(name)
+        if value is not None and not (0.0 <= value <= limit if limit else 0.0 <= value < np.inf):
+            raise ConfigError(f"bad --{name.replace('_', '-')} {value!r}: must be "
+                              + (f"in [0, {limit:g}]" if limit else "finite and >= 0"))
+    fractions = [values[name] for name in ("sand", "silt", "clay")]
+    if None not in fractions and abs(sum(fractions) - 100.0) > TEXTURE_SUM_TOLERANCE:
+        raise ConfigError(f"bad --sand/--silt/--clay {'/'.join(map(repr, fractions))}: "
+                          f"must sum to 100 +/- {TEXTURE_SUM_TOLERANCE}")
+    texture_class = settings.get("texture_class")
+    if texture_class is not None and texture_class not in USDA_CLASSES:
+        raise ConfigError(f"bad --texture-class {texture_class!r}: must be one of "
+                          f"{', '.join(USDA_CLASSES)}")
+    return PredictorRecord(**values, texture_class=texture_class, topsoil=topsoil)
 
 
 # ---------------------------------------------------------------------------
@@ -309,27 +331,15 @@ def cmd_predict(settings, out_dir):
     vector, _ = ensemble.read_weights(weights_path)
     psi_values = _psi_list(settings)
     topsoil = settings.get("topsoil", True, bool)
-    rows = []
-
     data = settings.get("data")
     if data:
-        _require_file(data, "input data file (--data)")
-        samples = dataset.read_samples(data)
-        theta = ensemble.samples_theta(vector, samples, psi_values, topsoil)
-        for sid, sample_theta in zip(samples.ids, theta.tolist()):
-            rows.extend((sid, psi, t) for psi, t in zip(psi_values, sample_theta))
-    else:
-        rec = PredictorRecord(
-            sand=settings.get("sand", None, float),
-            silt=settings.get("silt", None, float),
-            clay=settings.get("clay", None, float),
-            bulk_density=settings.get("bulk_density", None, float),
-            organic_carbon=settings.get("organic_carbon", None, float),
-            texture_class=settings.get("texture_class"),
-            topsoil=topsoil)
-        for psi in psi_values:
-            theta = ensemble.ensemble_theta(vector, rec, psi)
-            rows.append(("record", psi, theta))
+        samples = dataset.read_samples(_require_file(data, "input data file (--data)"))
+        ids, theta = samples.ids, ensemble.samples_theta(vector, samples, psi_values, topsoil)
+    else:  # a record is a batch of one on the same path
+        rec = _predictor_record(settings, topsoil)
+        ids, theta = ["record"], [ensemble.ensemble_theta(vector, rec, psi_values)]
+    rows = [(sid, psi, t) for sid, sample in zip(ids, np.asarray(theta).tolist())
+            for psi, t in zip(psi_values, sample)]
 
     with open(os.path.join(out_dir, "predictions.tsv"), "w", encoding="utf-8") as fh:
         fh.write("sample_id\tpsi\ttheta\n")

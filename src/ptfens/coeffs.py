@@ -121,34 +121,36 @@ def load_constants(name):
     return {key.strip(): float(val) for key, val in rows[1:]}
 
 
-def _eval_factor(factor, variables):
-    factor = factor.strip()
-    if factor.startswith("ln(") and factor.endswith(")"):
-        return np.log(variables[factor[3:-1]])
-    if factor.startswith("inv(") and factor.endswith(")"):
-        return 1.0 / variables[factor[4:-1]]
-    if "^" in factor:
-        var, power = factor.split("^")
-        return variables[var.strip()] ** int(power)
-    return variables[factor]
+@cache
+def _term_factors(term):
+    """(text, function, variable) per factor of a term, parsed once; 1 has none."""
+    factors = []
+    for text in () if term == "1" else (f.strip() for f in term.split("*")):
+        head, _, rest = text.partition("(")
+        if head in ("ln", "inv") and text.endswith(")"):
+            fn, var = (np.log if head == "ln" else np.reciprocal), rest[:-1]
+        else:
+            var, _, power = text.partition("^")
+            fn = (lambda x, k=int(power): x ** k) if power else (lambda x: x)
+        factors.append((text, fn, var.strip()))
+    return tuple(factors)
 
 
 def eval_regression(spec, variables):
-    """Evaluate every target of a loaded regression on arrays of predictors."""
+    """Evaluate every target of a loaded regression on arrays of predictors,
+    each distinct factor once; a product starts from its first factor."""
     n = len(next(iter(variables.values())))
-    out = {}
+    values, out = {}, {}
     for target, (transform, terms) in spec.items():
         acc = np.zeros(n, dtype=np.float64)
         for term, coeff in terms:
-            if term == "1":
-                acc += coeff
-                continue
-            prod = np.ones(n, dtype=np.float64)
-            for factor in term.split("*"):
-                try:
-                    prod = prod * _eval_factor(factor, variables)
-                except KeyError as exc:
-                    raise DataError(f"regression term {term!r} needs variable {exc}") from None
-            acc += coeff * prod
+            prod = None
+            for text, fn, var in _term_factors(term):
+                if text not in values:
+                    if var not in variables:
+                        raise DataError(f"regression term {term!r} needs variable {var!r}")
+                    values[text] = fn(variables[var])
+                prod = values[text] if prod is None else prod * values[text]
+            acc += coeff if prod is None else coeff * prod
         out[target] = TRANSFORMS[transform](acc)
     return out

@@ -17,7 +17,10 @@ calibration runs the same procedure per stratum and falls back to the
 global weights for strata with too few points. Strata are assigned by
 dataset.stratum_indices over the sample table's columns; a StratifiedModel
 holds one CalibrationResult per calibrated stratum and the global one, and
-predictions and maps apply one weight vector at a time.
+predictions and maps apply one weight vector at a time. A prediction, of one
+record (ensemble_theta) or of a sample table (samples_theta), takes the
+map's path: ptf.member_thetas summed member by member
+(_kernels.weighted_sum), so a record equals its table row bit for bit.
 
 All randomness derives from one master seed. Replica r of a calibration
 draws its bootstrap from (seed..., r, 0); stratum calibrations extend the
@@ -35,8 +38,10 @@ from .dataset import (DEFAULT_OC_EDGES, SampleTable, _seed_path, bootstrap_split
                       stratum_indices, stratum_key)
 from .errors import (ConfigError, InputError, MemberPredictionError, PtfensError,
                      open_text)
-from .ptf import PtfId, predict, predict_batch, required_inputs
-from .retention import FIELD_CAPACITY_HEAD, WILTING_POINT_HEAD, _check_psi, theta_at
+from .ptf import PtfId, _record_arrays, member_thetas, predict_batch, required_inputs
+from .retention import FIELD_CAPACITY_HEAD, WILTING_POINT_HEAD, _check_psi
+from .ptf import predict  # noqa: F401 - uncalled; in pipebench tracer.TARGETS
+from .retention import theta_at  # noqa: F401 - uncalled; in pipebench tracer.TARGETS
 
 GLOBAL_STRATUM = "global"
 
@@ -120,23 +125,20 @@ def chi2(weights, member_preds, observed):
     return float(np.sum((ens - observed) ** 2))
 
 
-def member_thetas(members, rec, psi):
-    """Stacked member predictions for one record; fails naming the member."""
-    rows = []
-    for m in members:
-        try:
-            params = predict(m, rec)
-            rows.append(np.atleast_1d(np.asarray(theta_at(params, psi), dtype=np.float64)))
-        except PtfensError as exc:
-            raise MemberPredictionError(f"member {PtfId(m)}: {exc}") from exc
-    return np.stack(rows)
+def _theta_rows(weights, heads, arrays):
+    """(rows, heads) weighted-mean water contents of predict_batch keyword
+    arrays: ptf.member_thetas weighted by _kernels.weighted_sum."""
+    thetas = member_thetas(weights.members, heads, **arrays)
+    flat = _kernels.weighted_sum(weights.as_array(), thetas.reshape(len(thetas), -1))
+    return flat.reshape(thetas.shape[1:]).T
 
 
 def ensemble_theta(weights, rec, psi):
-    """Weighted-mean water content for one record at one or more heads."""
-    thetas = member_thetas(weights.members, rec, psi)
-    out = weights.as_array() @ thetas
-    return float(out[0]) if np.ndim(psi) == 0 else out
+    """Weighted-mean water content for one record at one or more heads: a
+    batch of one on samples_theta's path, equal to its row bit for bit."""
+    heads = _check_psi(psi)
+    out = _theta_rows(weights, heads.reshape(-1), _record_arrays(rec))[0]
+    return float(out[0]) if heads.ndim == 0 else out.reshape(heads.shape)
 
 
 def _fit_inputs(member_preds, observed, members):
@@ -335,16 +337,13 @@ def _member_matrix(members, arrays, owner, psi):
 def samples_theta(weights, samples, heads, topsoil=True):
     """Weighted-mean water content of every sample at every head.
 
-    The batch form of ensemble_theta: returns a (samples, heads) array from
-    the same predict_batch and theta_points calls that calibration uses.
+    The batch form of ensemble_theta: a (samples, heads) array from the
+    map's member evaluation and member-ordered sum, so a sample's row does
+    not depend on the other samples in the table.
     """
     samples = SampleTable.from_samples(samples)
-    heads = _check_psi(heads).reshape(-1)
     arrays = _predictor_arrays(weights.members, samples, topsoil)
-    owner = np.repeat(np.arange(len(samples)), heads.size)
-    psi = np.tile(heads, len(samples))
-    preds = _member_matrix(weights.members, arrays, owner, psi)
-    return (weights.as_array() @ preds).reshape(len(samples), heads.size)
+    return _theta_rows(weights, _check_psi(heads).reshape(-1), arrays)
 
 
 class _PointSet:

@@ -2,15 +2,15 @@
 
 Soil property layers come in as ESRI ASCII grids (six header lines, then
 nrows lines of ncols values, top row first). Members are evaluated at the
-heads 0, 330 and 15000 cm once per cell, a class-table member once per
-texture class in the block, gathered back by class; head 0 is the theta_s
-column, which every curve gives exactly. The replica mean and sample std
-(ddof=1) come in closed form from the replica weights
-(_kernels.replica_mean_std), giving a mean and a CV (std over mean) grid per
-head. Cells where a required layer is nodata, a texture fraction is negative
-or the fractions do not sum to 100, bulk density or organic carbon lies
-outside its physical range, or the replica mean is zero are nodata in the
-outputs; MapProduct counts them by reason.
+heads 0, 330 and 15000 cm by ptf.member_thetas, as predict evaluates them:
+once per cell, a class-table member once per texture class in the block,
+gathered back by class; head 0 is the theta_s column, which every curve
+gives exactly. The replica mean and sample std (ddof=1) come in closed form
+from the replica weights (_kernels.replica_mean_std), giving a mean and a
+CV (std over mean) grid per head. Cells where a required layer is nodata,
+a texture fraction is negative or the fractions do not sum to 100, bulk
+density or organic carbon lies outside its physical range, or the replica
+mean is zero are nodata in the outputs; MapProduct counts them by reason.
 
 A grid body is parsed in one numpy.loadtxt call, numpy's C float parser:
 its grammar is Python float()'s without digit-group underscores and
@@ -31,9 +31,11 @@ import numpy as np
 
 from . import _kernels
 from .errors import CoregistrationError, GridFormatError, InputError, open_text
-from .ptf import PARTICLE_DENSITY, predict_batch, required_inputs, uses_class_table
+from .ptf import PARTICLE_DENSITY, PREDICTOR_FIELDS, member_thetas, required_inputs
 from .retention import FIELD_CAPACITY_HEAD, SATURATION_HEAD, WILTING_POINT_HEAD
-from .texture import TEXTURE_SUM_TOLERANCE, USDA_CLASSES, classify_texture_array
+from .texture import TEXTURE_SUM_TOLERANCE
+from .ptf import predict_batch  # noqa: F401 - uncalled; in pipebench tracer.TARGETS
+from .texture import classify_texture_array  # noqa: F401 - uncalled; in pipebench tracer.TARGETS
 
 MAP_HEADS = (SATURATION_HEAD, FIELD_CAPACITY_HEAD, WILTING_POINT_HEAD)
 HEAD_LABELS = {SATURATION_HEAD: "sat", FIELD_CAPACITY_HEAD: "fc", WILTING_POINT_HEAD: "wp"}
@@ -248,13 +250,12 @@ def _read_all(fd):
         return fh.read()
 
 
-_LAYER_FIELDS = ("sand", "silt", "clay", "bulk_density", "organic_carbon")
 # physical upper limits of the non-texture layers: bulk density above the
 # mineral particle density (g/cm3) would mean a negative porosity, and organic
 # carbon is a percentage. Inside [0, limit] every built-in member's
 # parameters are finite; outside (bd < 0, bd 1e300, oc 1e6) some are NaN or
 # overflow, which failed the whole map.
-_LAYER_LIMITS = {"bulk_density": PARTICLE_DENSITY, "organic_carbon": 100.0}
+LAYER_LIMITS = {"bulk_density": PARTICLE_DENSITY, "organic_carbon": 100.0}
 
 # Cells per map block. At 8,192 a block's float64 column is 64 KiB, under
 # glibc's 128 KiB mmap threshold, so most block temporaries are reused from
@@ -279,7 +280,7 @@ class SoilLayerStack:
 
     def __post_init__(self):
         ref = self.sand.georef()
-        for name in _LAYER_FIELDS[1:]:
+        for name in PREDICTOR_FIELDS[1:]:
             grid = getattr(self, name)
             if grid is not None and grid.georef() != ref:
                 raise CoregistrationError(
@@ -352,8 +353,8 @@ def apply_ensemble_map(layers, replica_weights, heads=MAP_HEADS, topsoil=True,
             nonnegative = np.all(fractions >= 0.0, axis=0)
             in_range = np.ones_like(present)
             for name in needed:
-                if name in _LAYER_LIMITS:
-                    in_range &= (block[name] >= 0.0) & (block[name] <= _LAYER_LIMITS[name])
+                if name in LAYER_LIMITS:
+                    in_range &= (block[name] >= 0.0) & (block[name] <= LAYER_LIMITS[name])
         n_missing += int(np.count_nonzero(~present))
         n_sum += int(np.count_nonzero(present & ~sum_ok))
         valid = present & sum_ok
@@ -367,23 +368,8 @@ def apply_ensemble_map(layers, replica_weights, heads=MAP_HEADS, topsoil=True,
         n_cells = int(valid.sum())
         n_valid += n_cells
 
-        texture = classify_texture_array(cells["sand"], cells["silt"], cells["clay"])
-        present = np.bincount(texture, minlength=len(USDA_CLASSES)) > 0
-        class_of = np.cumsum(present)[texture] - 1  # each cell's row in a class batch
-        thetas = np.empty((len(members), len(heads), n_cells))
-        for k, m in enumerate(members):
-            if uses_class_table(m):  # one curve per texture class present
-                batch, at = predict_batch(m, texture=np.flatnonzero(present)), class_of
-            else:
-                batch, at = predict_batch(m, texture=texture, **cells, topsoil=np.full(
-                    n_cells, 1.0 if topsoil else 0.0)), slice(None)
-            for t, head in enumerate(heads):
-                if head == 0.0:  # saturation: every curve gives theta_s exactly
-                    thetas[k, t] = batch.rows[at, _kernels.THETA_S_COLUMN[batch.codes[0]]]
-                else:
-                    thetas[k, t] = _kernels.theta_points(
-                        batch.codes, batch.rows, np.full(len(batch), head))[at]
-
+        thetas = member_thetas(members, heads, **cells,
+                               topsoil=np.full(n_cells, 1.0 if topsoil else 0.0))
         mean, sd = _kernels.replica_mean_std(weight_matrix, thetas.reshape(len(members), -1))
         mean, sd = mean.reshape(len(heads), n_cells), sd.reshape(len(heads), n_cells)
         nonzero = mean != 0.0

@@ -8,11 +8,13 @@ Four input tiers, by what each predictor consumes:
     D (C + organic carbon):       wosten, weynants, vereecken
 
 All prediction is batch-first over arrays; the scalar entry points wrap a
-batch of one. Out-of-domain outputs are clamped into the valid parameter
-domain and flagged rather than rejected, so downstream ensembles always get
-an evaluable curve. Predictors that take a variable inside ln() or 1/x floor
-it at a small positive value (0.01 in the variable's own unit) and flag the
-row as input_floored.
+batch of one, and member_thetas is the one path to member water contents
+for a record, a sample table and a map block alike. Out-of-domain outputs
+are clamped into the valid parameter domain and flagged rather than
+rejected, so downstream ensembles always get an evaluable curve.
+Predictors that take a variable inside ln() or 1/x floor it at a small
+positive value (0.01 in the variable's own unit) and flag the row as
+input_floored.
 
 rosetta_h2w and rosetta_h3w are trained networks and need a weight file
 registered before use (see register_ann / load_rosetta_weights).
@@ -27,9 +29,9 @@ from functools import cache
 
 import numpy as np
 
-from . import coeffs
+from . import _kernels, coeffs
 from .ann import ann_forward, read_ann_file
-from .errors import DataError, InputError, MemberPredictionError, TableLookupError
+from .errors import DataError, InputError, MemberPredictionError, PtfensError, TableLookupError
 from .retention import (
     FAMILY_CODES,
     BrooksCoreyParams,
@@ -41,6 +43,7 @@ from .texture import USDA_CLASSES, classify_texture_array
 
 PARTICLE_DENSITY = 2.65  # g/cm3, standard mineral soil assumption
 _FLOOR = 0.01  # lower bound for variables used inside ln() or 1/x
+PREDICTOR_FIELDS = ("sand", "silt", "clay", "bulk_density", "organic_carbon")
 
 
 class PtfId(str, Enum):
@@ -422,22 +425,51 @@ def predict_batch(ptf, sand=None, silt=None, clay=None, bulk_density=None,
     return ParamBatch(ptf=ptf, codes=codes, rows=rows, flags=flags)
 
 
-def _record_arrays(ptf, rec):
-    """Length-1 predictor arrays from a record, with named-field errors."""
-    ptf = PtfId(ptf)
-    kwargs = {}
-    if uses_class_table(ptf) and rec.texture_class is not None:
+def _record_arrays(rec):
+    """predict_batch keyword arrays of one row from a record; a texture class
+    becomes its class code, which serves class-table members only."""
+    arrays = {name: np.array([float(getattr(rec, name))]) for name in PREDICTOR_FIELDS
+              if getattr(rec, name) is not None}
+    if rec.texture_class is not None:
         if rec.texture_class not in USDA_CLASSES:
             raise InputError(f"unknown texture class {rec.texture_class!r}")
-        kwargs["texture"] = np.array([USDA_CLASSES.index(rec.texture_class)])
-        return kwargs
-    for name in required_inputs(ptf):
-        value = getattr(rec, name)
-        if value is None:
-            raise InputError(f"missing required predictor {name!r}")
-        kwargs[name] = np.array([float(value)])
-    kwargs["topsoil"] = np.array([1.0 if rec.topsoil else 0.0])
-    return kwargs
+        arrays["texture"] = np.array([USDA_CLASSES.index(rec.texture_class)])
+    arrays["topsoil"] = np.array([1.0 if rec.topsoil else 0.0])
+    return arrays
+
+
+def member_thetas(members, heads, texture=None, **predictors):
+    """(members, heads, rows) water contents of rows of predict_batch keyword
+    arrays. One predict_batch call per member; a class-table member is
+    evaluated once per texture class present (the codes given, else
+    classified from the fractions) and gathered back to the rows. Head 0 is
+    the theta_s column, which every curve gives exactly. A failing member
+    raises MemberPredictionError naming it."""
+    sized = predictors.get("sand", texture)
+    out = np.empty((len(members), len(heads), 0 if sized is None else len(sized)))
+    classes = None  # (class codes present, each row's index into them)
+    for k, m in enumerate(members):
+        try:
+            if uses_class_table(m):
+                if classes is None:
+                    if texture is None:
+                        fractions = (_as_float_array(f, predictors.get(f), out.shape[2])
+                                     for f in ("sand", "silt", "clay"))
+                        texture = classify_texture_array(*fractions)
+                    classes = np.unique(texture, return_inverse=True)
+                batch, at = predict_batch(m, texture=classes[0]), classes[1]
+            else:
+                batch, at = predict_batch(m, **predictors), slice(None)
+            column = _kernels.THETA_S_COLUMN[FAMILY_CODES[FAMILY[batch.ptf]]]
+            for t, head in enumerate(heads):
+                if head == 0.0:  # saturation: every curve gives theta_s exactly
+                    out[k, t] = batch.rows[at, column]
+                else:
+                    out[k, t] = _kernels.theta_points(
+                        batch.codes, batch.rows, np.full(len(batch), head))[at]
+        except PtfensError as exc:
+            raise MemberPredictionError(f"member {m}: {exc}") from exc
+    return out
 
 
 def params_from_row(family, row, flags=()):
@@ -453,10 +485,9 @@ def params_from_row(family, row, flags=()):
 
 def predict(ptf, rec):
     """Predict retention parameters for a single record."""
-    ptf = PtfId(ptf)
-    batch = predict_batch(ptf, **_record_arrays(ptf, rec))
+    batch = predict_batch(ptf, **_record_arrays(rec))
     flags = tuple(sorted(name for name, mask in batch.flags.items() if mask[0]))
-    return params_from_row(FAMILY[ptf], batch.rows[0], flags=flags)
+    return params_from_row(FAMILY[batch.ptf], batch.rows[0], flags=flags)
 
 
 def predict_theta(ptf, rec, psi):

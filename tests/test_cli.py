@@ -383,12 +383,67 @@ def test_predict_data_is_the_batch_path(capsys, sample_file, tmp_path):
     eval_preds, _, eval_psi = point_matrix(vector.members, samples)  # what evaluate uses
     assert np.array_equal(eval_psi, psi) and np.array_equal(eval_preds, preds)
     assert [r[0] for r in rows] == [s.sample_id for s in samples for _ in range(2)]
-    assert np.array_equal(got, vector.as_array() @ preds)
+    # weighted member by member, in member order (not BLAS's order)
+    assert np.array_equal(got, sum(w * row for w, row in zip(vector.weights, preds)))
 
     per_record = [ensemble_theta(vector, PredictorRecord(
         sand=s.sand, silt=s.silt, clay=s.clay, bulk_density=s.bulk_density,
         organic_carbon=s.organic_carbon), h) for s in samples for h in (330.0, 15000.0)]
-    np.testing.assert_array_max_ulp(got, np.array(per_record), maxulp=1)
+    np.testing.assert_array_equal(got, np.array(per_record))
+
+
+def test_predict_texture_class_record(capsys, tmp_path):
+    vector = WeightVector(members=(PtfId.COSBY0, PtfId.CARSEL), weights=(0.35, 0.65))
+    weights = tmp_path / "weights.tsv"
+    write_weights(weights, vector)
+    code, _, _ = run(capsys, "predict", "--weights", weights, "--texture-class", "loam",
+                     "--out", tmp_path / "pred")
+    assert code == 0
+    rows = [ln.split("\t") for ln in
+            (tmp_path / "pred" / "predictions.tsv").read_text().splitlines()[1:]]
+    rec = PredictorRecord(texture_class="loam")
+    assert [r[0] for r in rows] == ["record"] * 3
+    for r in rows:
+        psi = float(r[1])
+        assert float(r[2]) == sum(w * predict_theta(m, rec, psi)
+                                  for m, w in zip(vector.members, vector.weights))
+
+    # a texture class serves class-table members only
+    write_weights(weights, WeightVector(members=(PtfId.COSBY0, PtfId.CARSEL, PtfId.COSBY1),
+                                        weights=(0.3, 0.3, 0.4)))
+    code, stdout, err = run(capsys, "predict", "--weights", weights,
+                            "--texture-class", "loam", "--out", tmp_path / "pred2")
+    assert (code, stdout) == (2, "")
+    assert err == "data error: member cosby1: missing required predictor 'sand'\n"
+    assert not (tmp_path / "pred2" / "predictions.tsv").exists()
+
+
+@pytest.mark.parametrize("members, flags, flag", [
+    ("cosby1", ("--sand", "inf", "--silt", "40", "--clay", "20"), "--sand"),
+    ("cosby1", ("--sand", "-10", "--silt", "60", "--clay", "50"), "--sand"),
+    ("cosby1", ("--sand", "40", "--silt", "nan", "--clay", "20"), "--silt"),
+    ("cosby1", ("--sand", "40", "--silt", "40", "--clay", "40"), "--sand/--silt/--clay"),
+    ("cosby0", ("--sand", "-1"), "--sand"),
+    ("cosby1,wosten", ("--sand", "40", "--silt", "40", "--clay", "20",
+                       "--bulk-density", "-1", "--organic-carbon", "1"), "--bulk-density"),
+    ("cosby1,wosten", ("--sand", "40", "--silt", "40", "--clay", "20",
+                       "--bulk-density", "2.7", "--organic-carbon", "1"), "--bulk-density"),
+    ("cosby1,wosten", ("--sand", "40", "--silt", "40", "--clay", "20",
+                       "--bulk-density", "1.3", "--organic-carbon", "1e6"), "--organic-carbon"),
+    ("cosby0", ("--texture-class", "muck"), "--texture-class"),
+])
+def test_predict_rejects_impossible_record(capsys, tmp_path, members, flags, flag):
+    """Record values that ingest rejects or map makes nodata are a usage
+    error naming the flag, before any member runs."""
+    names = members.split(",")
+    weights = tmp_path / "weights.tsv"
+    write_weights(weights, WeightVector.normalized([PtfId(m) for m in names],
+                                                   [1.0] * len(names)))
+    code, stdout, err = run(capsys, "predict", "--weights", weights, *flags,
+                            "--out", tmp_path / "pred")
+    assert (code, stdout) == (1, "")
+    assert err.startswith(f"error: bad {flag} ")
+    assert not (tmp_path / "pred" / "predictions.tsv").exists()
 
 
 @pytest.mark.parametrize("body, message", [
@@ -701,7 +756,8 @@ def test_map_class_table_lacking_a_present_class(capsys, monkeypatch, tmp_path):
     drop_class(monkeypatch, PtfId.CARSEL, "loam")  # the top-left cell's class
     code, stdout, err = run(capsys, *map_argv(tmp_path, tmp_path, tmp_path / "maps"))
     assert (code, stdout) == (2, "")
-    assert err == "data error: PTF carsel has no entry for texture class(es): loam\n"
+    assert err == ("data error: member carsel: PTF carsel has no entry for "
+                   "texture class(es): loam\n")
     assert not (tmp_path / "maps" / "mean_sat.asc").exists()
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptfens import (
+    ALL_PTFS,
     CalibrationResult,
     ConfigError,
     GaConfig,
@@ -140,6 +141,8 @@ def test_ensemble_theta_vector_heads_nonincreasing():
     theta = ensemble_theta(wv, rec, np.array([0.0, 330.0, 15000.0]))
     assert theta.shape == (3,)
     assert theta[0] >= theta[1] >= theta[2]
+    square = ensemble_theta(wv, rec, np.array([[0.0, 330.0], [15000.0, 330.0]]))
+    np.testing.assert_array_equal(square, [[theta[0], theta[1]], [theta[2], theta[1]]])
 
 
 def test_optimizer_single_member():
@@ -361,6 +364,26 @@ def test_consumers_read_a_table_or_any_sequence_alike():
     vector = WeightVector(members=MEMBERS, weights=(0.2, 0.3, 0.5))
     np.testing.assert_array_equal(samples_theta(vector, samples, [330.0, 15000.0]),
                                   samples_theta(vector, table, [330.0, 15000.0]))
+
+
+def test_sample_row_does_not_depend_on_its_batch():
+    """A sample's predicted row has the same bytes in its full table, in a
+    one-row take of the table and as a single predict record: the members
+    are summed one by one in member order, not by BLAS, whose summation
+    order changes with the batch size."""
+    # every member that needs no trained network
+    members = tuple(m for m in ALL_PTFS if m not in (PtfId.ROSETTA_H2W, PtfId.ROSETTA_H3W))
+    rng = np.random.default_rng(62)
+    table = SampleTable.from_samples(synthetic_population(rng, 40, PtfId.COSBY1))
+    vector = WeightVector.normalized(members, rng.uniform(0.1, 1.0, len(members)))
+    heads = [0.0, 330.0, 15000.0]
+    whole = samples_theta(vector, table, heads)
+    for i, s in enumerate(table):
+        rec = PredictorRecord(sand=s.sand, silt=s.silt, clay=s.clay,
+                              bulk_density=s.bulk_density, organic_carbon=s.organic_carbon)
+        np.testing.assert_array_equal(samples_theta(vector, table.take([i]), heads)[0],
+                                      whole[i])
+        np.testing.assert_array_equal(ensemble_theta(vector, rec, heads), whole[i])
 
 
 def test_calibrate_prefers_true_model():

@@ -17,6 +17,7 @@ from ptfens import (
     GridFormatError,
     InputError,
     MAP_HEADS,
+    MemberPredictionError,
     PredictorRecord,
     PtfId,
     SoilLayerStack,
@@ -674,9 +675,10 @@ def test_map_class_table_lacking_a_present_class(monkeypatch):
     whole = apply_ensemble_map(layers, REPLICAS)  # a class no cell has is not looked up
     assert whole.n_valid_cells == 9
     drop_class(monkeypatch, PtfId.CARSEL, "loam")  # cell (0, 0)
-    with pytest.raises(TableLookupError, match="carsel has no entry for texture class"
-                                               r"\(es\): loam$"):
+    with pytest.raises(MemberPredictionError, match="carsel has no entry for texture class"
+                                                    r"\(es\): loam$") as err:
         apply_ensemble_map(layers, REPLICAS)
+    assert isinstance(err.value.__cause__, TableLookupError)
 
 
 def test_map_requires_two_replicas():
