@@ -266,11 +266,13 @@ def _stratum_filename(key):
 
 
 def cmd_calibrate(settings, out_dir, seed):
+    n_replicas = settings.get("replicas", 100, int)
+    if n_replicas < 1:
+        raise ConfigError(f"--replicas must be at least 1, got {n_replicas}")
     data = _require_file(settings.get("data"), "input data file (--data)")
     _load_rosetta(settings)
     samples = dataset.read_samples(data)
     members = _select_members(settings)
-    n_replicas = settings.get("replicas", 100, int)
     scheme = settings.get("scheme", "global")
     meta_base = {"members": ",".join(m.value for m in members),
                  "replicas": n_replicas, "seed": seed, "scheme": scheme}

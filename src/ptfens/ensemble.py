@@ -623,7 +623,8 @@ def write_replica_table(path, calibrations, meta=None):
 
 
 def read_replica_table(path):
-    """Parse a replica table into members, per-stratum weight stacks and meta."""
+    """Parse a replica table into members, per-stratum weight stacks and meta;
+    each row's weights must sum to 1 within 1e-9, as read_weights requires."""
     meta, body = _read_table(path)
     if not body or body[0][1][:4] != ["stratum", "replica", "cal_rmse", "val_rmse"]:
         raise InputError(f"{path}: not a replica table")
@@ -640,6 +641,8 @@ def read_replica_table(path):
         val_rmse = _parse_field(path, lineno, float, row[3], "val_rmse") if row[3] else None
         raw = [_parse_field(path, lineno, float, v, "weight") for v in row[4:]]
         try:
+            if abs(sum(raw) - 1.0) > 1e-9:  # NaN passes here; normalized rejects it
+                raise InputError(f"weights must sum to 1, got {sum(raw)!r}")
             weights = WeightVector.normalized(members, raw)
         except InputError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from None

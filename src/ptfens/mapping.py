@@ -19,12 +19,13 @@ skipped. Only a body that fails is scanned again, line by line, to name the
 file line at fault. Values are written as repr(float), which reads back
 bit for bit; one repr per value is the floor of writing a grid as text, so
 write_grids writes several grids at once, split over up to one forked
-writer per usable CPU, each grid's bytes being exactly write_grid's.
+writer per usable CPU, each grid's bytes being exactly write_grid's. A
+writer reports only success or failure; after any failure the grids are
+written again in a plain loop, which raises what a serial loop raises.
 """
 
 import math
 import os
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ import numpy as np
 from . import _kernels
 from .errors import CoregistrationError, GridFormatError, InputError, open_text
 from .ptf import PARTICLE_DENSITY, PREDICTOR_FIELDS, member_thetas, required_inputs
-from .retention import FIELD_CAPACITY_HEAD, SATURATION_HEAD, WILTING_POINT_HEAD
+from .retention import FIELD_CAPACITY_HEAD, SATURATION_HEAD, WILTING_POINT_HEAD, _check_psi
 from .texture import TEXTURE_SUM_TOLERANCE
 from .ptf import predict_batch  # noqa: F401 - uncalled; in pipebench tracer.TARGETS
 from .texture import classify_texture_array  # noqa: F401 - uncalled; in pipebench tracer.TARGETS
@@ -171,32 +172,39 @@ def write_grid(path, grid):
 def write_grids(pairs):
     """Write each (path, Grid) pair with write_grid, the pairs split
     round-robin over at most one writer per usable CPU: this process writes
-    pairs 0, k, 2k, ... and k - 1 forked children write the rest. Every
-    writer stops at its first failure; after every child has been reaped,
-    the failure of the earliest pair is raised, as a serial loop would have
-    raised it. A child sends its failure through a pipe, pickled; a child
-    that ends without reporting one, and not with status 0, raises
-    ChildProcessError. A child ends with os._exit, so it never returns into
-    the caller, runs no atexit handler and flushes none of the parent's
-    buffers. Without os.fork, or with one usable CPU, this is a plain loop."""
+    pairs 0, k, 2k, ... and k - 1 forked children write the rest. A child
+    ends with os._exit, status 0 if each of its writes succeeded and 1
+    otherwise, so it never returns into the caller, runs no atexit handler
+    and flushes none of the parent's buffers. If anything failed (a write of
+    this process, a child's status, or os.fork itself), every pair is
+    written again by a plain loop once every child has been reaped, which
+    raises what a serial loop raises. Without os.fork, or with one usable
+    CPU, this is the plain loop."""
     pairs = list(pairs)
     n_writers = _writer_count(len(pairs))
-    children = []  # (first pair index, pid, read end of its pipe)
+    pids, failed = [], False
     try:
         for k in range(1, n_writers):
-            children.append((k, *_fork_writer(pairs, k, n_writers)))
-        failures = [_write_share(pairs, 0, n_writers)]
+            pid = os.fork()
+            if pid == 0:  # the child: write share k, then exit
+                status = 1
+                try:
+                    for pair in pairs[k::n_writers]:
+                        write_grid(*pair)
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+        for pair in pairs[::n_writers]:
+            write_grid(*pair)
+    except Exception:  # noqa: BLE001 - the plain loop below meets it again, or not
+        failed = True
     finally:
-        ended = [(k, _read_all(fd), os.waitpid(pid, 0)[1]) for k, pid, fd in children]
-    for k, payload, status in ended:
-        if payload:
-            failures.append(pickle.loads(payload))
-        elif status:
-            failures.append((k, ChildProcessError(
-                f"grid writer ended with exit code {os.waitstatus_to_exitcode(status)}")))
-    failures = [f for f in failures if f is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+        for pid in pids:
+            failed |= os.waitpid(pid, 0)[1] != 0
+    if failed:
+        for pair in pairs:
+            write_grid(*pair)
 
 
 def _writer_count(n_pairs):
@@ -207,47 +215,6 @@ def _writer_count(n_pairs):
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     return max(1, min(n_pairs, cpus))
-
-
-def _write_share(pairs, k, n_writers):
-    """Write pairs k, k + n_writers, ...; the (index, exception) of the
-    first that fails, or None."""
-    for i in range(k, len(pairs), n_writers):
-        try:
-            write_grid(*pairs[i])
-        except Exception as exc:  # noqa: BLE001 - reported to the caller
-            return i, exc
-    return None
-
-
-def _fork_writer(pairs, k, n_writers):
-    """Fork a child that writes share k and reports its failure, if any,
-    pickled on a pipe; returns (pid, read end of the pipe)."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    status = 1
-    try:
-        os.close(read_fd)
-        failure = _write_share(pairs, k, n_writers)
-        if failure is not None:
-            with os.fdopen(write_fd, "wb") as fh:
-                fh.write(pickle.dumps(failure))
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _read_all(fd):
-    with os.fdopen(fd, "rb") as fh:
-        return fh.read()
 
 
 # physical upper limits of the non-texture layers: bulk density above the
@@ -316,7 +283,8 @@ def apply_ensemble_map(layers, replica_weights, heads=MAP_HEADS, topsoil=True,
 
     replica_weights is the list of calibrated weight vectors, one per
     bootstrap replica, all over the same member list; at least two are
-    needed for a spread estimate. Blocks of whole rows hold about
+    needed for a spread estimate. heads are suctions in cm, finite and >= 0,
+    as theta_at takes them. Blocks of whole rows hold about
     block_cells cells (at least one row), so memory is flat in raster width
     and replica count; the default, MAP_BLOCK_CELLS, keeps a block's
     columns small enough to be reused from the heap. No output byte depends
@@ -337,7 +305,7 @@ def apply_ensemble_map(layers, replica_weights, heads=MAP_HEADS, topsoil=True,
             raise InputError(f"members need a {name!r} layer that was not provided")
 
     sand = layers.sand
-    heads = tuple(float(h) for h in heads)
+    heads = tuple(float(h) for h in _check_psi(heads))
     mean_out = np.full((len(heads), sand.nrows, sand.ncols), nodata)
     cv_out = np.full_like(mean_out, nodata)
     n_valid = n_zero_mean = n_missing = n_sum = n_negative = n_range = 0

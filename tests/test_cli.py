@@ -271,6 +271,24 @@ def test_calibrate_rejects_bad_oc_edges(capsys, sample_file, tmp_path, edges, sh
     assert not list(out.glob("weights_*.tsv"))
 
 
+@pytest.mark.parametrize("count, in_config", [("0", False), ("-3", False), ("0", True)],
+                         ids=["zero", "negative", "config"])
+def test_calibrate_rejects_a_replica_count_below_one(capsys, sample_file, tmp_path,
+                                                     count, in_config):
+    out = tmp_path / "cal"
+    if in_config:
+        config = tmp_path / "cal.cfg"
+        config.write_text(f"replicas = {count}\n")
+        flags = ("--config", config)
+    else:
+        flags = ("--replicas", count)
+    code, stdout, err = run(capsys, "calibrate", "--data", sample_file,
+                            "--members", "cosby1,carsel", *flags, "--out", out)
+    assert (code, stdout) == (1, "")
+    assert err == f"error: --replicas must be at least 1, got {count}\n"
+    assert not list(out.iterdir())
+
+
 def test_ingest_rejects_negative_water_contents(capsys, ingest_dir):
     (ingest_dir / "raw.csv").write_text(RAW_CSV + "P4,40,40,20,1.4,1.0,0.30,-0.05\n"
                                                   "P5,40,40,20,1.4,1.0,-0.2,\n")
@@ -684,6 +702,8 @@ REPLICA_HEADER = "stratum\treplica\tcal_rmse\tval_rmse\tw_cosby1\tw_carsel\n"
     ("global\tfirst\t0.01\t\t0.7\t0.3\n", ":3: bad replica index 'first'"),
     ("global\t1\t0.01\t\t0.7\tabc\n", ":3: bad weight 'abc'"),
     ("global\t1\t0.01\t\t0.7\n", ":3: expected 6 tab-separated fields"),
+    ("global\t1\t0.01\t\t0\t0\n", ":3: weights must sum to 1, got 0"),
+    ("global\t1\t0.01\t\t0.3\t0.9\n", ":3: weights must sum to 1, got 1.2"),
 ])
 def test_map_malformed_replica_table(capsys, tmp_path, row, message):
     table = tmp_path / "replicas.tsv"

@@ -1,5 +1,6 @@
 """ASCII-grid I/O and gridded ensemble application."""
 
+import errno
 import os
 import tracemalloc
 import warnings
@@ -34,7 +35,7 @@ from ptfens import (
     write_grid,
     write_grids,
 )
-from ptfens import _kernels
+from ptfens import _kernels, mapping
 from ptfens.mapping import DEFAULT_NODATA, HEAD_LABELS
 from helpers import drop_class, spliced_text
 
@@ -345,6 +346,76 @@ def test_write_grids_raises_the_serial_failure(tmp_path, monkeypatch, bad):
     assert serial[1].endswith(f"'<out>/{bad[0]}.asc'")
     for cpus in (2, 4):
         assert write_failure(tmp_path, grids, bad, cpus, monkeypatch) == serial
+
+
+def test_write_grids_reruns_after_a_child_exits_1(tmp_path, monkeypatch):
+    """A child that ends with status 1 and raises nothing in this process
+    has its share written again here, with write_grid's bytes."""
+    grids = six_grids(np.random.default_rng(74))
+    for k, grid in enumerate(grids):
+        write_grid(tmp_path / f"serial_{k}.asc", grid)
+    parent = os.getpid()
+
+    def write_or_die(path, grid):
+        if os.getpid() != parent:
+            os._exit(1)
+        write_grid(path, grid)
+
+    monkeypatch.setattr(mapping, "write_grid", write_or_die)
+    use_cpus(monkeypatch, 2)
+    write_grids((tmp_path / f"split_{k}.asc", grid) for k, grid in enumerate(grids))
+    assert_no_child_left()
+    for k in range(6):
+        assert (tmp_path / f"split_{k}.asc").read_bytes() == \
+            (tmp_path / f"serial_{k}.asc").read_bytes()
+
+
+def test_write_grids_survives_a_failed_fork(tmp_path, monkeypatch):
+    """os.fork failing after one child (EAGAIN: too many processes) still
+    writes every grid."""
+    grids = six_grids(np.random.default_rng(75))
+    real_fork, forks = os.fork, []
+
+    def fork_once():
+        if forks:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        forks.append(real_fork())
+        return forks[-1]
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    use_cpus(monkeypatch, 4)
+    write_grids((tmp_path / f"{k}.asc", grid) for k, grid in enumerate(grids))
+    assert_no_child_left()
+    for k, grid in enumerate(grids):
+        assert np.array_equal(read_grid(tmp_path / f"{k}.asc").values, grid.values)
+
+
+def test_write_grids_writes_each_pair_once(tmp_path, monkeypatch):
+    """On success there is no rerun: four writers (three forked) write each
+    pair once, in round-robin shares."""
+    grids = six_grids(np.random.default_rng(76))
+    log = tmp_path / "writes.log"
+
+    def logged_write(path, grid):
+        write_grid(path, grid)
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        os.write(fd, f"{os.getpid()} {path.name}\n".encode())
+        os.close(fd)
+
+    real_fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    monkeypatch.setattr(mapping, "write_grid", logged_write)
+    use_cpus(monkeypatch, 4)
+    write_grids((tmp_path / f"{k}.asc", grid) for k, grid in enumerate(grids))
+    assert_no_child_left()
+    assert len(forks) == 3
+    writers = {}
+    for line in log.read_text().splitlines():
+        pid, name = line.split()
+        writers.setdefault(pid, []).append(name)
+    assert sorted(writers.values()) == [["0.asc", "4.asc"], ["1.asc", "5.asc"],
+                                        ["2.asc"], ["3.asc"]]
+    assert writers[str(os.getpid())] == ["0.asc", "4.asc"]
 
 
 def test_grid_shape_validation():
@@ -684,6 +755,12 @@ def test_map_class_table_lacking_a_present_class(monkeypatch):
 def test_map_requires_two_replicas():
     with pytest.raises(InputError):
         apply_ensemble_map(layer_stack(), REPLICAS[:1])
+
+
+@pytest.mark.parametrize("heads", [(-5.0, 330.0), (0.0, float("nan"))])
+def test_map_rejects_a_bad_head(heads):
+    with pytest.raises(InputError, match="pressure head must be finite and >= 0 cm"):
+        apply_ensemble_map(layer_stack(), REPLICAS, heads=heads)
 
 
 def test_map_member_mismatch():
