@@ -21,7 +21,8 @@ import numpy as np
 
 from . import __version__, coeffs, dataset, ensemble, mapping, metrics
 from .errors import ConfigError, DataError, open_text
-from .ptf import ALL_PTFS, GROUPS, PREDICTOR_FIELDS, PredictorRecord, PtfId, load_rosetta_weights
+from .ptf import (ALL_PTFS, GROUPS, PREDICTOR_FIELDS, PredictorRecord, PtfId,
+                  clear_ann_registry, load_rosetta_weights)
 from .texture import TEXTURE_SUM_TOLERANCE, USDA_CLASSES
 
 
@@ -124,8 +125,7 @@ def _write_manifest(out_dir, command, settings, input_paths):
         "command": command,
         "settings": {k: (str(v) if isinstance(v, tuple) else v)
                      for k, v in settings.used.items()},
-        "input_hashes": {os.path.basename(p): _sha256(p)
-                         for p in input_paths if p and os.path.exists(p)},
+        "input_hashes": {str(p): _sha256(p) for p in input_paths if p and os.path.exists(p)},
         "coefficient_files": coeffs.data_file_hashes(),
     }
     path = os.path.join(out_dir, "manifest.json")
@@ -135,11 +135,14 @@ def _write_manifest(out_dir, command, settings, input_paths):
 
 
 def _load_rosetta(settings):
+    """Register the networks of --rosetta-dir; the paths of the files read."""
     directory = settings.get("rosetta_dir")
-    if directory:
-        if not os.path.isdir(directory):
-            raise ConfigError(f"rosetta weight directory not found: {directory}")
-        load_rosetta_weights(directory)
+    if not directory:
+        return []
+    if not os.path.isdir(directory):
+        raise ConfigError(f"rosetta weight directory not found: {directory}")
+    return [os.path.join(directory, f"{ptf.value}.ann")
+            for ptf in load_rosetta_weights(directory)]
 
 
 def _psi_list(settings):
@@ -198,22 +201,31 @@ def cmd_ingest(settings, out_dir):
 
 def cmd_evaluate(settings, out_dir):
     data = _require_file(settings.get("data"), "input data file (--data)")
-    _load_rosetta(settings)
+    nets = _load_rosetta(settings)
     samples = dataset.read_samples(data)
     if not samples:
         raise DataError(f"{data}: no samples")
     members = _select_members(settings)
+    weights_path = settings.get("weights")
+    vector = (ensemble.read_weights(_require_file(weights_path, "weight file (--weights)"))[0]
+              if weights_path else None)
 
+    # each selected or weight member is predicted once; a selected member that
+    # fails is not evaluable, a weight member that fails fails the run
     fits = {}
     member_rows = {}
     failures = {}
-    for m in members:
+    for m in dict.fromkeys(members + (vector.members if vector else ())):
         try:
             preds, observed, _ = ensemble.point_matrix([m], samples)
-            member_rows[m] = preds[0]
-            fits[m] = metrics.FitSummary.from_predictions(preds[0], observed, n_params=1)
         except DataError as exc:
+            if vector and m in vector.members:
+                raise
             failures[m] = str(exc)
+            continue
+        member_rows[m] = preds[0]
+        if m in members:
+            fits[m] = metrics.FitSummary.from_predictions(preds[0], observed, n_params=1)
 
     if not fits:
         raise DataError("no member was evaluable on this dataset")
@@ -230,16 +242,7 @@ def cmd_evaluate(settings, out_dir):
             rows.append((m.value, fit, metrics.aic(fit, context),
                          metrics.aicc(fit, context)))
 
-    weights_path = settings.get("weights")
-    if weights_path:
-        _require_file(weights_path, "weight file (--weights)")
-        vector, _ = ensemble.read_weights(weights_path)
-        # Members not predicted above (not selected, or failed: a failure
-        # raises again here and fails the run) are predicted now.
-        missing = [m for m in vector.members if m not in member_rows]
-        if missing:
-            preds, _, _ = ensemble.point_matrix(missing, samples)
-            member_rows.update(zip(missing, preds))
+    if vector:
         ens = vector.as_array() @ np.stack([member_rows[m] for m in vector.members])
         fit = metrics.FitSummary.from_predictions(ens, observed,
                                                   n_params=len(vector.members))
@@ -248,7 +251,7 @@ def cmd_evaluate(settings, out_dir):
 
     metrics.write_report(os.path.join(out_dir, "report.tsv"), rows)
     _write_manifest(out_dir, "evaluate", settings,
-                    [data] + ([weights_path] if weights_path else []))
+                    [data] + ([weights_path] if weights_path else []) + nets)
 
     print(f"n_points={n_points} j_star={context.j_star:.6f} "
           f"sigma_hat2={context.sigma_hat2:.6f}")
@@ -270,7 +273,7 @@ def cmd_calibrate(settings, out_dir, seed):
     if n_replicas < 1:
         raise ConfigError(f"--replicas must be at least 1, got {n_replicas}")
     data = _require_file(settings.get("data"), "input data file (--data)")
-    _load_rosetta(settings)
+    nets = _load_rosetta(settings)
     samples = dataset.read_samples(data)
     members = _select_members(settings)
     scheme = settings.get("scheme", "global")
@@ -323,13 +326,13 @@ def cmd_calibrate(settings, out_dir, seed):
             for m, w, s in zip(result.members, result.mean_weights.weights,
                                result.weight_std):
                 fh.write(f"{key}\t{m.value}\t{w!r}\t{s!r}\n")
-    _write_manifest(out_dir, "calibrate", settings, [data])
+    _write_manifest(out_dir, "calibrate", settings, [data] + nets)
     return 0
 
 
 def cmd_predict(settings, out_dir):
     weights_path = _require_file(settings.get("weights"), "weight file (--weights)")
-    _load_rosetta(settings)
+    nets = _load_rosetta(settings)
     vector, _ = ensemble.read_weights(weights_path)
     psi_values = _psi_list(settings)
     topsoil = settings.get("topsoil", True, bool)
@@ -348,7 +351,7 @@ def cmd_predict(settings, out_dir):
         for sid, psi, theta in rows:
             fh.write(f"{sid}\t{psi:g}\t{theta!r}\n")
     _write_manifest(out_dir, "predict", settings,
-                    [weights_path] + ([data] if data else []))
+                    [weights_path] + ([data] if data else []) + nets)
     for sid, psi, theta in rows:
         print(f"{sid}\tpsi={psi:g}\ttheta={theta:.6f}")
     return 0
@@ -357,7 +360,7 @@ def cmd_predict(settings, out_dir):
 def cmd_map(settings, out_dir, seed):
     table_path = _require_file(settings.get("weights"),
                                "replica weight table (--weights)")
-    _load_rosetta(settings)
+    nets = _load_rosetta(settings)
     members, strata, _ = ensemble.read_replica_table(table_path)
     stratum = settings.get("stratum", ensemble.GLOBAL_STRATUM)
     if stratum not in strata:
@@ -390,7 +393,7 @@ def cmd_map(settings, out_dir, seed):
         (os.path.join(out_dir, f"{kind}_{mapping.HEAD_LABELS[head]}.asc"), by_head[head])
         for head in mapping.MAP_HEADS
         for kind, by_head in (("mean", product.mean), ("cv", product.cv)))
-    _write_manifest(out_dir, "map", settings, [table_path] + list(paths.values()))
+    _write_manifest(out_dir, "map", settings, [table_path] + list(paths.values()) + nets)
     print(f"stratum={stratum} replicas={len(vectors)} "
           f"valid_cells={product.n_valid_cells} "
           f"missing_layer_cells={product.missing_layer_cells} "
@@ -487,6 +490,7 @@ def main(argv=None):
             raise ConfigError("--seed must be non-negative")
         out_dir = settings.get("out", ".")
         os.makedirs(out_dir, exist_ok=True)
+        clear_ann_registry()  # a run uses only the networks of its own --rosetta-dir
 
         if args.command == "ingest":
             return cmd_ingest(settings, out_dir)

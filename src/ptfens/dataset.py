@@ -258,6 +258,10 @@ class Schema:
         for field_name in self.columns:
             if field_name not in _METADATA_FIELDS:
                 raise SchemaError(f"unknown canonical field {field_name!r}")
+        if self.delimiter is not None and (len(self.delimiter) != 1
+                                           or self.delimiter in '"\r\n'):
+            raise SchemaError(f"delimiter must be tab or one character other than a "
+                              f"quote or a line break, got {self.delimiter!r}")
 
 
 def read_schema(path):

@@ -36,9 +36,9 @@ import numpy as np
 from . import _kernels
 from .dataset import (DEFAULT_OC_EDGES, SampleTable, _seed_path, bootstrap_split,
                       stratum_indices, stratum_key)
-from .errors import (ConfigError, InputError, MemberPredictionError, PtfensError,
-                     open_text)
-from .ptf import PtfId, _record_arrays, member_thetas, predict_batch, required_inputs
+from .errors import ConfigError, InputError, PtfensError, open_text
+from .ptf import PtfId, _record_arrays, member_batches, member_thetas, required_inputs
+from .ptf import predict_batch  # noqa: F401 - uncalled; in pipebench tracer.TARGETS
 from .retention import FIELD_CAPACITY_HEAD, WILTING_POINT_HEAD, _check_psi
 from .ptf import predict  # noqa: F401 - uncalled; in pipebench tracer.TARGETS
 from .retention import theta_at  # noqa: F401 - uncalled; in pipebench tracer.TARGETS
@@ -321,19 +321,6 @@ def _predictor_arrays(members, table, topsoil=True):
     return arrays
 
 
-def _member_matrix(members, arrays, owner, psi):
-    """(members, points) water contents: point i is the curve of sample
-    owner[i] evaluated at psi[i], one predict_batch call per member."""
-    preds = np.empty((len(members), psi.size))
-    for k, m in enumerate(members):
-        try:
-            batch = predict_batch(m, **arrays)
-        except PtfensError as exc:
-            raise MemberPredictionError(f"member {m}: {exc}") from exc
-        preds[k] = _kernels.theta_points(batch.codes[owner], batch.rows[owner], psi)
-    return preds
-
-
 def samples_theta(weights, samples, heads, topsoil=True):
     """Weighted-mean water content of every sample at every head.
 
@@ -346,34 +333,24 @@ def samples_theta(weights, samples, heads, topsoil=True):
     return _theta_rows(weights, _check_psi(heads).reshape(-1), arrays)
 
 
-class _PointSet:
-    """Member predictions and targets over every observation of a sample
-    table; point i is the table's observation i."""
-
-    def __init__(self, members, samples):
-        self.members = tuple(PtfId(m) for m in members)
-        if not self.members:
-            raise InputError("ensemble needs at least one member")
-        if len(set(self.members)) != len(self.members):
-            raise InputError("duplicate ensemble members")
-        self.samples = SampleTable.from_samples(samples)
-        if not self.samples:
-            raise InputError("no samples to calibrate on")
-
-        arrays = _predictor_arrays(self.members, self.samples)
-        if not self.samples.obs_owner.size:
-            raise InputError("samples carry no observations")
-        self.psi = self.samples.obs_psi
-        self.observed = self.samples.obs_theta
-        self.member_preds = _member_matrix(self.members, arrays, self.samples.obs_owner,
-                                           self.psi)
-
-
 def point_matrix(members, samples):
     """(member predictions (m, N), observed (N,), heads (N,)) over all
-    observations of the samples, in sample order."""
-    points = _PointSet(members, samples)
-    return points.member_preds, points.observed.copy(), points.psi.copy()
+    observations of the samples, in sample order: point i is the curve of
+    the sample owning observation i, from ptf.member_batches, at its head."""
+    members = tuple(map(PtfId, members))
+    if not members or len(set(members)) != len(members):
+        raise InputError("ensemble needs one or more distinct members")
+    table = SampleTable.from_samples(samples)
+    if not table:
+        raise InputError("no samples to calibrate on")
+    arrays = _predictor_arrays(members, table)
+    owner, psi = table.obs_owner, table.obs_psi
+    if not owner.size:
+        raise InputError("samples carry no observations")
+    preds = np.empty((len(members), psi.size))
+    for k, (batch, at) in enumerate(member_batches(members, **arrays)):
+        preds[k] = _kernels.theta_points(batch.codes[at][owner], batch.rows[at][owner], psi)
+    return preds, table.obs_theta.copy(), psi.copy()
 
 
 @dataclass(frozen=True)
@@ -408,12 +385,12 @@ class CalibrationResult:
         return float(np.mean(vals)) if vals else None
 
 
-def _calibrate_points(points, samples, point_of, n_replicas, seed_path):
+def _calibrate_points(members, preds, observed, samples, point_of, n_replicas, seed_path):
     """Bootstrap-calibrate on one point set; used for both global and strata.
 
     The replicas resample the rows of samples, a SampleTable; point_of maps
-    each of its observations to a point (a column of points.member_preds),
-    or to -1 for an observation this calibration leaves out.
+    each of its observations to a point (a column of preds), or to -1 for an
+    observation this calibration leaves out.
     """
     def points_of(rows):
         idx = point_of[samples.obs_index(rows)]
@@ -424,9 +401,9 @@ def _calibrate_points(points, samples, point_of, n_replicas, seed_path):
         cal_idx = points_of(rep.calibration_rows)
         if cal_idx.size == 0:
             raise InputError("bootstrap replica drew no observation points")
-        preds_cal = np.ascontiguousarray(points.member_preds[:, cal_idx])
-        obs_cal = np.ascontiguousarray(points.observed[cal_idx])
-        wv = simplex_weights(preds_cal, obs_cal, members=points.members)
+        preds_cal = np.ascontiguousarray(preds[:, cal_idx])
+        obs_cal = np.ascontiguousarray(observed[cal_idx])
+        wv = simplex_weights(preds_cal, obs_cal, members=members)
 
         ens_chi2 = chi2(wv, preds_cal, obs_cal)
         corner = np.min(np.sum((preds_cal - obs_cal) ** 2, axis=1))
@@ -437,25 +414,26 @@ def _calibrate_points(points, samples, point_of, n_replicas, seed_path):
         val_rmse = None
         val_idx = points_of(rep.validation_rows)
         if val_idx.size:
-            val_rmse = float(np.sqrt(chi2(wv, points.member_preds[:, val_idx],
-                                          points.observed[val_idx]) / val_idx.size))
+            val_rmse = float(np.sqrt(chi2(wv, preds[:, val_idx], observed[val_idx])
+                                     / val_idx.size))
         results.append(ReplicaResult(index=rep.index, weights=wv, cal_rmse=cal_rmse,
                                      val_rmse=val_rmse))
 
     w = np.stack([r.weights.as_array() for r in results])
-    mean_w = WeightVector.normalized(points.members, w.mean(axis=0))
+    mean_w = WeightVector.normalized(members, w.mean(axis=0))
     std = w.std(axis=0, ddof=1) if len(results) > 1 else np.zeros(w.shape[1])
     total_points = int(np.count_nonzero(point_of >= 0))
     return CalibrationResult(
-        members=points.members, replicas=tuple(results), mean_weights=mean_w,
+        members=members, replicas=tuple(results), mean_weights=mean_w,
         weight_std=tuple(float(s) for s in std), n_points=total_points)
 
 
 def calibrate(members, samples, n_replicas=100, seed=0):
     """Bootstrap-calibrate ensemble weights on every observation point; each
     replica is fitted by simplex_weights."""
-    points = _PointSet(members, samples)
-    return _calibrate_points(points, points.samples, np.arange(points.psi.size),
+    members, table = tuple(map(PtfId, members)), SampleTable.from_samples(samples)
+    preds, observed, psi = point_matrix(members, table)
+    return _calibrate_points(members, preds, observed, table, np.arange(psi.size),
                              n_replicas, _seed_path(seed))
 
 
@@ -499,22 +477,22 @@ def calibrate_stratified(members, samples, scheme, n_replicas=100, seed=0,
     any fit, so a bad scheme or oc_edges fails first.
     """
     seed_path = _seed_path(seed)
-    points = _PointSet(members, samples)
-    table = points.samples
+    members, table = tuple(map(PtfId, members)), SampleTable.from_samples(samples)
+    preds, observed, psi = point_matrix(members, table)
     plan = []  # (stratum key, its rows, point_of their observations)
     if scheme == "pressure":
         for head in (FIELD_CAPACITY_HEAD, WILTING_POINT_HEAD):
-            rows = np.unique(table.obs_owner[points.psi == head])
+            rows = np.unique(table.obs_owner[psi == head])
             obs = table.obs_index(rows)
             plan.append((stratum_key("psi", f"{head:g}"), rows,
-                         np.where(points.psi[obs] == head, obs, -1)))
+                         np.where(psi[obs] == head, obs, -1)))
     else:
         groups = stratum_indices(table, scheme, oc_edges)
         for key in sorted(k for k in groups if k != "unassigned"):
             plan.append((key, groups[key], table.obs_index(groups[key])))
 
     calibrations = {GLOBAL_STRATUM: _calibrate_points(
-        points, table, np.arange(points.psi.size), n_replicas, seed_path)}
+        members, preds, observed, table, np.arange(psi.size), n_replicas, seed_path)}
     below = []
     point_vectors = {}  # stratum key -> flat point indices it covers
     for key, rows, point_of in plan:
@@ -522,26 +500,27 @@ def calibrate_stratified(members, samples, scheme, n_replicas=100, seed=0,
         if covered.size < min_stratum_points:
             below.append(key)
             continue
-        calibrations[key] = _calibrate_points(points, table.take(rows), point_of,
-                                              n_replicas, _stratum_seed(seed_path, key))
+        calibrations[key] = _calibrate_points(members, preds, observed, table.take(rows),
+                                              point_of, n_replicas,
+                                              _stratum_seed(seed_path, key))
         point_vectors[key] = covered
     fallback = calibrations[GLOBAL_STRATUM].mean_weights
 
     # pooled comparison on the identical full point set
     def pooled_rmse(vector_for):
-        ens = np.empty(points.observed.size)
-        assigned = np.zeros(points.observed.size, dtype=bool)
+        ens = np.empty(observed.size)
+        assigned = np.zeros(observed.size, dtype=bool)
         for key, covered in point_vectors.items():
             w = vector_for(key).as_array()
-            ens[covered] = w @ points.member_preds[:, covered]
+            ens[covered] = w @ preds[:, covered]
             assigned[covered] = True
         rest = ~assigned
         if np.any(rest):
-            ens[rest] = fallback.as_array() @ points.member_preds[:, rest]
-        return float(np.sqrt(np.mean((ens - points.observed) ** 2)))
+            ens[rest] = fallback.as_array() @ preds[:, rest]
+        return float(np.sqrt(np.mean((ens - observed) ** 2)))
 
     return StratifiedModel(
-        members=points.members, calibrations=calibrations, below_threshold=tuple(below),
+        members=members, calibrations=calibrations, below_threshold=tuple(below),
         pooled_rmse_stratified=pooled_rmse(lambda key: calibrations[key].mean_weights),
         pooled_rmse_global=pooled_rmse(lambda key: fallback))
 

@@ -8,8 +8,8 @@ Four input tiers, by what each predictor consumes:
     D (C + organic carbon):       wosten, weynants, vereecken
 
 All prediction is batch-first over arrays; the scalar entry points wrap a
-batch of one, and member_thetas is the one path to member water contents
-for a record, a sample table and a map block alike. Out-of-domain outputs
+batch of one, and member_batches is the one path to ensemble members'
+parameters for every command (member_thetas and ensemble.point_matrix). Out-of-domain outputs
 are clamped into the valid parameter domain and flagged rather than
 rejected, so downstream ensembles always get an evaluable curve.
 Predictors that take a variable inside ln() or 1/x floor it at a small
@@ -438,37 +438,45 @@ def _record_arrays(rec):
     return arrays
 
 
-def member_thetas(members, heads, texture=None, **predictors):
-    """(members, heads, rows) water contents of rows of predict_batch keyword
-    arrays. One predict_batch call per member; a class-table member is
-    evaluated once per texture class present (the codes given, else
-    classified from the fractions) and gathered back to the rows. Head 0 is
-    the theta_s column, which every curve gives exactly. A failing member
-    raises MemberPredictionError naming it."""
-    sized = predictors.get("sand", texture)
-    out = np.empty((len(members), len(heads), 0 if sized is None else len(sized)))
+def member_batches(members, texture=None, **predictors):
+    """Yield (ParamBatch, at) per member, batch.rows[at] being the parameters
+    of the rows of predict_batch keyword arrays. A class-table member is
+    predicted once per texture class present (the codes given, else
+    classified once from the fractions). A failing member raises
+    MemberPredictionError naming it."""
     classes = None  # (class codes present, each row's index into them)
-    for k, m in enumerate(members):
+    for m in members:
         try:
             if uses_class_table(m):
                 if classes is None:
                     if texture is None:
-                        fractions = (_as_float_array(f, predictors.get(f), out.shape[2])
-                                     for f in ("sand", "silt", "clay"))
-                        texture = classify_texture_array(*fractions)
+                        n = len(predictors.get("sand", ()))
+                        texture = classify_texture_array(
+                            *(_as_float_array(f, predictors.get(f), n)
+                              for f in ("sand", "silt", "clay")))
                     classes = np.unique(texture, return_inverse=True)
                 batch, at = predict_batch(m, texture=classes[0]), classes[1]
             else:
                 batch, at = predict_batch(m, **predictors), slice(None)
-            column = _kernels.THETA_S_COLUMN[FAMILY_CODES[FAMILY[batch.ptf]]]
-            for t, head in enumerate(heads):
-                if head == 0.0:  # saturation: every curve gives theta_s exactly
-                    out[k, t] = batch.rows[at, column]
-                else:
-                    out[k, t] = _kernels.theta_points(
-                        batch.codes, batch.rows, np.full(len(batch), head))[at]
         except PtfensError as exc:
             raise MemberPredictionError(f"member {m}: {exc}") from exc
+        yield batch, at
+
+
+def member_thetas(members, heads, texture=None, **predictors):
+    """(members, heads, rows) water contents of rows of predict_batch keyword
+    arrays, each distinct (curve, head) evaluated once from member_batches.
+    Head 0 is the theta_s column, which every curve gives exactly."""
+    sized = predictors.get("sand", texture)
+    out = np.empty((len(members), len(heads), 0 if sized is None else len(sized)))
+    for k, (batch, at) in enumerate(member_batches(members, texture, **predictors)):
+        column = _kernels.THETA_S_COLUMN[FAMILY_CODES[FAMILY[batch.ptf]]]
+        for t, head in enumerate(heads):
+            if head == 0.0:  # saturation: every curve gives theta_s exactly
+                out[k, t] = batch.rows[at, column]
+            else:
+                out[k, t] = _kernels.theta_points(
+                    batch.codes, batch.rows, np.full(len(batch), head))[at]
     return out
 
 

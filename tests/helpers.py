@@ -5,7 +5,7 @@ import re
 import numpy as np
 from hypothesis import strategies as st
 
-from ptfens import USDA_CLASSES, PredictorRecord, predict_theta
+from ptfens import USDA_CLASSES, AnnSpec, PredictorRecord, predict_theta
 from ptfens import ptf as ptf_module
 from ptfens.dataset import RetentionObservation, SoilSample
 
@@ -61,6 +61,37 @@ def synthetic_population(rng, n, true_ptf, noise=0.0, prefix="s",
         samples.append(make_sample(f"{prefix}{i:04d}", sand[i], silt[i], clay[i],
                                    bd=bd[i], oc=oc[i], obs=obs))
     return samples
+
+
+def constant_net(input_names, outputs):
+    """A network that predicts the curve `outputs` for every row."""
+    d = len(input_names)
+    return AnnSpec(
+        layer_sizes=(d, 1, 4),
+        weights=(np.zeros((1, d)), np.zeros((4, 1))),
+        biases=(np.zeros(1), np.asarray(outputs, dtype=np.float64)),
+        hidden_activation="sigmoid",
+        input_names=tuple(input_names),
+        input_offset=np.zeros(d),
+        input_scale=np.full(d, 100.0),
+        output_names=("theta_r", "theta_s", "alpha", "n"),
+        output_offset=np.zeros(4),
+        output_scale=np.ones(4),
+        output_transforms=("none", "none", "none", "none"),
+    )
+
+
+def random_net(rng):
+    """A network of sand, silt and clay: a varied curve for each row."""
+    return AnnSpec(
+        layer_sizes=(3, 4, 4),
+        weights=(rng.normal(size=(4, 3)), rng.normal(scale=0.1, size=(4, 4))),
+        biases=(rng.normal(size=4), np.zeros(4)),
+        hidden_activation="sigmoid", input_names=("sand", "silt", "clay"),
+        input_offset=np.full(3, 33.0), input_scale=np.full(3, 30.0),
+        output_names=("theta_r", "theta_s", "alpha", "n"),
+        output_offset=np.array([0.05, 0.45, -2.0, 0.2]), output_scale=np.ones(4),
+        output_transforms=("none", "none", "pow10", "pow10"))
 
 
 def drop_class(monkeypatch, ptf, texture_class):

@@ -1,5 +1,8 @@
 """End-to-end command line runs against temporary files."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import ptfens
 from ptfens import (
@@ -21,6 +25,7 @@ from ptfens import (
     read_samples,
     write_grid,
     write_samples,
+    write_ann_file,
     write_weights,
 )
 from ptfens import _kernels, ensemble
@@ -28,7 +33,8 @@ from ptfens.cli import main, read_config
 from ptfens.ensemble import GLOBAL_STRATUM, ensemble_theta, point_matrix
 from ptfens.metrics import FitSummary
 from ptfens.ptf import predict_batch
-from helpers import drop_class, make_sample, synthetic_population
+from helpers import (constant_net, drop_class, make_sample, spliced_text,
+                     synthetic_population)
 
 SCHEMA_TEXT = """\
 sample_id = pedon
@@ -105,7 +111,8 @@ def test_ingest_products(capsys, ingest_dir):
 
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "ingest"
-    assert set(manifest["input_hashes"]) == {"raw.csv", "schema.txt"}
+    assert set(manifest["input_hashes"]) == {str(ingest_dir / "raw.csv"),
+                                             str(ingest_dir / "schema.txt")}
     assert len(manifest["coefficient_files"]) >= 11
 
 
@@ -495,6 +502,41 @@ def test_predict_malformed_network_file(capsys, tmp_path):
                    "got '3x 6 4'\n")
 
 
+
+def test_networks_do_not_outlive_their_run(capsys, tmp_path):
+    (tmp_path / "nets").mkdir()
+    write_ann_file(tmp_path / "nets" / "rosetta_h2w.ann", constant_net(("sand", "silt", "clay"), (0.05, 0.45, 0.02, 1.4)))
+    weights = tmp_path / "weights.tsv"
+    write_weights(weights, WeightVector(members=(PtfId.ROSETTA_H2W, PtfId.COSBY1),
+                                        weights=(0.5, 0.5)))
+    argv = ("predict", "--weights", weights, "--sand", "40", "--silt", "40", "--clay", "20",
+            "--out", tmp_path / "pred")
+    codes = [run(capsys, *argv)[0], run(capsys, *argv, "--rosetta-dir", tmp_path / "nets")[0],
+             run(capsys, *argv)[0]]
+    assert codes == [2, 0, 2]  # only the second run has the network
+
+
+def test_manifest_hashes_networks_and_inputs_by_path(capsys, tmp_path):
+    write_layer_grids(tmp_path)
+    grids = []
+    for flag, name, where in (("--sand-grid", "sand", "a"), ("--silt-grid", "silt", "b"),
+                              ("--clay-grid", "clay", "c")):
+        (tmp_path / where).mkdir()
+        os.replace(tmp_path / f"{name}.asc", tmp_path / where / "x.asc")
+        grids += [flag, tmp_path / where / "x.asc"]
+    (tmp_path / "replicas.tsv").write_text(REPLICA_TABLE)
+    (tmp_path / "nets").mkdir()
+    write_ann_file(tmp_path / "nets" / "rosetta_h2w.ann", constant_net(("sand", "silt", "clay"), (0.05, 0.45, 0.02, 1.4)))
+    out = tmp_path / "maps"
+    code, _, _ = run(capsys, "map", "--weights", tmp_path / "replicas.tsv", *grids,
+                     "--rosetta-dir", tmp_path / "nets", "--out", out)
+    assert code == 0
+    inputs = [tmp_path / "replicas.tsv", *grids[1::2], tmp_path / "nets" / "rosetta_h2w.ann"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["input_hashes"] == {
+        str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs}
+
+
 @pytest.mark.parametrize("psi", ["", ",", " , "])
 def test_predict_empty_psi_list(capsys, tmp_path, psi):
     weights = tmp_path / "weights.tsv"
@@ -564,6 +606,42 @@ def test_non_utf8_input_is_a_reported_error(capsys, tmp_path, sample_file, reade
     code, _, err = run(capsys, *argv)
     assert code == expected
     assert f"{bad}: not UTF-8 text (invalid start byte at byte {offset})" in err
+
+
+PREDICT_CONFIG = """\
+# a single-record prediction
+sand = 40
+silt = 40
+clay = 20
+bulk_density = 1.4
+organic_carbon = 1.2
+texture_class = loam
+topsoil = 1
+psi = 0,330,15000
+seed = 3
+"""
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("config")
+    write_weights(path / "weights.tsv", WeightVector(
+        members=(PtfId.COSBY0, PtfId.COSBY1, PtfId.WOSTEN), weights=(0.2, 0.3, 0.5)))
+    return path
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(spliced_text(PREDICT_CONFIG))
+def test_config_token_splice_fuzz(config_dir, text):
+    """A run with a spliced config file succeeds or exits 1 or 2; none exits 3."""
+    cfg = config_dir / "cfg.txt"
+    with open(cfg, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["predict", "--config", str(cfg), "--weights",
+                     str(config_dir / "weights.tsv"), "--out", str(config_dir / "out")])
+    assert code in (0, 1, 2), err.getvalue()
 
 
 def write_layer_grids(tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ptfens import ConfigError, InputError, SchemaError
+from ptfens import ConfigError, DataError, InputError, SchemaError
 from ptfens.dataset import (
     ALLOWED_HEADS,
     CANONICAL_COLUMNS,
@@ -35,7 +35,7 @@ from ptfens.dataset import (
     write_samples,
 )
 from ptfens.texture import classify_texture
-from helpers import make_sample
+from helpers import make_sample, spliced_text
 
 SCHEMA = Schema(
     columns={"sample_id": "pedon", "sand": "sa", "silt": "si", "clay": "cl",
@@ -169,6 +169,61 @@ def test_schema_unknown_head(tmp_path):
                     "bulk_density = db\ntheta_777 = w\n")
     with pytest.raises(SchemaError):
         read_schema(path)
+
+
+
+SCHEMA_TEXT = """\
+# mapping for the test export
+sample_id = pedon
+sand = sa
+silt = si
+clay = cl
+bulk_density = db
+organic_carbon = c_org
+theta_330 = w330
+theta_15000 = w15000
+theta_units = volumetric
+required_fields = sand,silt,clay
+delimiter = ,
+"""
+
+
+@pytest.mark.parametrize("value, delimiter", [
+    ("tab", "\t"), ("\\t", "\t"), (";", ";"),
+    (";;", None), ("= tab", None), ("", None), ('"', None)])
+def test_schema_delimiter_is_one_character(tmp_path, value, delimiter):
+    path = tmp_path / "s.schema"
+    path.write_text(SCHEMA_TEXT.replace("delimiter = ,", f"delimiter = {value}"))
+    if delimiter is not None:
+        assert read_schema(path).delimiter == delimiter
+        return
+    with pytest.raises(SchemaError) as err:
+        read_schema(path)
+    assert f"got {value!r}" in str(err.value)
+
+
+@pytest.fixture(scope="module")
+def schema_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("schema")
+    write_csv(path / "raw.csv", [HEADER, ("P1", 40, 40, 20, 1.4, 1.0, 0.30, 0.15),
+                                 ("P2", 10, 60, 30, 1.2, "", 0.35, 0.20)])
+    return path
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(spliced_text(SCHEMA_TEXT))
+@example(SCHEMA_TEXT.replace("delimiter = ,", "delimiter = ;;"))
+@example(SCHEMA_TEXT.replace("delimiter = ,", "delimiter== tab"))
+def test_schema_token_splice_fuzz(schema_dir, text):
+    """A spliced schema file ingests the export or raises a DataError;
+    nothing else escapes."""
+    path = schema_dir / "schema.txt"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    try:
+        ingest(schema_dir / "raw.csv", read_schema(path))
+    except DataError:
+        pass
 
 
 # the twelve-row quality fixture; expected survivors and removals are frozen

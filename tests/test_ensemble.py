@@ -18,11 +18,13 @@ from ptfens import (
     calibrate,
     calibrate_stratified,
     chi2,
+    clear_ann_registry,
     ensemble_theta,
     optimize_weights,
     predict_theta,
     read_replica_table,
     read_weights,
+    register_ann,
     samples_theta,
     simplex_weights,
     write_replica_table,
@@ -30,8 +32,9 @@ from ptfens import (
 )
 from ptfens import ensemble as ensemble_module
 from ptfens.dataset import SampleTable, bootstrap_split
+from ptfens.ptf import PREDICTOR_FIELDS, member_thetas
 from ptfens.ensemble import GLOBAL_STRATUM, ReplicaResult, point_matrix
-from helpers import make_sample, synthetic_population
+from helpers import make_sample, random_net, synthetic_population
 
 MEMBERS = (PtfId.COSBY1, PtfId.CARSEL, PtfId.WOSTEN)
 
@@ -335,6 +338,26 @@ def test_point_matrix_shapes():
     assert preds.shape == (3, 20)
     assert observed.shape == (20,) and psi.shape == (20,)
     assert set(np.unique(psi)) == {330.0, 15000.0}
+
+
+def test_point_matrix_value_is_member_thetas_value():
+    """A point's member value has the bytes member_thetas gives for its sample
+    and head: a class-table, a regression and a network member."""
+    rng = np.random.default_rng(63)
+    heads = (0.0, 100.0, 330.0, 15000.0)
+    samples = synthetic_population(rng, 40, PtfId.CARSEL, noise=0.01, heads=heads)
+    members = (PtfId.CARSEL, PtfId.WOSTEN, PtfId.ROSETTA_H2W)
+    register_ann(PtfId.ROSETTA_H2W, random_net(rng))
+    try:
+        preds, _, psi = point_matrix(members, samples)
+        table = SampleTable.from_samples(samples)
+        arrays = {f: getattr(table, f) for f in PREDICTOR_FIELDS}
+        thetas = member_thetas(members, heads, **arrays, topsoil=np.ones(len(table)))
+    finally:
+        clear_ann_registry()
+    want = thetas[:, np.searchsorted(heads, psi), table.obs_owner]
+    assert preds.shape == want.shape == (3, 160)
+    assert preds.tobytes() == want.tobytes()
 
 
 def test_point_matrix_missing_predictor():

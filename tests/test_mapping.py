@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from ptfens import (
     USDA_CLASSES,
-    AnnSpec,
     CoregistrationError,
     FIELD_CAPACITY_HEAD,
     Grid,
@@ -37,7 +36,7 @@ from ptfens import (
 )
 from ptfens import _kernels, mapping
 from ptfens.mapping import DEFAULT_NODATA, HEAD_LABELS
-from helpers import drop_class, spliced_text
+from helpers import drop_class, random_net, spliced_text
 
 MEMBERS = (PtfId.COSBY1, PtfId.CARSEL)
 REPLICAS = [
@@ -656,19 +655,6 @@ def full_stack(rng, nrows=14, ncols=11):
 TABLE_AND_REGRESSION = (PtfId.COSBY0, PtfId.CARSEL, PtfId.CLAPP, PtfId.ROSETTA_H1W,
                 PtfId.COSBY1, PtfId.COSBY2, PtfId.RAWLS, PtfId.CAMPBELL,
                 PtfId.WOSTEN, PtfId.WEYNANTS, PtfId.VEREECKEN)
-
-
-def random_net(rng):
-    """A rosetta_h1w network: a varied curve for each cell."""
-    return AnnSpec(
-        layer_sizes=(3, 4, 4),
-        weights=(rng.normal(size=(4, 3)), rng.normal(scale=0.1, size=(4, 4))),
-        biases=(rng.normal(size=4), np.zeros(4)),
-        hidden_activation="sigmoid", input_names=("sand", "silt", "clay"),
-        input_offset=np.full(3, 33.0), input_scale=np.full(3, 30.0),
-        output_names=("theta_r", "theta_s", "alpha", "n"),
-        output_offset=np.array([0.05, 0.45, -2.0, 0.2]), output_scale=np.ones(4),
-        output_transforms=("none", "none", "pow10", "pow10"))
 
 
 @pytest.mark.parametrize("network", [False, True], ids=["table", "h1w_network"])

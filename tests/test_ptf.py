@@ -25,6 +25,7 @@ from ptfens import (
 )
 from ptfens.coeffs import load_class_table
 from ptfens.ptf import load_rosetta_weights
+from helpers import constant_net
 
 LOAM = PredictorRecord(sand=40.0, silt=40.0, clay=20.0,
                        bulk_density=1.35, organic_carbon=1.2)
@@ -203,25 +204,8 @@ def test_network_backed_members_need_weights():
         assert "network" in str(err.value)
 
 
-def _constant_net(input_names, outputs):
-    d = len(input_names)
-    return AnnSpec(
-        layer_sizes=(d, 1, 4),
-        weights=(np.zeros((1, d)), np.zeros((4, 1))),
-        biases=(np.zeros(1), np.asarray(outputs, dtype=np.float64)),
-        hidden_activation="sigmoid",
-        input_names=tuple(input_names),
-        input_offset=np.zeros(d),
-        input_scale=np.full(d, 100.0),
-        output_names=("theta_r", "theta_s", "alpha", "n"),
-        output_offset=np.zeros(4),
-        output_scale=np.ones(4),
-        output_transforms=("none", "none", "none", "none"),
-    )
-
-
 def test_registered_network_enables_prediction():
-    net = _constant_net(("sand", "silt", "clay", "bd"), (0.05, 0.45, 0.02, 1.4))
+    net = constant_net(("sand", "silt", "clay", "bd"), (0.05, 0.45, 0.02, 1.4))
     register_ann(PtfId.ROSETTA_H3W, net)
     params = predict(PtfId.ROSETTA_H3W, LOAM)
     assert (params.theta_r, params.theta_s) == (0.05, 0.45)
@@ -230,7 +214,7 @@ def test_registered_network_enables_prediction():
 
 def test_registered_network_overrides_class_table():
     table_params = predict(PtfId.ROSETTA_H1W, LOAM)
-    net = _constant_net(("sand", "silt", "clay"), (0.06, 0.48, 0.015, 1.7))
+    net = constant_net(("sand", "silt", "clay"), (0.06, 0.48, 0.015, 1.7))
     register_ann(PtfId.ROSETTA_H1W, net)
     net_params = predict(PtfId.ROSETTA_H1W, LOAM)
     assert net_params != table_params
@@ -240,7 +224,7 @@ def test_registered_network_overrides_class_table():
 
 
 def test_register_rejects_wrong_slot_and_outputs():
-    net = _constant_net(("sand", "silt", "clay"), (0.05, 0.45, 0.02, 1.4))
+    net = constant_net(("sand", "silt", "clay"), (0.05, 0.45, 0.02, 1.4))
     with pytest.raises(InputError):
         register_ann(PtfId.COSBY0, net)
     bad_outputs = AnnSpec(
@@ -262,7 +246,7 @@ def test_register_rejects_wrong_slot_and_outputs():
 
 def test_load_rosetta_weights_from_directory(tmp_path):
     write_ann_file(tmp_path / "rosetta_h2w.ann",
-                   _constant_net(("sand", "silt", "clay"), (0.04, 0.42, 0.03, 1.5)))
+                   constant_net(("sand", "silt", "clay"), (0.04, 0.42, 0.03, 1.5)))
     loaded = load_rosetta_weights(tmp_path)
     assert loaded == [PtfId.ROSETTA_H2W]
     params = predict(PtfId.ROSETTA_H2W, LOAM)
