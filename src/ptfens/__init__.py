@@ -17,16 +17,13 @@ from .dataset import (
     TEMPERATURE_REGIMES,
     BootstrapReplica,
     RemovalEntry,
-    RetentionObservation,
     SampleTable,
     Schema,
-    SoilSample,
     bootstrap_split,
     ingest,
     qa_filter,
     read_samples,
     read_schema,
-    stratify,
     write_removals,
     write_samples,
 )

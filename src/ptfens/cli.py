@@ -92,6 +92,8 @@ def _require_file(path, what):
         raise ConfigError(f"missing required {what}")
     if not os.path.exists(path):
         raise ConfigError(f"{what} not found: {path}")
+    if not os.path.isfile(path):
+        raise ConfigError(f"{what} is not a file: {path}")
     return path
 
 
@@ -272,11 +274,15 @@ def cmd_calibrate(settings, out_dir, seed):
     n_replicas = settings.get("replicas", 100, int)
     if n_replicas < 1:
         raise ConfigError(f"--replicas must be at least 1, got {n_replicas}")
+    scheme = settings.get("scheme", "global")
+    if scheme != "global":
+        min_points = settings.get("min_stratum_points", 50, int)
+        if min_points < 1:
+            raise ConfigError(f"--min-stratum-points must be at least 1, got {min_points}")
     data = _require_file(settings.get("data"), "input data file (--data)")
     nets = _load_rosetta(settings)
     samples = dataset.read_samples(data)
     members = _select_members(settings)
-    scheme = settings.get("scheme", "global")
     meta_base = {"members": ",".join(m.value for m in members),
                  "replicas": n_replicas, "seed": seed, "scheme": scheme}
 
@@ -299,7 +305,7 @@ def cmd_calibrate(settings, out_dir, seed):
             meta_base["oc_edges"] = ",".join(map(repr, oc_edges))
         model = ensemble.calibrate_stratified(
             members, samples, scheme, n_replicas=n_replicas, seed=seed,
-            min_stratum_points=settings.get("min_stratum_points", 50, int),
+            min_stratum_points=min_points,
             oc_edges=oc_edges)
         calibrations = model.calibrations
 
@@ -375,11 +381,9 @@ def cmd_map(settings, out_dir, seed):
                         ("clay", "clay_grid"), ("bulk_density", "bd_grid"),
                         ("organic_carbon", "oc_grid")):
         path = settings.get(flag)
-        if field in ("sand", "silt", "clay"):
-            path = _require_file(path, f"--{flag.replace('_', '-')}")
-        if path:
+        if path or field in ("sand", "silt", "clay"):
+            paths[field] = _require_file(path, f"--{flag.replace('_', '-')}")
             grids[field] = mapping.read_grid(path)
-            paths[field] = path
     layers = mapping.SoilLayerStack(
         sand=grids["sand"], silt=grids["silt"], clay=grids["clay"],
         bulk_density=grids.get("bulk_density"),
@@ -489,7 +493,11 @@ def main(argv=None):
         if seed < 0:
             raise ConfigError("--seed must be non-negative")
         out_dir = settings.get("out", ".")
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory (--out) {out_dir}: "
+                              f"{exc.strerror}") from None
         clear_ann_registry()  # a run uses only the networks of its own --rosetta-dir
 
         if args.command == "ingest":

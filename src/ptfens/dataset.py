@@ -6,15 +6,13 @@ observations at the allowed pressure heads (cm of suction). Source files are
 delimited text; a small key = value schema file maps source columns onto the
 canonical fields and declares the water-content units.
 
-Samples are held as columns in a SampleTable: the ids, one float64 column
-per numeric field (NaN where the value is missing), the soil order and
-temperature regime as tuples, and the observations in long form (owner row,
-head, water content) grouped by sample. ingest parses a file straight into
-columns and checks whole columns at once. The table is also a read-only
-sequence of SoilSample row views, built when indexed, so code that reads
-one sample at a time still can; SampleTable.from_samples turns any sequence
-of SoilSample into a table. qa_filter returns a table, write_samples writes
-one column at a time, and stratify, bootstrap_split and the ensemble's
+Samples are held as columns in a SampleTable, the one sample type of the
+package: the ids, one float64 column per numeric field (NaN where the value
+is missing), the soil order and temperature regime as tuples, and the
+observations in long form (owner row, head, water content) grouped by
+sample. ingest parses a file straight into columns and checks whole columns
+at once; qa_filter takes and returns a table, write_samples writes one
+column at a time, and stratum_indices, bootstrap_split and the ensemble's
 point assembly read the columns.
 
 Quality filtering applies fixed rules in a fixed order:
@@ -31,9 +29,6 @@ rules to a table's columns with whole-column masks.
 """
 
 import csv
-import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,41 +63,9 @@ _NUMERIC_FIELDS = ("latitude", "longitude", "sand", "silt", "clay",
 _TEXTURE_FIELDS = ("sand", "silt", "clay")
 
 
-@dataclass(frozen=True)
-class RetentionObservation:
-    psi: float    # suction, cm of water, >= 0
-    theta: float  # volumetric water content
-
-    def __post_init__(self):
-        if not math.isfinite(self.psi) or self.psi < 0.0:
-            raise InputError(f"bad pressure head {self.psi!r}")
-        if not math.isfinite(self.theta):
-            raise InputError(f"bad water content {self.theta!r}")
-
-
-@dataclass(frozen=True)
-class SoilSample:
-    sample_id: str
-    sand: float
-    silt: float
-    clay: float
-    bulk_density: float = None
-    organic_carbon: float = None
-    latitude: float = None
-    longitude: float = None
-    soil_order: str = None
-    temperature_regime: str = None
-    observations: tuple = ()
-
-
-def _optional(value):
-    """A column value as a row-view field: None for NaN."""
-    return None if value != value else value
-
-
 @dataclass(frozen=True, eq=False, repr=False)
-class SampleTable(Sequence):
-    """Samples as columns; a read-only sequence of SoilSample row views.
+class SampleTable:
+    """Samples as columns. len() is the number of samples (rows).
 
     Numeric fields are float64 columns with NaN for a missing value. The
     observations are long form: obs_owner is the row of each observation,
@@ -151,38 +114,8 @@ class SampleTable(Sequence):
         offsets.setflags(write=False)
         object.__setattr__(self, "obs_offsets", offsets)
 
-    @classmethod
-    def from_samples(cls, samples):
-        """The table of a sequence of SoilSample; a table is returned as it is."""
-        if isinstance(samples, SampleTable):
-            return samples
-        samples = tuple(samples)
-        observations = [o for s in samples for o in s.observations]
-        numeric = {f: [np.nan if v is None else v for v in (getattr(s, f) for s in samples)]
-                   for f in _NUMERIC_FIELDS}
-        return cls(
-            ids=[s.sample_id for s in samples], **numeric,
-            soil_order=[s.soil_order for s in samples],
-            temperature_regime=[s.temperature_regime for s in samples],
-            obs_owner=np.repeat(np.arange(len(samples)),
-                                [len(s.observations) for s in samples]),
-            obs_psi=[o.psi for o in observations],
-            obs_theta=[o.theta for o in observations])
-
     def __len__(self):
         return len(self.ids)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.take(np.arange(len(self))[index])
-        i = range(len(self))[operator.index(index)]  # IndexError when out of range
-        lo, hi = self.obs_offsets[i:i + 2].tolist()
-        return SoilSample(
-            sample_id=self.ids[i],
-            **{f: _optional(getattr(self, f)[i].item()) for f in _NUMERIC_FIELDS},
-            soil_order=self.soil_order[i], temperature_regime=self.temperature_regime[i],
-            observations=tuple(map(RetentionObservation, self.obs_psi[lo:hi].tolist(),
-                                   self.obs_theta[lo:hi].tolist())))
 
     def __eq__(self, other):
         if isinstance(other, SampleTable):
@@ -190,8 +123,6 @@ class SampleTable(Sequence):
                     and self.temperature_regime == other.temperature_regime
                     and all(np.array_equal(getattr(self, f), getattr(other, f), equal_nan=True)
                             for f in _NUMERIC_FIELDS + ("obs_owner", "obs_psi", "obs_theta")))
-        if isinstance(other, (tuple, list)):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
         return NotImplemented
 
     def __repr__(self):
@@ -474,15 +405,12 @@ class QaResult:
 
 
 def qa_filter(samples):
-    """Apply the ordered quality rules; returns survivors and a removal log.
-
-    The rules run on the columns of a SampleTable (any other sequence of
-    SoilSample is made into one, so a NaN bulk density counts as missing),
-    and the kept samples are a SampleTable too."""
-    table = SampleTable.from_samples(samples)
-    n = len(table)
-    owner, psi, theta = table.obs_owner, table.obs_psi, table.obs_theta
-    bd = table.bulk_density
+    """Apply the ordered quality rules to a SampleTable's columns; returns
+    the survivors, a SampleTable, and a removal log. A NaN bulk density is
+    missing."""
+    n = len(samples)
+    owner, psi, theta = samples.obs_owner, samples.obs_psi, samples.obs_theta
+    bd = samples.bulk_density
     bd_out = ~np.isnan(bd) & ~((bd >= BD_MIN) & (bd <= BD_MAX))
     examined = ~bd_out[owner]
     gt_one = examined & (theta > THETA_MAX)
@@ -505,13 +433,13 @@ def qa_filter(samples):
     removals = []
     events = bd_out | fc_lt_wp | empty | (np.bincount(owner[dropped], minlength=n) > 0)
     for i in np.flatnonzero(events).tolist():
-        sid = table.ids[i]
+        sid = samples.ids[i]
         if bd_out[i]:
             removals.append(RemovalEntry(
                 sid, "qa", "BD_RANGE",
                 f"bulk density {bd[i].item():g} outside [{BD_MIN}, {BD_MAX}]"))
             continue
-        lo, hi = table.obs_offsets[i:i + 2].tolist()
+        lo, hi = samples.obs_offsets[i:i + 2].tolist()
         for j in range(lo, hi):
             if dropped[j]:
                 removals.append(RemovalEntry(
@@ -524,7 +452,7 @@ def qa_filter(samples):
         elif empty[i]:
             removals.append(RemovalEntry(sid, "qa", "NO_OBSERVATIONS", "all observations removed"))
 
-    kept = replace(table, obs_owner=owner[surviving], obs_psi=psi[surviving],
+    kept = replace(samples, obs_owner=owner[surviving], obs_psi=psi[surviving],
                    obs_theta=theta[surviving]).take(np.flatnonzero(~(bd_out | fc_lt_wp | empty)))
     return QaResult(kept=kept, removals=tuple(removals))
 
@@ -585,20 +513,12 @@ def stratum_indices(samples, scheme, oc_edges=DEFAULT_OC_EDGES):
     if scheme == "pressure":
         raise ConfigError("the pressure scheme partitions observations, not samples; "
                           "use the stratified calibrator directly")
-    labels, names = _stratum_labels(SampleTable.from_samples(samples), scheme, oc_edges)
+    labels, names = _stratum_labels(samples, scheme, oc_edges)
     found, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
     rows = np.split(np.argsort(inverse, kind="stable"),
                     np.cumsum(np.bincount(inverse, minlength=found.size))[:-1])
     return {("unassigned" if found[k] < 0 else stratum_key(scheme, names[found[k]])): rows[k]
             for k in np.argsort(first).tolist()}
-
-
-def stratify(samples, scheme, oc_edges=DEFAULT_OC_EDGES):
-    """Partition samples into strata (see stratum_indices); a stratum holds
-    the caller's own items, in their order."""
-    samples = samples if isinstance(samples, Sequence) else tuple(samples)
-    return {key: tuple(samples[i] for i in rows.tolist())
-            for key, rows in stratum_indices(samples, scheme, oc_edges).items()}
 
 
 @dataclass(frozen=True)
@@ -626,7 +546,7 @@ def bootstrap_split(samples, n_replicas, seed):
     if n_replicas < 1:
         raise InputError("need at least one replica")
     path = _seed_path(seed)
-    ids = SampleTable.from_samples(samples).ids
+    ids = samples.ids
     if len(set(ids)) != len(ids):
         raise InputError("duplicate sample ids; resampling needs unique ids")
     n = len(ids)
@@ -667,24 +587,22 @@ def _texts(values):
 
 
 def write_samples(path, samples):
-    """Write samples (a SampleTable, or any sequence of SoilSample) as
-    canonical comma-delimited text, a column at a time. A missing value is an
-    empty field; of a sample's repeated head the last water content is
-    written, and a head outside ALLOWED_HEADS is not."""
-    table = SampleTable.from_samples(samples)
+    """Write a SampleTable as canonical comma-delimited text, a column at a
+    time. A missing value is an empty field; of a sample's repeated head the
+    last water content is written, and a head outside ALLOWED_HEADS is not."""
     heads = np.asarray(ALLOWED_HEADS)
-    column = np.searchsorted(heads, table.obs_psi).clip(max=heads.size - 1)
-    allowed = heads[column] == table.obs_psi
-    cell = table.obs_owner[allowed] * heads.size + column[allowed]
+    column = np.searchsorted(heads, samples.obs_psi).clip(max=heads.size - 1)
+    allowed = heads[column] == samples.obs_psi
+    cell = samples.obs_owner[allowed] * heads.size + column[allowed]
     # the last observation of each (row, head): the first of the reversed cells
     cell, first = np.unique(cell[::-1], return_index=True)
-    theta = np.full(len(table) * heads.size, np.nan)
-    theta[cell] = table.obs_theta[allowed][::-1][first]
+    theta = np.full(len(samples) * heads.size, np.nan)
+    theta[cell] = samples.obs_theta[allowed][::-1][first]
     _write_csv(path, CANONICAL_COLUMNS, zip(
-        map(str, table.ids), *(_texts(getattr(table, f)) for f in _NUMERIC_FIELDS),
-        *(["" if v is None else str(v) for v in getattr(table, f)]
+        map(str, samples.ids), *(_texts(getattr(samples, f)) for f in _NUMERIC_FIELDS),
+        *(["" if v is None else str(v) for v in getattr(samples, f)]
           for f in ("soil_order", "temperature_regime")),
-        *map(_texts, theta.reshape(len(table), heads.size).T)))
+        *map(_texts, theta.reshape(len(samples), heads.size).T)))
 
 
 def canonical_schema():

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dataset import (DEFAULT_OC_EDGES, SampleTable, _seed_path, bootstrap_split,
-                      stratum_indices, stratum_key)
+from .dataset import (DEFAULT_OC_EDGES, _seed_path, bootstrap_split, stratum_indices,
+                      stratum_key)
 from .errors import ConfigError, InputError, PtfensError, open_text
 from .ptf import PtfId, _record_arrays, member_batches, member_thetas, required_inputs
 from .ptf import predict_batch  # noqa: F401 - uncalled; in pipebench tracer.TARGETS
@@ -328,7 +328,6 @@ def samples_theta(weights, samples, heads, topsoil=True):
     map's member evaluation and member-ordered sum, so a sample's row does
     not depend on the other samples in the table.
     """
-    samples = SampleTable.from_samples(samples)
     arrays = _predictor_arrays(weights.members, samples, topsoil)
     return _theta_rows(weights, _check_psi(heads).reshape(-1), arrays)
 
@@ -340,17 +339,16 @@ def point_matrix(members, samples):
     members = tuple(map(PtfId, members))
     if not members or len(set(members)) != len(members):
         raise InputError("ensemble needs one or more distinct members")
-    table = SampleTable.from_samples(samples)
-    if not table:
+    if not samples:
         raise InputError("no samples to calibrate on")
-    arrays = _predictor_arrays(members, table)
-    owner, psi = table.obs_owner, table.obs_psi
+    arrays = _predictor_arrays(members, samples)
+    owner, psi = samples.obs_owner, samples.obs_psi
     if not owner.size:
         raise InputError("samples carry no observations")
     preds = np.empty((len(members), psi.size))
     for k, (batch, at) in enumerate(member_batches(members, **arrays)):
         preds[k] = _kernels.theta_points(batch.codes[at][owner], batch.rows[at][owner], psi)
-    return preds, table.obs_theta.copy(), psi.copy()
+    return preds, samples.obs_theta.copy(), psi.copy()
 
 
 @dataclass(frozen=True)
@@ -431,9 +429,9 @@ def _calibrate_points(members, preds, observed, samples, point_of, n_replicas, s
 def calibrate(members, samples, n_replicas=100, seed=0):
     """Bootstrap-calibrate ensemble weights on every observation point; each
     replica is fitted by simplex_weights."""
-    members, table = tuple(map(PtfId, members)), SampleTable.from_samples(samples)
-    preds, observed, psi = point_matrix(members, table)
-    return _calibrate_points(members, preds, observed, table, np.arange(psi.size),
+    members = tuple(map(PtfId, members))
+    preds, observed, psi = point_matrix(members, samples)
+    return _calibrate_points(members, preds, observed, samples, np.arange(psi.size),
                              n_replicas, _seed_path(seed))
 
 
@@ -472,27 +470,30 @@ def calibrate_stratified(members, samples, scheme, n_replicas=100, seed=0,
 
     Sample-level schemes (texture, oc, order, temperature) partition samples;
     the pressure scheme calibrates separate vectors on the observations at
-    330 and 15000 cm. Strata with fewer points than min_stratum_points are
-    not calibrated and use the global weights. The strata are planned before
-    any fit, so a bad scheme or oc_edges fails first.
+    330 and 15000 cm. Strata with fewer points than min_stratum_points (a
+    ConfigError unless it is at least 1) are not calibrated and use the
+    global weights. The strata are planned before any fit, so a bad scheme
+    or oc_edges fails first.
     """
+    if min_stratum_points < 1:
+        raise ConfigError(f"min_stratum_points must be at least 1, got {min_stratum_points}")
     seed_path = _seed_path(seed)
-    members, table = tuple(map(PtfId, members)), SampleTable.from_samples(samples)
-    preds, observed, psi = point_matrix(members, table)
+    members = tuple(map(PtfId, members))
+    preds, observed, psi = point_matrix(members, samples)
     plan = []  # (stratum key, its rows, point_of their observations)
     if scheme == "pressure":
         for head in (FIELD_CAPACITY_HEAD, WILTING_POINT_HEAD):
-            rows = np.unique(table.obs_owner[psi == head])
-            obs = table.obs_index(rows)
+            rows = np.unique(samples.obs_owner[psi == head])
+            obs = samples.obs_index(rows)
             plan.append((stratum_key("psi", f"{head:g}"), rows,
                          np.where(psi[obs] == head, obs, -1)))
     else:
-        groups = stratum_indices(table, scheme, oc_edges)
+        groups = stratum_indices(samples, scheme, oc_edges)
         for key in sorted(k for k in groups if k != "unassigned"):
-            plan.append((key, groups[key], table.obs_index(groups[key])))
+            plan.append((key, groups[key], samples.obs_index(groups[key])))
 
     calibrations = {GLOBAL_STRATUM: _calibrate_points(
-        members, preds, observed, table, np.arange(psi.size), n_replicas, seed_path)}
+        members, preds, observed, samples, np.arange(psi.size), n_replicas, seed_path)}
     below = []
     point_vectors = {}  # stratum key -> flat point indices it covers
     for key, rows, point_of in plan:
@@ -500,7 +501,7 @@ def calibrate_stratified(members, samples, scheme, n_replicas=100, seed=0,
         if covered.size < min_stratum_points:
             below.append(key)
             continue
-        calibrations[key] = _calibrate_points(members, preds, observed, table.take(rows),
+        calibrations[key] = _calibrate_points(members, preds, observed, samples.take(rows),
                                               point_of, n_replicas,
                                               _stratum_seed(seed_path, key))
         point_vectors[key] = covered

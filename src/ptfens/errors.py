@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, and the text-file opener
-that turns undecodable bytes into one of these errors.
+that turns unreadable files and undecodable bytes into one of these errors.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataError (and
 subclasses) -> 2, anything else -> 3.
@@ -55,13 +55,17 @@ class MemberPredictionError(DataError):
 def open_text(path, error, newline=None):
     """A UTF-8 text file as a readable stream, decoded up front.
 
-    A byte that is not UTF-8 raises error (a ConfigError or DataError
-    subclass) naming the file and the offset of the byte in it, instead of
-    a UnicodeDecodeError surfacing mid-parse. newline has the meaning it has
-    for open().
+    A file that cannot be read (missing, a directory, no permission) or a
+    byte that is not UTF-8 raises error (a ConfigError or DataError
+    subclass) naming the file, and for a byte its offset, instead of an
+    OSError or a UnicodeDecodeError surfacing mid-parse. newline has the
+    meaning it has for open().
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise error(f"{path}: cannot read ({exc.strerror or exc})") from None
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:

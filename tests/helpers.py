@@ -1,29 +1,67 @@
 """Shared builders for synthetic samples and populations used across tests."""
 
 import re
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
 
-from ptfens import USDA_CLASSES, AnnSpec, PredictorRecord, predict_theta
+from ptfens import USDA_CLASSES, AnnSpec, PredictorRecord, SampleTable, predict_theta
 from ptfens import ptf as ptf_module
-from ptfens.dataset import RetentionObservation, SoilSample
+from ptfens.dataset import _NUMERIC_FIELDS
 
 FC = 330.0
 WP = 15000.0
 
 
+@dataclass(frozen=True)
+class Record:
+    """One sample as a test writes it: None for a missing value, the
+    observations as (psi, theta) pairs."""
+
+    sample_id: str
+    sand: float
+    silt: float
+    clay: float
+    bulk_density: float = None
+    organic_carbon: float = None
+    latitude: float = None
+    longitude: float = None
+    soil_order: str = None
+    temperature_regime: str = None
+    observations: tuple = ()
+
+
 def make_sample(sample_id, sand, silt, clay, bd=1.4, oc=1.0, order=None,
                 regime=None, obs=()):
-    """obs: iterable of (psi, theta) pairs."""
-    return SoilSample(
+    """A Record; obs: iterable of (psi, theta) pairs."""
+    return Record(
         sample_id=sample_id, sand=float(sand), silt=float(silt), clay=float(clay),
         bulk_density=None if bd is None else float(bd),
         organic_carbon=None if oc is None else float(oc),
         soil_order=order, temperature_regime=regime,
-        observations=tuple(RetentionObservation(psi=float(p), theta=float(t))
-                           for p, t in obs),
+        observations=tuple((float(p), float(t)) for p, t in obs),
     )
+
+
+def sample_table(records):
+    """The SampleTable of Records, a row each in their order (None is NaN)."""
+    records = tuple(records)
+    pairs = [o for r in records for o in r.observations]
+    return SampleTable(
+        ids=[r.sample_id for r in records],
+        **{f: [np.nan if getattr(r, f) is None else getattr(r, f) for r in records]
+           for f in _NUMERIC_FIELDS},
+        soil_order=[r.soil_order for r in records],
+        temperature_regime=[r.temperature_regime for r in records],
+        obs_owner=np.repeat(np.arange(len(records)), [len(r.observations) for r in records]),
+        obs_psi=[p for p, _ in pairs], obs_theta=[t for _, t in pairs])
+
+
+def observations(table, row):
+    """The (psi, theta) pairs of one row of a table, in its order."""
+    at = table.obs_index([row])
+    return list(zip(table.obs_psi[at].tolist(), table.obs_theta[at].tolist()))
 
 
 def random_texture(rng, n):
@@ -32,9 +70,9 @@ def random_texture(rng, n):
     return fractions[:, 0], fractions[:, 1], fractions[:, 2]
 
 
-def synthetic_population(rng, n, true_ptf, noise=0.0, prefix="s",
-                         heads=(FC, WP), sand=None, silt=None, clay=None):
-    """Samples whose observed water contents come from one true model.
+def population_records(rng, n, true_ptf, noise=0.0, prefix="s",
+                       heads=(FC, WP), sand=None, silt=None, clay=None):
+    """Records whose observed water contents come from one true model.
 
     Texture is random unless explicit arrays are given. Observations are the
     true model's predictions plus Gaussian noise, kept inside the quality
@@ -61,6 +99,11 @@ def synthetic_population(rng, n, true_ptf, noise=0.0, prefix="s",
         samples.append(make_sample(f"{prefix}{i:04d}", sand[i], silt[i], clay[i],
                                    bd=bd[i], oc=oc[i], obs=obs))
     return samples
+
+
+def synthetic_population(rng, n, true_ptf, **kwargs):
+    """The SampleTable of population_records."""
+    return sample_table(population_records(rng, n, true_ptf, **kwargs))
 
 
 def constant_net(input_names, outputs):

@@ -43,7 +43,7 @@ from ptfens.ensemble import point_matrix, write_replica_table, write_weights
 from ptfens.metrics import rmse
 from ptfens.retention import pack_params
 
-from helpers import make_sample
+from helpers import make_sample, sample_table
 from test_dataset import qa_fixture
 from test_ensemble import two_class_population
 from test_mapping import MEMBERS as MAP_MEMBERS
@@ -164,16 +164,11 @@ def test_acceptance_4_ensemble_dominance():
     seed, n_replicas = 44, 10
     result = calibrate(members, samples, n_replicas=n_replicas, seed=seed)
 
-    preds, observed, _ = point_matrix(members, samples)
-    offsets = []
-    start = 0
-    for s in samples:
-        offsets.append(np.arange(start, start + len(s.observations)))
-        start += len(s.observations)
+    preds, observed, _ = point_matrix(members, samples)  # a point per observation
     ok = True
     for rep, rr in zip(bootstrap_split(samples, n_replicas, (seed,)),
                        result.replicas):
-        idx = np.concatenate([offsets[row] for row in rep.calibration_rows])
+        idx = samples.obs_index(rep.calibration_rows)
         member_rmse = np.sqrt(np.mean((preds[:, idx] - observed[idx]) ** 2,
                                       axis=1))
         assert rr.cal_rmse <= member_rmse.min() + 1e-6  # the hard guarantee
@@ -183,9 +178,9 @@ def test_acceptance_4_ensemble_dominance():
 
 def test_acceptance_5_bootstrap_statistics():
     t0 = time.perf_counter()
-    samples = [make_sample(f"b{i:04d}", 40, 40, 20,
-                           obs=[(330.0, 0.30), (15000.0, 0.15)])
-               for i in range(1000)]
+    samples = sample_table([make_sample(f"b{i:04d}", 40, 40, 20,
+                                        obs=[(330.0, 0.30), (15000.0, 0.15)])
+                            for i in range(1000)])
     first = bootstrap_split(samples, 100, 12345)
     oob = float(np.mean([len(r.validation_rows) for r in first])) / 1000.0
     ok = abs(oob - math.exp(-1.0)) <= 0.02
@@ -270,8 +265,8 @@ def test_acceptance_7_mapping_oracle():
 
 def test_acceptance_8_qa_partition():
     t0 = time.perf_counter()
-    result = qa_filter(qa_fixture())
-    kept = [s.sample_id for s in result.kept]
+    result = qa_filter(sample_table(qa_fixture()))
+    kept = list(result.kept.ids)
     sample_removals = {e.sample_id: e.reason_code for e in result.removals
                        if e.reason_code in ("BD_RANGE", "FC_LT_WP",
                                             "NO_OBSERVATIONS")}

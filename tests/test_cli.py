@@ -33,7 +33,7 @@ from ptfens.cli import main, read_config
 from ptfens.ensemble import GLOBAL_STRATUM, ensemble_theta, point_matrix
 from ptfens.metrics import FitSummary
 from ptfens.ptf import predict_batch
-from helpers import (constant_net, drop_class, make_sample, spliced_text,
+from helpers import (constant_net, drop_class, make_sample, sample_table, spliced_text,
                      synthetic_population)
 
 SCHEMA_TEXT = """\
@@ -101,8 +101,8 @@ def test_ingest_products(capsys, ingest_dir):
     assert "rows=3" in stdout and "kept=2" in stdout
 
     kept = read_samples(out / "samples.csv")
-    assert [s.sample_id for s in kept] == ["P1", "P3"]
-    assert len(kept[1].observations) == 1  # the theta > 0.6 point is gone
+    assert kept.ids == ("P1", "P3")
+    assert kept.obs_index([1]).size == 1  # the theta > 0.6 point is gone
 
     removed = (out / "removed.csv").read_text()
     assert removed.splitlines()[0] == "sample_id,stage,reason_code,detail"
@@ -296,6 +296,24 @@ def test_calibrate_rejects_a_replica_count_below_one(capsys, sample_file, tmp_pa
     assert not list(out.iterdir())
 
 
+@pytest.mark.parametrize("count, in_config", [("0", False), ("-3", False), ("0", True)],
+                         ids=["zero", "negative", "config"])
+def test_calibrate_rejects_min_stratum_points_below_one(capsys, tmp_path, count, in_config):
+    """Checked before the samples are read: the data file here does not exist."""
+    out = tmp_path / "cal"
+    if in_config:
+        config = tmp_path / "cal.cfg"
+        config.write_text(f"min_stratum_points = {count}\n")
+        flags = ("--config", config)
+    else:
+        flags = ("--min-stratum-points", count)
+    code, stdout, err = run(capsys, "calibrate", "--data", tmp_path / "absent.csv",
+                            "--scheme", "pressure", *flags, "--out", out)
+    assert (code, stdout) == (1, "")
+    assert err == f"error: --min-stratum-points must be at least 1, got {count}\n"
+    assert not list(out.iterdir())
+
+
 def test_ingest_rejects_negative_water_contents(capsys, ingest_dir):
     (ingest_dir / "raw.csv").write_text(RAW_CSV + "P4,40,40,20,1.4,1.0,0.30,-0.05\n"
                                                   "P5,40,40,20,1.4,1.0,-0.2,\n")
@@ -303,7 +321,7 @@ def test_ingest_rejects_negative_water_contents(capsys, ingest_dir):
     code, stdout, _ = run(capsys, "ingest", "--data", ingest_dir / "raw.csv",
                           "--schema", ingest_dir / "schema.txt", "--out", out)
     assert code == 0 and "kept=2 removed_ingest=2" in stdout
-    assert [s.sample_id for s in read_samples(out / "samples.csv")] == ["P1", "P3"]
+    assert read_samples(out / "samples.csv").ids == ("P1", "P3")
     removed = (out / "removed.csv").read_text().splitlines()
     assert removed[1:3] == [
         "P4,ingest,BAD_NUMBER,water content at psi=15000 is negative: '-0.05'",
@@ -374,9 +392,9 @@ def test_predict_batch_and_missing_predictor(capsys, sample_file, tmp_path):
     assert "wosten" in err
 
     no_oc = tmp_path / "no_oc.csv"
-    write_samples(no_oc, [make_sample("has_oc", 40, 40, 20, obs=[(330.0, 0.3)]),
-                          make_sample("lacks_oc", 40, 40, 20, oc=None,
-                                      obs=[(330.0, 0.3)])])
+    write_samples(no_oc, sample_table([
+        make_sample("has_oc", 40, 40, 20, obs=[(330.0, 0.3)]),
+        make_sample("lacks_oc", 40, 40, 20, oc=None, obs=[(330.0, 0.3)])]))
     code, _, err = run(capsys, "predict", "--weights", needs_oc, "--data", no_oc,
                        "--out", tmp_path / "predd")
     assert code == 2
@@ -397,8 +415,8 @@ def test_predict_data_is_the_batch_path(capsys, sample_file, tmp_path):
 
     # one predict_batch per member, theta_points on the sample-major points
     samples = read_samples(sample_file)
-    arrays = {f: np.array([getattr(s, f) for s in samples])
-              for f in ("sand", "silt", "clay", "bulk_density", "organic_carbon")}
+    fields = ("sand", "silt", "clay", "bulk_density", "organic_carbon")
+    arrays = {f: getattr(samples, f) for f in fields}
     owner = np.repeat(np.arange(len(samples)), 2)
     psi = np.tile([330.0, 15000.0], len(samples))
     preds = np.empty((4, psi.size))
@@ -407,13 +425,13 @@ def test_predict_data_is_the_batch_path(capsys, sample_file, tmp_path):
         preds[k] = _kernels.theta_points(batch.codes[owner], batch.rows[owner], psi)
     eval_preds, _, eval_psi = point_matrix(vector.members, samples)  # what evaluate uses
     assert np.array_equal(eval_psi, psi) and np.array_equal(eval_preds, preds)
-    assert [r[0] for r in rows] == [s.sample_id for s in samples for _ in range(2)]
+    assert [r[0] for r in rows] == [sid for sid in samples.ids for _ in range(2)]
     # weighted member by member, in member order (not BLAS's order)
     assert np.array_equal(got, sum(w * row for w, row in zip(vector.weights, preds)))
 
     per_record = [ensemble_theta(vector, PredictorRecord(
-        sand=s.sand, silt=s.silt, clay=s.clay, bulk_density=s.bulk_density,
-        organic_carbon=s.organic_carbon), h) for s in samples for h in (330.0, 15000.0)]
+        **{f: arrays[f][i].item() for f in fields}), h)
+        for i in range(len(samples)) for h in (330.0, 15000.0)]
     np.testing.assert_array_equal(got, np.array(per_record))
 
 
@@ -606,6 +624,42 @@ def test_non_utf8_input_is_a_reported_error(capsys, tmp_path, sample_file, reade
     code, _, err = run(capsys, *argv)
     assert code == expected
     assert f"{bad}: not UTF-8 text (invalid start byte at byte {offset})" in err
+
+
+@pytest.mark.parametrize("case", ["out", "data", "schema", "config", "weights", "bd-grid",
+                                  "oc-grid", "network"])
+def test_path_problems_are_reported_errors(capsys, tmp_path, case):
+    """A file that is missing or a directory, or an --out that is a file,
+    exits 1 (a network file that cannot be read: 2) naming the path."""
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "nets" / "rosetta_h2w.ann").mkdir(parents=True)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "raw.csv").write_text(RAW_CSV)
+    (tmp_path / "schema.txt").write_text(SCHEMA_TEXT)
+    (tmp_path / "replicas.tsv").write_text(REPLICA_TABLE)
+    write_weights(tmp_path / "weights.tsv",
+                  WeightVector(members=(PtfId.COSBY1,), weights=(1.0,)))
+    write_layer_grids(tmp_path)
+    d, raw, schema = tmp_path / "dir", tmp_path / "raw.csv", tmp_path / "schema.txt"
+    record = ("--sand", "40", "--silt", "40", "--clay", "20")
+    predict = ("predict", "--weights", tmp_path / "weights.tsv", *record)
+    grids = ("map", "--weights", tmp_path / "replicas.tsv",
+             *(arg for n in ("sand", "silt", "clay")
+               for arg in (f"--{n}-grid", tmp_path / f"{n}.asc")))
+    argv, path, expected = {
+        "out": (("ingest", "--data", raw, "--schema", schema), tmp_path / "file", 1),
+        "data": (("ingest", "--data", d, "--schema", schema), d, 1),
+        "schema": (("ingest", "--data", raw, "--schema", d), d, 1),
+        "config": ((*predict, "--config", d), d, 1),
+        "weights": (("predict", "--weights", d, *record), d, 1),
+        "bd-grid": ((*grids, "--bd-grid", tmp_path / "absent.asc"), tmp_path / "absent.asc", 1),
+        "oc-grid": ((*grids, "--oc-grid", d), d, 1),
+        "network": ((*predict, "--rosetta-dir", tmp_path / "nets"),
+                    tmp_path / "nets" / "rosetta_h2w.ann", 2),
+    }[case]
+    out = tmp_path / ("file" if case == "out" else "out")
+    code, _, err = run(capsys, *argv, "--out", out)
+    assert code == expected and str(path) in err, err
 
 
 PREDICT_CONFIG = """\

@@ -16,11 +16,10 @@ from ptfens.dataset import (
     SOIL_ORDERS,
     TEMPERATURE_REGIMES,
     RemovalEntry,
-    RetentionObservation,
     SampleTable,
     Schema,
-    SoilSample,
     _METADATA_FIELDS,
+    _NUMERIC_FIELDS,
     _write_csv,
     bootstrap_split,
     canonical_schema,
@@ -28,14 +27,13 @@ from ptfens.dataset import (
     qa_filter,
     read_samples,
     read_schema,
-    stratify,
     stratum_indices,
     stratum_key,
     write_removals,
     write_samples,
 )
 from ptfens.texture import classify_texture
-from helpers import make_sample, spliced_text
+from helpers import Record, make_sample, observations, sample_table, spliced_text
 
 SCHEMA = Schema(
     columns={"sample_id": "pedon", "sand": "sa", "silt": "si", "clay": "cl",
@@ -63,9 +61,8 @@ def test_ingest_clean_rows(tmp_path):
     assert result.n_rows == 3
     assert len(result.samples) == 3
     assert result.removals == ()
-    assert [s.sample_id for s in result.samples] == ["P1", "P2", "P3"]
-    assert [(o.psi, o.theta) for o in result.samples[0].observations] == \
-        [(330.0, 0.30), (15000.0, 0.15)]
+    assert result.samples.ids == ("P1", "P2", "P3")
+    assert observations(result.samples, 0) == [(330.0, 0.30), (15000.0, 0.15)]
 
 
 def test_ingest_rejections(tmp_path):
@@ -80,7 +77,7 @@ def test_ingest_rejections(tmp_path):
         ("P6", "x", 40, "", 1.4, 1.0, "y", ""),     # several faults: sand comes first
     ])
     result = ingest(path, SCHEMA)
-    assert [s.sample_id for s in result.samples] == ["P1"]
+    assert result.samples.ids == ("P1",)
     reasons = {e.sample_id: e.reason_code for e in result.removals}
     assert reasons == {"P2": "TEXTURE_SUM", "P3": "MISSING_FIELD",
                        "P4": "BAD_NUMBER", "P1": "DUPLICATE_ID",
@@ -124,8 +121,7 @@ def test_gravimetric_conversion(tmp_path):
         ("P3", 40, 40, 20, 1.5, 1.0, 0.20, -0.01),  # negative as written
     ])
     result = ingest(path, schema)
-    s = result.samples[0]
-    assert [(o.psi, o.theta) for o in s.observations] == \
+    assert observations(result.samples, 0) == \
         [(330.0, pytest.approx(0.20 * 1.5, abs=1e-15)),
          (15000.0, pytest.approx(0.10 * 1.5, abs=1e-15))]
     assert result.samples.ids == ("P1", "P2")
@@ -248,9 +244,8 @@ def qa_fixture():
 
 
 def test_qa_partition():
-    result = qa_filter(qa_fixture())
-    kept = [s.sample_id for s in result.kept]
-    assert kept == ["Q01", "Q04", "Q05", "Q06", "Q10", "Q11", "Q12"]
+    result = qa_filter(sample_table(qa_fixture()))
+    assert result.kept.ids == ("Q01", "Q04", "Q05", "Q06", "Q10", "Q11", "Q12")
     sample_removals = {e.sample_id: e.reason_code for e in result.removals
                        if e.reason_code in ("BD_RANGE", "FC_LT_WP",
                                             "NO_OBSERVATIONS")}
@@ -265,17 +260,17 @@ def test_qa_partition():
 
 
 def test_qa_trims_observations_but_keeps_sample():
-    result = qa_filter(qa_fixture())
-    by_id = {s.sample_id: s for s in result.kept}
-    assert [o.psi for o in by_id["Q04"].observations] == [330.0, 15000.0]
-    assert [o.psi for o in by_id["Q05"].observations] == [1000.0]
+    kept = qa_filter(sample_table(qa_fixture())).kept
+    heads = {sid: [psi for psi, _ in observations(kept, i)] for i, sid in enumerate(kept.ids)}
+    assert heads["Q04"] == [330.0, 15000.0]
+    assert heads["Q05"] == [1000.0]
     # theta > 0.6 is allowed away from the two dry heads
-    assert [o.psi for o in by_id["Q06"].observations] == [60.0, 330.0]
-    assert [o.psi for o in by_id["Q10"].observations] == [60.0, 15000.0]
+    assert heads["Q06"] == [60.0, 330.0]
+    assert heads["Q10"] == [60.0, 15000.0]
 
 
 def test_qa_idempotent():
-    once = qa_filter(qa_fixture())
+    once = qa_filter(sample_table(qa_fixture()))
     twice = qa_filter(once.kept)
     assert twice.removals == ()
     assert twice.kept == once.kept
@@ -291,16 +286,16 @@ def qa_reference(samples):
                                          f"bulk density {s.bulk_density:g} outside [0.5, 2.0]"))
             continue
         surviving = []
-        for obs in s.observations:
-            code = ("THETA_GT_ONE" if obs.theta > 1.0 else "THETA_GT_0_6"
-                    if obs.psi in (330.0, 15000.0) and obs.theta > 0.6 else None)
+        for psi, theta in s.observations:
+            code = ("THETA_GT_ONE" if theta > 1.0 else "THETA_GT_0_6"
+                    if psi in (330.0, 15000.0) and theta > 0.6 else None)
             if code:
                 removals.append(RemovalEntry(s.sample_id, "qa", code,
-                                             f"psi={obs.psi:g} theta={obs.theta:g}"))
+                                             f"psi={psi:g} theta={theta:g}"))
             else:
-                surviving.append(obs)
-        fc = next((o.theta for o in surviving if o.psi == 330.0), None)
-        wp = next((o.theta for o in surviving if o.psi == 15000.0), None)
+                surviving.append((psi, theta))
+        fc = next((theta for psi, theta in surviving if psi == 330.0), None)
+        wp = next((theta for psi, theta in surviving if psi == 15000.0), None)
         if fc is not None and wp is not None and fc < wp:
             removals.append(RemovalEntry(s.sample_id, "qa", "FC_LT_WP",
                                          f"theta(330)={fc:g} < theta(15000)={wp:g}"))
@@ -331,12 +326,9 @@ def qa_samples(draw):
 @example(qa_fixture())
 def test_qa_filter_matches_per_row_rules(samples):
     kept, removals = qa_reference(samples)
-    table = SampleTable.from_samples(samples)
-    assert tuple(table) == tuple(table[i] for i in range(len(table))) == tuple(samples)
-    for given_samples in (samples, table):
-        result = qa_filter(given_samples)
-        assert isinstance(result.kept, SampleTable) and result.kept == kept
-        assert result.removals == removals
+    result = qa_filter(sample_table(samples))
+    assert isinstance(result.kept, SampleTable) and result.kept == sample_table(kept)
+    assert result.removals == removals
 
 
 def test_stratify_texture():
@@ -345,7 +337,7 @@ def test_stratify_texture():
         make_sample("B", 94, 4, 2, obs=[(330, 0.1)]),
         make_sample("C", 20, 20, 60, obs=[(330, 0.4)]),
     ]
-    groups = stratify(samples, "texture")
+    groups = stratum_indices(sample_table(samples), "texture")
     assert {k: len(v) for k, v in groups.items()} == \
         {"texture:sand": 2, "texture:clay": 1}
 
@@ -370,9 +362,9 @@ def test_stratify_texture_matches_per_sample_classification():
         except InputError:
             key = "unassigned"
         expected.setdefault(key, []).append(s.sample_id)
-    groups = stratify(samples, "texture")
-    assert {k: [s.sample_id for s in v] for k, v in groups.items()} == expected
-    assert [s.sample_id for s in groups["unassigned"]] == ["S3", "neg", "off", "nan", "inf"]
+    groups = stratum_indices(sample_table(samples), "texture")
+    assert {k: [samples[i].sample_id for i in v] for k, v in groups.items()} == expected
+    assert groups["unassigned"].tolist() == [3, 7, 11, 19, 23]
 
 
 def test_stratify_oc_bins():
@@ -380,7 +372,7 @@ def test_stratify_oc_bins():
         make_sample("A", 40, 40, 20, oc=0.05, obs=[(330, 0.3)]),
         make_sample("B", 40, 40, 20, oc=5.0, obs=[(330, 0.3)]),
     ]
-    groups = stratify(samples, "oc")
+    groups = stratum_indices(sample_table(samples), "oc")
     assert set(groups) == {"oc:0", "oc:6"}
 
 
@@ -389,9 +381,11 @@ def test_stratify_unassigned_bucket():
         make_sample("A", 40, 40, 20, order="mollisols", obs=[(330, 0.3)]),
         make_sample("B", 40, 40, 20, order=None, obs=[(330, 0.3)]),
     ]
-    groups = stratify(samples, "order")
-    assert [s.sample_id for s in groups["order:mollisols"]] == ["A"]
-    assert [s.sample_id for s in groups["unassigned"]] == ["B"]
+    groups = stratum_indices(sample_table(samples), "order")
+    assert groups["order:mollisols"].tolist() == [0]
+    assert groups["unassigned"].tolist() == [1]
+    assert list(groups) == ["order:mollisols", "unassigned"]  # first appearance
+    assert stratum_indices(sample_table([]), "texture") == {}
 
 
 def test_stratify_is_a_partition():
@@ -402,23 +396,22 @@ def test_stratify_is_a_partition():
         samples.append(make_sample(f"S{i}", *f, oc=rng.uniform(0.01, 12.0),
                                    obs=[(330, 0.3)]))
     for scheme in ("texture", "oc"):
-        groups = stratify(samples, scheme)
-        pooled = [s.sample_id for members in groups.values() for s in members]
-        assert sorted(pooled) == sorted(s.sample_id for s in samples)
+        groups = stratum_indices(sample_table(samples), scheme)
+        assert sorted(np.concatenate(list(groups.values())).tolist()) == list(range(60))
 
 
 def test_stratify_rejects_unknown_and_pressure():
-    samples = [make_sample("A", 40, 40, 20, obs=[(330, 0.3)])]
+    samples = sample_table([make_sample("A", 40, 40, 20, obs=[(330, 0.3)])])
     with pytest.raises(ConfigError):
-        stratify(samples, "depth")
+        stratum_indices(samples, "depth")
     with pytest.raises(ConfigError):
-        stratify(samples, "pressure")  # handled by the stratified calibrator
+        stratum_indices(samples, "pressure")  # handled by the stratified calibrator
 
 
 def test_oc_bin_edges():
     values = (0.05, 0.1, 0.2, 5.0, 10.0, None)
-    samples = [make_sample(f"S{i}", 40, 40, 20, oc=v, obs=[(330, 0.3)])
-               for i, v in enumerate(values)]
+    samples = sample_table([make_sample(f"S{i}", 40, 40, 20, oc=v, obs=[(330, 0.3)])
+                            for i, v in enumerate(values)])
     groups = stratum_indices(samples, "oc")
     assert {k: v.tolist() for k, v in groups.items()} == {
         "oc:0": [0], "oc:1": [1, 2],  # right-closed bin edges
@@ -430,7 +423,7 @@ def test_oc_bin_edges():
 @pytest.mark.parametrize("edges", [(2.0, 0.5, 1.0), (0.1, 0.1), (0.1, float("nan")),
                                    (float("inf"),), ((0.1, 0.2),), ("abc",)])
 def test_oc_edges_must_be_finite_and_increasing(edges):
-    samples = [make_sample("A", 40, 40, 20, oc=1.0, obs=[(330, 0.3)])]
+    samples = sample_table([make_sample("A", 40, 40, 20, oc=1.0, obs=[(330, 0.3)])])
     with pytest.raises(ConfigError) as err:
         stratum_indices(samples, "oc", oc_edges=edges)
     assert "finite and strictly increasing" in str(err.value)
@@ -439,7 +432,7 @@ def test_oc_edges_must_be_finite_and_increasing(edges):
 
 
 def test_bootstrap_single_sample():
-    samples = [make_sample("only", 40, 40, 20, obs=[(330, 0.3)])]
+    samples = sample_table([make_sample("only", 40, 40, 20, obs=[(330, 0.3)])])
     (rep,) = bootstrap_split(samples, 1, seed=0)
     assert rep.calibration_rows == (0,)
     assert rep.validation_rows == ()
@@ -447,8 +440,8 @@ def test_bootstrap_single_sample():
 
 def test_bootstrap_deterministic_and_sized():
     rng = np.random.default_rng(32)
-    samples = [make_sample(f"S{i}", 40, 40, 20, obs=[(330, 0.3)])
-               for i in range(50)]
+    samples = sample_table([make_sample(f"S{i}", 40, 40, 20, obs=[(330, 0.3)])
+                            for i in range(50)])
     a = bootstrap_split(samples, 10, seed=7)
     b = bootstrap_split(samples, 10, seed=7)
     assert a == b
@@ -462,8 +455,8 @@ def test_bootstrap_deterministic_and_sized():
 
 
 def test_bootstrap_oob_fraction():
-    samples = [make_sample(f"S{i}", 40, 40, 20, obs=[(330, 0.3)])
-               for i in range(400)]
+    samples = sample_table([make_sample(f"S{i}", 40, 40, 20, obs=[(330, 0.3)])
+                            for i in range(400)])
     reps = bootstrap_split(samples, 40, seed=3)
     oob = np.mean([len(r.validation_rows) / 400 for r in reps])
     assert abs(oob - np.exp(-1.0)) < 0.03
@@ -471,31 +464,26 @@ def test_bootstrap_oob_fraction():
 
 def test_bootstrap_errors():
     with pytest.raises(InputError):
-        bootstrap_split([], 5, seed=0)
-    dup = [make_sample("X", 40, 40, 20, obs=[(330, 0.3)]),
-           make_sample("X", 30, 50, 20, obs=[(330, 0.3)])]
+        bootstrap_split(sample_table([]), 5, seed=0)
+    dup = sample_table([make_sample("X", 40, 40, 20, obs=[(330, 0.3)]),
+                        make_sample("X", 30, 50, 20, obs=[(330, 0.3)])])
     with pytest.raises(InputError):
         bootstrap_split(dup, 5, seed=0)
-    ok = [make_sample("X", 40, 40, 20, obs=[(330, 0.3)])]
+    ok = sample_table([make_sample("X", 40, 40, 20, obs=[(330, 0.3)])])
     with pytest.raises(InputError):
         bootstrap_split(ok, 0, seed=0)
 
 
 def test_sample_file_round_trip(tmp_path):
-    samples = qa_filter(qa_fixture()).kept
+    samples = qa_filter(sample_table(qa_fixture())).kept
     path = tmp_path / "samples.csv"
     write_samples(path, samples)
-    again = read_samples(path)
-    assert len(again) == len(samples)
-    for a, b in zip(again, samples):
-        assert a.sample_id == b.sample_id
-        assert a.sand == b.sand and a.bulk_density == b.bulk_density
-        assert a.observations == b.observations
+    assert read_samples(path) == samples
     assert canonical_schema().theta_columns  # readable by the same schema
 
 
 def test_removal_log_format(tmp_path):
-    result = qa_filter(qa_fixture())
+    result = qa_filter(sample_table(qa_fixture()))
     path = tmp_path / "removed.csv"
     write_removals(path, result.removals)
     lines = path.read_text().splitlines()
@@ -560,7 +548,7 @@ def test_ingest_non_finite_and_negative_values_are_bad_number(tmp_path, row, det
 def test_read_samples_rejects_non_finite_and_negative_values(tmp_path, row, detail):
     good = make_sample("P1", 40, 40, 20, obs=[(330, 0.30), (15000, 0.15)])
     path = tmp_path / "samples.csv"
-    write_samples(path, [good])
+    write_samples(path, sample_table([good]))
     sid, sand, silt, clay, bd, oc, w330, w15000 = row
     canonical = {"sample_id": sid, "sand": sand, "silt": silt, "clay": clay,
                  "bulk_density": bd, "organic_carbon": oc,
@@ -574,7 +562,8 @@ def test_read_samples_rejects_non_finite_and_negative_values(tmp_path, row, deta
 
 
 def test_read_samples_error_names_file_and_line(tmp_path):
-    samples = [make_sample(f"S{i}", 40, 40, 20, obs=[(330, 0.3)]) for i in range(5)]
+    samples = sample_table([make_sample(f"S{i}", 40, 40, 20, obs=[(330, 0.3)])
+                            for i in range(5)])
     path = tmp_path / "samples.csv"
     write_samples(path, samples)
     lines = path.read_text().splitlines(keepends=True)
@@ -595,12 +584,36 @@ def test_ingest_short_rows_and_blank_lines(tmp_path):
                     ",40,40,20,1.4,1.0,0.30,0.15\n")
     result = ingest(path, SCHEMA)
     assert result.n_rows == 3
-    assert [(s.sample_id, [o.psi for o in s.observations]) for s in result.samples] == \
-        [("P1", [330.0]), ("r4", [330.0, 15000.0])]  # blank lines do not count
+    assert result.samples.ids == ("P1", "r4")  # blank lines do not count
+    assert result.samples.obs_psi.tolist() == [330.0, 330.0, 15000.0]
+    assert result.samples.obs_owner.tolist() == [0, 1, 1]
     (removal,) = result.removals
     assert (removal.sample_id, removal.reason_code, removal.line) == \
         ("P2", "MISSING_FIELD", 4)
     assert removal.detail == "missing required field 'bulk_density'"
+
+
+SAMPLES_TEXT = """\
+sample_id,latitude,longitude,sand,silt,clay,bulk_density,organic_carbon,soil_order,\
+temperature_regime,theta_60,theta_100,theta_330,theta_1000,theta_2000,theta_15000
+P1,18.3,-75.2,7.5,71.3,21.2,1.04,0.46,alfisols,,,0.38,0.31,0.22,,0.16
+P2,,,40.0,40.0,20.0,,,,mesic,0.45,,0.3,,,0.15
+"P3,a",46.5,135.8,14.2,33.3,52.5,1.2,3.95,,,,,0.37,,0.3,0.24
+"""
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(spliced_text(SAMPLES_TEXT))
+def test_samples_token_splice_fuzz(schema_dir, text):
+    """A spliced canonical sample file reads or raises a DataError; nothing
+    else escapes."""
+    path = schema_dir / "samples.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    try:
+        read_samples(path)
+    except DataError:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -617,38 +630,32 @@ def table_fixture():
 
 def test_sample_table_rows_are_the_samples():
     samples = table_fixture()
-    table = SampleTable.from_samples(samples)
-    assert SampleTable.from_samples(table) is table
+    table = sample_table(samples)
     assert len(table) == 3 and table.ids == ("A", "B", "C")
-    assert table == samples and table == tuple(samples) and samples == table
-    assert list(table) == samples
-    assert table[-1] == samples[2] and table[1].observations == ()
-    assert table[0].bulk_density is None and table[0].organic_carbon == 2.0
-    assert table[0].observations[1] == RetentionObservation(15000.0, 0.15)
     assert np.isnan(table.bulk_density[0]) and table.organic_carbon[0] == 2.0
+    assert np.isnan(table.organic_carbon[1]) and table.soil_order == ("mollisols", None, None)
     assert table.obs_owner.tolist() == [0, 0, 2, 2, 2]
     assert table.obs_offsets.tolist() == [0, 2, 2, 5]
-    with pytest.raises(IndexError):
-        table[3]
+    assert table.obs_psi.tolist() == [330.0, 15000.0, 60.0, 100.0, 1000.0]
+    assert table.obs_theta.tolist() == [0.30, 0.15, 0.40, 0.35, 0.2]
     with pytest.raises(ValueError):
         table.sand[0] = 1.0  # columns are read-only
-    assert table != SampleTable.from_samples(samples[:2])
+    assert table == sample_table(samples) and table != sample_table(samples[:2])
 
 
 def test_sample_table_take_and_obs_index():
     samples = table_fixture()
-    table = SampleTable.from_samples(samples)
+    table = sample_table(samples)
     assert table.obs_index([2, 0, 2]).tolist() == [2, 3, 4, 0, 1, 2, 3, 4]
     assert table.obs_index([]).tolist() == []
     sub = table.take([2, 0])
-    assert sub == [samples[2], samples[0]]
+    assert sub == sample_table([samples[2], samples[0]])
     assert sub.obs_owner.tolist() == [0, 0, 0, 1, 1]
-    assert table[::2] == [samples[0], samples[2]]
-    assert table.take([]) == []
+    assert table.take([]) == sample_table([]) and len(table.take([])) == 0
 
 
 def test_sample_table_rejects_inconsistent_columns():
-    table = SampleTable.from_samples(table_fixture())
+    table = sample_table(table_fixture())
     columns = {f: getattr(table, f) for f in (
         "ids", "latitude", "longitude", "sand", "silt", "clay", "bulk_density",
         "organic_carbon", "soil_order", "temperature_regime", "obs_owner", "obs_psi",
@@ -658,17 +665,6 @@ def test_sample_table_rejects_inconsistent_columns():
                 {"obs_owner": [0, 0, 2, 2, 3]}, {"obs_theta": [0.3, np.nan, 0.4, 0.35, 0.2]}):
         with pytest.raises(InputError):
             SampleTable(**{**columns, **bad})
-
-
-def test_stratify_returns_the_callers_items():
-    samples = table_fixture()
-    groups = stratify(samples, "order")
-    assert groups["order:mollisols"][0] is samples[0]
-    assert [s.sample_id for s in groups["unassigned"]] == ["B", "C"]
-    assert list(groups) == ["order:mollisols", "unassigned"]  # first appearance
-    from_table = stratify(SampleTable.from_samples(samples), "order")
-    assert from_table == groups
-    assert stratify([], "texture") == {}
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +688,7 @@ def canonical_samples(draw):
                               unique=True))
         thetas = draw(st.lists(st.floats(0.0, 2.0), min_size=len(heads),
                                max_size=len(heads)))
-        samples.append(SoilSample(
+        samples.append(Record(
             sample_id=sid, sand=sand, silt=silt, clay=100.0 - sand - silt,
             bulk_density=draw(_optional_float(0.1, 3.0)),
             organic_carbon=draw(_optional_float(0.0, 60.0)),
@@ -700,8 +696,7 @@ def canonical_samples(draw):
             longitude=draw(_optional_float(-180.0, 180.0)),
             soil_order=draw(st.sampled_from((None,) + SOIL_ORDERS)),
             temperature_regime=draw(st.sampled_from((None,) + TEMPERATURE_REGIMES)),
-            observations=tuple(RetentionObservation(psi=p, theta=t)
-                               for p, t in sorted(zip(heads, thetas)))))
+            observations=tuple(sorted(zip(heads, thetas)))))
     return samples
 
 
@@ -710,24 +705,24 @@ def canonical_samples(draw):
 def test_sample_file_round_trip_property(samples):
     with tempfile.TemporaryDirectory() as tmp:
         first, second = os.path.join(tmp, "a.csv"), os.path.join(tmp, "b.csv")
-        write_samples(first, samples)
+        write_samples(first, sample_table(samples))
         table = read_samples(first)
         write_samples(second, table)
         with open(first, "rb") as a, open(second, "rb") as b:
             assert a.read() == b.read()
-    assert list(table) == samples
-    assert SampleTable.from_samples(samples) == table
+    assert table == sample_table(samples)
 
 
 def reference_write_samples(path, samples):
-    """The canonical writer one sample at a time: repr of a float, empty for
-    None, the last water content of a repeated head, heads outside
+    """The canonical writer one Record at a time: repr of a float, empty for
+    None or NaN, the last water content of a repeated head, heads outside
     ALLOWED_HEADS left out."""
     def fmt(value):
-        return "" if value is None else repr(value) if isinstance(value, float) else str(value)
+        return "" if value is None or value != value else \
+            repr(value) if isinstance(value, float) else str(value)
 
     def row(s):
-        by_head = {obs.psi: obs.theta for obs in s.observations}
+        by_head = dict(s.observations)
         return ([fmt(getattr(s, f)) for f in _METADATA_FIELDS]
                 + [fmt(by_head.get(h)) for h in ALLOWED_HEADS])
 
@@ -748,12 +743,12 @@ def writable_samples(draw):
     samples = []
     for _ in range(draw(st.integers(0, 6))):
         observations = draw(st.lists(st.tuples(heads, st.floats(-2.0, 2.0)), max_size=8))
-        samples.append(SoilSample(
+        samples.append(Record(
             draw(text), draw(_field()), draw(_field()), draw(_field()),
             bulk_density=draw(_field()), organic_carbon=draw(_field()),
             latitude=draw(_field()), longitude=draw(_field()),
             soil_order=draw(st.none() | text), temperature_regime=draw(st.none() | text),
-            observations=tuple(RetentionObservation(p, t) for p, t in observations)))
+            observations=tuple(observations)))
     return samples
 
 
@@ -763,17 +758,15 @@ def writable_samples(draw):
                                                 (5.0, 0.5), (330, 0.2)]),
           make_sample('x,"y', 40, 40, 20, bd=None, oc=None, obs=[])])
 def test_write_samples_matches_per_row_writer(samples):
-    table = SampleTable.from_samples(samples)
     with tempfile.TemporaryDirectory() as tmp:
-        paths = [os.path.join(tmp, name) for name in ("list.csv", "table.csv", "rows.csv")]
-        write_samples(paths[0], samples)
-        write_samples(paths[1], table)
-        reference_write_samples(paths[2], [table[i] for i in range(len(table))])
+        paths = [os.path.join(tmp, name) for name in ("table.csv", "rows.csv")]
+        write_samples(paths[0], sample_table(samples))
+        reference_write_samples(paths[1], samples)
         written = []
         for path in paths:
             with open(path, "rb") as fh:
                 written.append(fh.read())
-    assert written[0] == written[1] == written[2]
+    assert written[0] == written[1]
 
 
 # ---------------------------------------------------------------------------
@@ -880,7 +873,11 @@ def test_ingest_matches_per_row_rules(export):
     assert result.n_rows == len(rows)
     assert [(e.sample_id, e.reason_code, e.detail) for e in result.removals] == removals
     assert all(e.stage == "ingest" for e in result.removals)
-    assert len(result.samples) == len(kept)
-    for s, (sid, values, observations) in zip(result.samples, kept):
-        assert {f: getattr(s, f) for f in values} == {**values, "sample_id": sid}
-        assert [(o.psi, o.theta) for o in s.observations] == observations
+    table = result.samples
+    assert table.ids == tuple(sid for sid, _, _ in kept)
+    for f in _NUMERIC_FIELDS:
+        want = [np.nan if values[f] is None else values[f] for _, values, _ in kept]
+        assert np.array_equal(getattr(table, f), want, equal_nan=True)
+    for f in ("soil_order", "temperature_regime"):
+        assert getattr(table, f) == tuple(values[f] for _, values, _ in kept)
+    assert [observations(table, i) for i in range(len(table))] == [o for _, _, o in kept]

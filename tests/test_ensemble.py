@@ -10,6 +10,7 @@ from ptfens import (
     ALL_PTFS,
     CalibrationResult,
     ConfigError,
+    DataError,
     GaConfig,
     InputError,
     PredictorRecord,
@@ -31,10 +32,11 @@ from ptfens import (
     write_weights,
 )
 from ptfens import ensemble as ensemble_module
-from ptfens.dataset import SampleTable, bootstrap_split
+from ptfens.dataset import bootstrap_split
 from ptfens.ptf import PREDICTOR_FIELDS, member_thetas
 from ptfens.ensemble import GLOBAL_STRATUM, ReplicaResult, point_matrix
-from helpers import make_sample, random_net, synthetic_population
+from helpers import (make_sample, population_records, random_net, sample_table,
+                     spliced_text, synthetic_population)
 
 MEMBERS = (PtfId.COSBY1, PtfId.CARSEL, PtfId.WOSTEN)
 
@@ -350,43 +352,21 @@ def test_point_matrix_value_is_member_thetas_value():
     register_ann(PtfId.ROSETTA_H2W, random_net(rng))
     try:
         preds, _, psi = point_matrix(members, samples)
-        table = SampleTable.from_samples(samples)
-        arrays = {f: getattr(table, f) for f in PREDICTOR_FIELDS}
-        thetas = member_thetas(members, heads, **arrays, topsoil=np.ones(len(table)))
+        arrays = {f: getattr(samples, f) for f in PREDICTOR_FIELDS}
+        thetas = member_thetas(members, heads, **arrays, topsoil=np.ones(len(samples)))
     finally:
         clear_ann_registry()
-    want = thetas[:, np.searchsorted(heads, psi), table.obs_owner]
+    want = thetas[:, np.searchsorted(heads, psi), samples.obs_owner]
     assert preds.shape == want.shape == (3, 160)
     assert preds.tobytes() == want.tobytes()
 
 
 def test_point_matrix_missing_predictor():
-    samples = [make_sample("A", 40, 40, 20, oc=None,
-                           obs=[(330, 0.3), (15000, 0.15)])]
+    samples = sample_table([make_sample("A", 40, 40, 20, oc=None,
+                                        obs=[(330, 0.3), (15000, 0.15)])])
     with pytest.raises(InputError) as err:
         point_matrix([PtfId.WOSTEN], samples)
     assert "organic_carbon" in str(err.value)
-
-
-def test_consumers_read_a_table_or_any_sequence_alike():
-    rng = np.random.default_rng(61)
-    samples = synthetic_population(rng, 30, PtfId.COSBY1, noise=0.02,
-                                   heads=(100.0, 330.0, 15000.0))
-    samples[4] = make_sample("bare", 40, 40, 20, obs=[])  # resampled, but no points
-    table = SampleTable.from_samples(samples)
-    for a, b in zip(point_matrix(MEMBERS, samples), point_matrix(MEMBERS, iter(table))):
-        np.testing.assert_array_equal(a, b)
-    assert bootstrap_split(samples, 4, 9) == bootstrap_split(table, 4, 9)
-    assert calibrate(MEMBERS, samples, n_replicas=3, seed=4) == \
-        calibrate(MEMBERS, table, n_replicas=3, seed=4)
-    for scheme in ("texture", "pressure"):
-        assert calibrate_stratified(MEMBERS, samples, scheme, n_replicas=2, seed=4,
-                                    min_stratum_points=10) == \
-            calibrate_stratified(MEMBERS, table, scheme, n_replicas=2, seed=4,
-                                 min_stratum_points=10)
-    vector = WeightVector(members=MEMBERS, weights=(0.2, 0.3, 0.5))
-    np.testing.assert_array_equal(samples_theta(vector, samples, [330.0, 15000.0]),
-                                  samples_theta(vector, table, [330.0, 15000.0]))
 
 
 def test_sample_row_does_not_depend_on_its_batch():
@@ -397,13 +377,13 @@ def test_sample_row_does_not_depend_on_its_batch():
     # every member that needs no trained network
     members = tuple(m for m in ALL_PTFS if m not in (PtfId.ROSETTA_H2W, PtfId.ROSETTA_H3W))
     rng = np.random.default_rng(62)
-    table = SampleTable.from_samples(synthetic_population(rng, 40, PtfId.COSBY1))
+    table = synthetic_population(rng, 40, PtfId.COSBY1)
     vector = WeightVector.normalized(members, rng.uniform(0.1, 1.0, len(members)))
     heads = [0.0, 330.0, 15000.0]
     whole = samples_theta(vector, table, heads)
-    for i, s in enumerate(table):
-        rec = PredictorRecord(sand=s.sand, silt=s.silt, clay=s.clay,
-                              bulk_density=s.bulk_density, organic_carbon=s.organic_carbon)
+    for i in range(len(table)):
+        rec = PredictorRecord(**{f: getattr(table, f)[i].item() for f in (
+            "sand", "silt", "clay", "bulk_density", "organic_carbon")})
         np.testing.assert_array_equal(samples_theta(vector, table.take([i]), heads)[0],
                                       whole[i])
         np.testing.assert_array_equal(ensemble_theta(vector, rec, heads), whole[i])
@@ -451,15 +431,10 @@ def test_calibrate_dominance_per_replica():
     n_replicas = 6
     result = calibrate(MEMBERS, samples, n_replicas=n_replicas, seed=seed)
 
-    preds, observed, _ = point_matrix(MEMBERS, samples)
-    offsets = []
-    start = 0
-    for s in samples:
-        offsets.append(np.arange(start, start + len(s.observations)))
-        start += len(s.observations)
+    preds, observed, _ = point_matrix(MEMBERS, samples)  # a point per observation
     replicas = bootstrap_split(samples, n_replicas, (seed,))
     for rep, rr in zip(replicas, result.replicas):
-        idx = np.concatenate([offsets[row] for row in rep.calibration_rows])
+        idx = samples.obs_index(rep.calibration_rows)
         member_rmse = np.sqrt(np.mean((preds[:, idx] - observed[idx]) ** 2,
                                       axis=1))
         assert rr.cal_rmse <= member_rmse.min() + 1e-6
@@ -469,15 +444,13 @@ def two_class_population(rng):
     """30 sand-class samples from one true model, 30 clay-class from another."""
     sa_sand = rng.uniform(92, 96, 30)
     sa_silt = rng.uniform(1, 2, 30)
-    sandy = synthetic_population(rng, 30, PtfId.COSBY1, noise=0.01, prefix="sa",
-                                 sand=sa_sand, silt=sa_silt,
-                                 clay=100.0 - sa_sand - sa_silt)
+    sandy = population_records(rng, 30, PtfId.COSBY1, noise=0.01, prefix="sa",
+                               sand=sa_sand, silt=sa_silt, clay=100.0 - sa_sand - sa_silt)
     cl_sand = rng.uniform(10, 20, 30)
     cl_silt = rng.uniform(10, 20, 30)
-    clayey = synthetic_population(rng, 30, PtfId.CARSEL, noise=0.01, prefix="cl",
-                                  sand=cl_sand, silt=cl_silt,
-                                  clay=100.0 - cl_sand - cl_silt)
-    return sandy + clayey
+    clayey = population_records(rng, 30, PtfId.CARSEL, noise=0.01, prefix="cl",
+                                sand=cl_sand, silt=cl_silt, clay=100.0 - cl_sand - cl_silt)
+    return sample_table(sandy + clayey)
 
 
 def test_stratified_two_population_improvement():
@@ -530,6 +503,15 @@ def test_stratified_oc_edges_are_checked_before_any_fit(monkeypatch):
     assert draws == []
 
 
+@pytest.mark.parametrize("points", [0, -1])
+def test_stratified_min_points_below_one_is_a_config_error(points):
+    samples = synthetic_population(np.random.default_rng(69), 12, PtfId.COSBY1)
+    with pytest.raises(ConfigError) as err:
+        calibrate_stratified((PtfId.COSBY1, PtfId.CARSEL), samples, "pressure",
+                             n_replicas=2, min_stratum_points=points)
+    assert str(err.value) == f"min_stratum_points must be at least 1, got {points}"
+
+
 def test_weight_file_round_trip(tmp_path):
     wv = WeightVector.normalized(MEMBERS, [0.61, 0.09, 0.30])
     path = tmp_path / "weights.tsv"
@@ -542,6 +524,50 @@ def test_weight_file_round_trip(tmp_path):
     bad.write_text("hello\nworld\n")
     with pytest.raises(InputError):
         read_weights(bad)
+
+
+WEIGHTS_TEXT = """\
+# members = cosby1,carsel,wosten
+# replicas = 5
+# scheme = global
+# mean_cal_rmse = 0.0213
+# mean_val_rmse = None
+ptf_id\tweight
+cosby1\t0.5
+carsel\t0.125
+wosten\t0.375
+"""
+
+REPLICA_TEXT = """\
+# members = cosby1,carsel
+# seed = 3
+stratum\treplica\tcal_rmse\tval_rmse\tw_cosby1\tw_carsel
+global\t0\t0.021\t0.025\t0.25\t0.75
+global\t1\t0.02\t\t1.0\t0.0
+texture:sand\t0\t0.01\t0.03\t0.5\t0.5
+"""
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("reader, text", [(read_weights, WEIGHTS_TEXT),
+                                          (read_replica_table, REPLICA_TEXT)],
+                         ids=["weights", "replicas"])
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_weight_table_token_splice_fuzz(fuzz_dir, reader, text, data):
+    """A spliced weight or replica table reads or raises a DataError;
+    nothing else escapes."""
+    path = fuzz_dir / "table.tsv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(data.draw(spliced_text(text)))
+    try:
+        reader(path)
+    except DataError:
+        pass
 
 
 def test_replica_table_round_trip(tmp_path):
