@@ -7,8 +7,8 @@ manifest.json into the output directory recording the settings, the sha256
 of each input file, and the sha256 of every shipped coefficient file; the
 manifest carries no timestamps so identical runs produce identical bytes.
 
-Exit codes: 0 success, 1 usage or configuration problem, 2 bad input data,
-3 internal error.
+Exit codes: 0 success, 1 usage or configuration problem (an output file
+that cannot be written too), 2 bad input data, 3 internal error.
 """
 
 import argparse
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, coeffs, dataset, ensemble, mapping, metrics
 from .errors import ConfigError, DataError, open_text
-from .ptf import (ALL_PTFS, GROUPS, PREDICTOR_FIELDS, PredictorRecord, PtfId,
+from .ptf import (ALL_PTFS, GROUPS, LAYER_LIMITS, PREDICTOR_FIELDS, PredictorRecord, PtfId,
                   clear_ann_registry, load_rosetta_weights)
 from .texture import TEXTURE_SUM_TOLERANCE, USDA_CLASSES
 
@@ -166,7 +166,7 @@ def _predictor_record(settings, topsoil):
     flag."""
     values = {name: settings.get(name, None, float) for name in PREDICTOR_FIELDS}
     for name, value in values.items():
-        limit = mapping.LAYER_LIMITS.get(name)
+        limit = LAYER_LIMITS.get(name)
         if value is not None and not (0.0 <= value <= limit if limit else 0.0 <= value < np.inf):
             raise ConfigError(f"bad --{name.replace('_', '-')} {value!r}: must be "
                               + (f"in [0, {limit:g}]" if limit else "finite and >= 0"))
@@ -517,6 +517,10 @@ def main(argv=None):
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # an output that cannot be written: readers raise their own errors
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",
+              file=sys.stderr)
+        return 1
     except SystemExit as exc:  # argparse --help / --version
         code = exc.code
         return 0 if code in (None, 0) else int(code)

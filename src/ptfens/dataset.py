@@ -34,6 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, InputError, SchemaError, open_text
+from .ptf import LAYER_LIMITS
 from .texture import TEXTURE_SUM_TOLERANCE, USDA_CLASSES, classify_texture_array
 
 ALLOWED_HEADS = (60.0, 100.0, 330.0, 1000.0, 2000.0, 15000.0)
@@ -272,7 +273,8 @@ def ingest(path, schema):
     Each rejected row gets one RemovalEntry, for the first check it fails in
     this order: a duplicate of an accepted id; per field, in canonical field
     order, a missing required value, then a value that is not a number, not
-    finite or (a texture fraction) negative; the texture sum; a bulk density
+    finite, (a texture fraction) negative or (organic carbon) outside
+    [0, ptf.LAYER_LIMITS]; the texture sum; a bulk density
     for gravimetric units; per head, ascending, a water content that is not
     a number, not finite (after the gravimetric conversion) or negative (as
     written); no water content at all. Removals are in row order.
@@ -329,6 +331,10 @@ def ingest(path, schema):
               f"field {name!r} is not finite: {{!r}}", raw)
         if name in _TEXTURE_FIELDS:
             check(values < 0.0, "BAD_NUMBER", f"field {name!r} is negative: {{!r}}", raw)
+        if name == "organic_carbon":
+            limit = LAYER_LIMITS[name]
+            check((values < 0.0) | (values > limit), "BAD_NUMBER",
+                  f"field {name!r} is outside [0, {limit:g}]: {{!r}}", raw)
         numbers[name] = values
 
     # a missing fraction counts as 0; the leading 0.0 makes an all-zero sum +0

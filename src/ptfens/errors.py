@@ -2,7 +2,8 @@
 that turns unreadable files and undecodable bytes into one of these errors.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataError (and
-subclasses) -> 2, anything else -> 3.
+subclasses) -> 2, anything else -> 3, except an OSError (an output that
+cannot be written) -> 1.
 """
 
 import io

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import CoregistrationError, GridFormatError, InputError, open_text
-from .ptf import PARTICLE_DENSITY, PREDICTOR_FIELDS, member_thetas, required_inputs
+from .ptf import LAYER_LIMITS, PREDICTOR_FIELDS, member_thetas, required_inputs
 from .retention import FIELD_CAPACITY_HEAD, SATURATION_HEAD, WILTING_POINT_HEAD, _check_psi
 from .texture import TEXTURE_SUM_TOLERANCE
 from .ptf import predict_batch  # noqa: F401 - uncalled; in pipebench tracer.TARGETS
@@ -216,13 +216,6 @@ def _writer_count(n_pairs):
         cpus = os.cpu_count() or 1
     return max(1, min(n_pairs, cpus))
 
-
-# physical upper limits of the non-texture layers: bulk density above the
-# mineral particle density (g/cm3) would mean a negative porosity, and organic
-# carbon is a percentage. Inside [0, limit] every built-in member's
-# parameters are finite; outside (bd < 0, bd 1e300, oc 1e6) some are NaN or
-# overflow, which failed the whole map.
-LAYER_LIMITS = {"bulk_density": PARTICLE_DENSITY, "organic_carbon": 100.0}
 
 # Cells per map block. At 8,192 a block's float64 column is 64 KiB, under
 # glibc's 128 KiB mmap threshold, so most block temporaries are reused from

@@ -1,11 +1,15 @@
 """The thirteen point predictors of retention-curve parameters.
 
-Four input tiers, by what each predictor consumes:
+_MEMBERS is the one description of each predictor: its input tier, its curve
+family and the source of its parameters (a class table, a batch function, or
+a trained network only). GROUPS, FAMILY, required_inputs, uses_class_table
+and predict_batch's dispatch all read it. The four input tiers, by what each
+predictor consumes:
 
-    A (texture class):            cosby0, carsel, clapp, rosetta_h1w
-    B (sand/silt/clay):           cosby1, cosby2, rosetta_h2w
-    C (B + bulk density):         rawls, campbell, rosetta_h3w
-    D (C + organic carbon):       wosten, weynants, vereecken
+    A  texture class (classified from sand/silt/clay, or given)
+    B  sand, silt, clay
+    C  B + bulk density
+    D  C + organic carbon
 
 All prediction is batch-first over arrays; the scalar entry points wrap a
 batch of one, and member_batches is the one path to ensemble members'
@@ -23,6 +27,7 @@ registered for it.
 """
 
 import os
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -42,6 +47,13 @@ from .retention import (
 from .texture import USDA_CLASSES, classify_texture_array
 
 PARTICLE_DENSITY = 2.65  # g/cm3, standard mineral soil assumption
+# physical upper limits of the non-texture layers: bulk density above the
+# mineral particle density (g/cm3) would mean a negative porosity, and organic
+# carbon is a percentage. Inside [0, limit] every built-in member's
+# parameters are finite; outside (bd < 0, bd 1e300, oc 1e6) some are NaN or
+# overflow. A map makes such a cell nodata, predict rejects such a flag, and
+# ingest rejects an organic carbon outside it (bulk density has QA's BD_RANGE).
+LAYER_LIMITS = {"bulk_density": PARTICLE_DENSITY, "organic_carbon": 100.0}
 _FLOOR = 0.01  # lower bound for variables used inside ln() or 1/x
 PREDICTOR_FIELDS = ("sand", "silt", "clay", "bulk_density", "organic_carbon")
 
@@ -67,57 +79,6 @@ class PtfId(str, Enum):
 
 ALL_PTFS = tuple(PtfId)
 
-GROUPS = {
-    "A": (PtfId.COSBY0, PtfId.CARSEL, PtfId.CLAPP, PtfId.ROSETTA_H1W),
-    "B": (PtfId.COSBY1, PtfId.COSBY2, PtfId.ROSETTA_H2W),
-    "C": (PtfId.RAWLS, PtfId.CAMPBELL, PtfId.ROSETTA_H3W),
-    "D": (PtfId.WOSTEN, PtfId.WEYNANTS, PtfId.VEREECKEN),
-}
-
-FAMILY = {
-    PtfId.COSBY0: "cmp",
-    PtfId.CARSEL: "vg",
-    PtfId.CLAPP: "cmp",
-    PtfId.ROSETTA_H1W: "vg",
-    PtfId.COSBY1: "cmp",
-    PtfId.COSBY2: "cmp",
-    PtfId.ROSETTA_H2W: "vg",
-    PtfId.RAWLS: "bc",
-    PtfId.CAMPBELL: "cmp",
-    PtfId.ROSETTA_H3W: "vg",
-    PtfId.WOSTEN: "vg",
-    PtfId.WEYNANTS: "vg",
-    PtfId.VEREECKEN: "vg",
-}
-
-_CLASS_TABLES = {
-    PtfId.COSBY0: "cosby_1984_classes.csv",
-    PtfId.CARSEL: "carsel_parrish_1988_classes.csv",
-    PtfId.CLAPP: "clapp_hornberger_1978_classes.csv",
-    PtfId.ROSETTA_H1W: "rosetta_h1w_classes.csv",
-}
-
-
-def group_of(ptf):
-    for name, members in GROUPS.items():
-        if ptf in members:
-            return name
-    raise InputError(f"unknown PTF {ptf!r}")
-
-
-def required_inputs(ptf):
-    """Canonical predictor fields a PTF needs. Group A accepts an explicit
-    texture class in place of the three fractions."""
-    ptf = PtfId(ptf)
-    base = ("sand", "silt", "clay")
-    group = group_of(ptf)
-    if group in ("A", "B"):
-        return base
-    if group == "C":
-        return base + ("bulk_density",)
-    return base + ("bulk_density", "organic_carbon")
-
-
 @dataclass(frozen=True)
 class PredictorRecord:
     """One profile's predictors. Unknown fields stay None."""
@@ -142,17 +103,6 @@ class ParamBatch:
 
     def __len__(self):
         return self.rows.shape[0]
-
-
-@cache
-def _class_rows(ptf):
-    """Class table as a (12, 4) packed array indexed by USDA class code."""
-    table = coeffs.load_class_table(_CLASS_TABLES[ptf], ptf.value)
-    rows = np.full((len(USDA_CLASSES), 4), np.nan)
-    for i, cls in enumerate(USDA_CLASSES):
-        if cls in table.entries:
-            rows[i] = table.entries[cls].packed()
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -207,34 +157,28 @@ def _floored(values, flags):
 # ---------------------------------------------------------------------------
 # per-PTF batch implementations
 
-def _batch_class(ptf, texture, flags):
-    rows = _class_rows(ptf)[texture]
-    if np.any(~np.isfinite(rows)):
-        bad = np.unique(np.asarray(texture)[~np.isfinite(rows).all(axis=1)])
-        names = ", ".join(USDA_CLASSES[i] for i in bad)
-        raise TableLookupError(f"PTF {ptf} has no entry for texture class(es): {names}")
-    return rows
+def _regression(name, **variables):
+    return coeffs.eval_regression(coeffs.load_regression(name), variables)
 
 
-def _batch_cosby_regression(name, sand, silt, clay, flags):
-    variables = {"sand": sand, "clay": clay}
-    if silt is not None:
-        variables["silt"] = silt
-    out = coeffs.eval_regression(coeffs.load_regression(name), variables)
+def _batch_cosby1(flags, sand, clay, **_):
+    out = _regression("cosby_1984_univariate.csv", sand=sand, clay=clay)
     return _clamp_cmp(out["theta_s"], out["psi_e"], out["b"], flags)
 
 
-def _batch_rawls(sand, clay, bd, flags):
-    phi = 1.0 - bd / PARTICLE_DENSITY
+def _batch_cosby2(flags, sand, silt, clay, **_):
+    out = _regression("cosby_1984_bivariate.csv", sand=sand, clay=clay, silt=silt)
+    return _clamp_cmp(out["theta_s"], out["psi_e"], out["b"], flags)
+
+
+def _batch_rawls(flags, sand, clay, bulk_density, **_):
+    phi = 1.0 - bulk_density / PARTICLE_DENSITY
     phi = _floored(phi, flags)
-    out = coeffs.eval_regression(
-        coeffs.load_regression("rawls_brakensiek_1985.csv"),
-        {"sand": sand, "clay": clay, "phi": phi},
-    )
+    out = _regression("rawls_brakensiek_1985.csv", sand=sand, clay=clay, phi=phi)
     return _clamp_bc(out["theta_r"], phi, out["psi_b"], out["lambda"], flags)
 
 
-def _batch_campbell(sand, silt, clay, bd, flags):
+def _batch_campbell(flags, sand, silt, clay, bulk_density, **_):
     c = coeffs.load_constants("campbell_shiozawa_1992.csv")
     total = sand + silt + clay
     f_sand, f_silt, f_clay = sand / total, silt / total, clay / total
@@ -246,59 +190,119 @@ def _batch_campbell(sand, silt, clay, bd, flags):
     inv_sqrt_dg = dg ** -0.5
     b = inv_sqrt_dg + c["b_sigma_coeff"] * sigma_g
     psi_es_kpa = c["air_entry_coeff_kpa"] * inv_sqrt_dg
-    psi_e_kpa = psi_es_kpa * (bd / c["reference_bd"]) ** (c["bd_exponent_coeff"] * b)
+    psi_e_kpa = psi_es_kpa * (bulk_density / c["reference_bd"]) ** (c["bd_exponent_coeff"] * b)
     psi_e = psi_e_kpa * c["kpa_to_cm"]
-    theta_s = 1.0 - bd / c["particle_density"]
+    theta_s = 1.0 - bulk_density / c["particle_density"]
     return _clamp_cmp(theta_s, psi_e, b, flags)
 
 
-def _batch_wosten(silt, clay, bd, oc, topsoil, flags):
-    om = _floored(1.724 * oc, flags)
+def _batch_wosten(flags, silt, clay, bulk_density, organic_carbon, topsoil, **_):
+    om = _floored(1.724 * organic_carbon, flags)
     silt = _floored(silt, flags)
     clay = _floored(clay, flags)
-    bd = _floored(bd, flags)
-    out = coeffs.eval_regression(
-        coeffs.load_regression("wosten_1999.csv"),
-        {"silt": silt, "clay": clay, "om": om, "bd": bd, "topsoil": topsoil},
-    )
+    bd = _floored(bulk_density, flags)
+    top = np.ones(len(silt)) if topsoil is None else np.asarray(topsoil, dtype=np.float64)
+    out = _regression("wosten_1999.csv", silt=silt, clay=clay, om=om, bd=bd, topsoil=top)
     return _clamp_vg(out["theta_r"], out["theta_s"], out["alpha"], out["n"], flags)
 
 
-def _batch_weynants(sand, clay, bd, oc, flags):
-    oc = _floored(oc, flags)
-    out = coeffs.eval_regression(
-        coeffs.load_regression("weynants_2009.csv"),
-        {"sand": sand, "clay": clay, "bd": bd, "oc": oc},
-    )
+def _batch_weynants(flags, sand, clay, bulk_density, organic_carbon, **_):
+    oc = _floored(organic_carbon, flags)
+    out = _regression("weynants_2009.csv", sand=sand, clay=clay, bd=bulk_density, oc=oc)
     return _clamp_vg(out["theta_r"], out["theta_s"], out["alpha"], out["n"], flags)
 
 
-def _batch_vereecken(sand, clay, bd, oc, flags):
-    out = coeffs.eval_regression(
-        coeffs.load_regression("vereecken_1989.csv"),
-        {"sand": sand, "clay": clay, "bd": bd, "oc": oc},
-    )
+def _batch_vereecken(flags, sand, clay, bulk_density, organic_carbon, **_):
+    out = _regression("vereecken_1989.csv", sand=sand, clay=clay, bd=bulk_density,
+                      oc=organic_carbon)
     return _clamp_vg(out["theta_r"], out["theta_s"], out["alpha"], out["n"], flags)
+
+
+# ---------------------------------------------------------------------------
+# the member table
+
+_Member = namedtuple("_Member", "tier family source")
+
+# One row per predictor: input tier, curve family, and parameter source: a
+# class-table file, a batch function of the canonical predictor keywords, or
+# None for a Rosetta slot that predicts only with a registered network.
+_MEMBERS = {
+    PtfId.COSBY0: _Member("A", "cmp", "cosby_1984_classes.csv"),
+    PtfId.CARSEL: _Member("A", "vg", "carsel_parrish_1988_classes.csv"),
+    PtfId.CLAPP: _Member("A", "cmp", "clapp_hornberger_1978_classes.csv"),
+    PtfId.ROSETTA_H1W: _Member("A", "vg", "rosetta_h1w_classes.csv"),
+    PtfId.COSBY1: _Member("B", "cmp", _batch_cosby1),
+    PtfId.COSBY2: _Member("B", "cmp", _batch_cosby2),
+    PtfId.ROSETTA_H2W: _Member("B", "vg", None),
+    PtfId.RAWLS: _Member("C", "bc", _batch_rawls),
+    PtfId.CAMPBELL: _Member("C", "cmp", _batch_campbell),
+    PtfId.ROSETTA_H3W: _Member("C", "vg", None),
+    PtfId.WOSTEN: _Member("D", "vg", _batch_wosten),
+    PtfId.WEYNANTS: _Member("D", "vg", _batch_weynants),
+    PtfId.VEREECKEN: _Member("D", "vg", _batch_vereecken),
+}
+_TIER_FIELDS = {"A": 3, "B": 3, "C": 4, "D": 5}  # leading PREDICTOR_FIELDS of a tier
+# the slots of Rosetta's hierarchical networks, read from rosetta_*.ann files
+_NETWORK_SLOTS = tuple(ptf for ptf in _MEMBERS if ptf.value.startswith("rosetta_"))
+
+GROUPS = dict((tier, tuple(ptf for ptf, row in _MEMBERS.items() if row.tier == tier))
+              for tier in "ABCD")
+FAMILY = dict((ptf, row.family) for ptf, row in _MEMBERS.items())
+
+
+def group_of(ptf):
+    try:
+        return _MEMBERS[PtfId(ptf)].tier
+    except ValueError:
+        raise InputError(f"unknown PTF {ptf!r}") from None
+
+
+def required_inputs(ptf):
+    """Canonical predictor fields a PTF needs. Group A accepts an explicit
+    texture class in place of the three fractions."""
+    return PREDICTOR_FIELDS[:_TIER_FIELDS[_MEMBERS[PtfId(ptf)].tier]]
+
+
+@cache
+def _class_rows(ptf):
+    """Class table as a (12, 4) packed array indexed by USDA class code."""
+    table = coeffs.load_class_table(_MEMBERS[ptf].source, ptf.value)
+    rows = np.full((len(USDA_CLASSES), 4), np.nan)
+    for i, cls in enumerate(USDA_CLASSES):
+        if cls in table.entries:
+            rows[i] = table.entries[cls].packed()
+    return rows
+
+
+def _batch_class(ptf, texture):
+    rows = _class_rows(ptf)[texture]
+    if np.any(~np.isfinite(rows)):
+        bad = np.unique(np.asarray(texture)[~np.isfinite(rows).all(axis=1)])
+        names = ", ".join(USDA_CLASSES[i] for i in bad)
+        raise TableLookupError(f"PTF {ptf} has no entry for texture class(es): {names}")
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # trained-network registry
 
-_ANN_INPUTS = {"sand", "silt", "clay", "bd", "oc"}
+# a network's input name -> its canonical predictor field
+_ANN_INPUTS = {"sand": "sand", "silt": "silt", "clay": "clay",
+               "bd": "bulk_density", "oc": "organic_carbon"}
 _ann_registry = {}
 
 
 def register_ann(ptf, spec):
     """Attach a trained network to one of the rosetta predictor slots."""
     ptf = PtfId(ptf)
-    if ptf not in (PtfId.ROSETTA_H1W, PtfId.ROSETTA_H2W, PtfId.ROSETTA_H3W):
+    if ptf not in _NETWORK_SLOTS:
         raise InputError(f"{ptf} does not accept a trained network")
     if tuple(spec.output_names) != ("theta_r", "theta_s", "alpha", "n"):
         raise DataError(
             f"network for {ptf} must output theta_r theta_s alpha n, "
             f"got {' '.join(spec.output_names)}"
         )
-    unknown = set(spec.input_names) - _ANN_INPUTS
+    unknown = set(spec.input_names).difference(_ANN_INPUTS)
     if unknown:
         raise DataError(f"network for {ptf} uses unknown inputs {sorted(unknown)}")
     _ann_registry[ptf] = spec
@@ -309,8 +313,9 @@ def registered_ann(ptf):
 
 
 def uses_class_table(ptf):
-    """Whether a PTF predicts by class-table lookup: no network registered."""
-    return PtfId(ptf) in _CLASS_TABLES and registered_ann(ptf) is None
+    """Whether a PTF predicts by class-table lookup: a table member with no
+    network registered."""
+    return isinstance(_MEMBERS[PtfId(ptf)].source, str) and registered_ann(ptf) is None
 
 
 def clear_ann_registry():
@@ -320,7 +325,7 @@ def clear_ann_registry():
 def load_rosetta_weights(directory):
     """Register every rosetta_*.ann weight file found in a directory."""
     loaded = []
-    for ptf in (PtfId.ROSETTA_H1W, PtfId.ROSETTA_H2W, PtfId.ROSETTA_H3W):
+    for ptf in _NETWORK_SLOTS:
         path = os.path.join(directory, f"{ptf.value}.ann")
         if os.path.exists(path):
             register_ann(ptf, read_ann_file(path))
@@ -330,10 +335,10 @@ def load_rosetta_weights(directory):
     return loaded
 
 
-def _batch_ann(ptf, spec, arrays, flags):
+def _batch_ann(ptf, spec, flags, **predictors):
     cols = []
     for name in spec.input_names:
-        arr = arrays.get(name)
+        arr = predictors.get(_ANN_INPUTS[name])
         if arr is None:
             raise InputError(f"network for {ptf} needs predictor {name!r}")
         cols.append(arr)
@@ -368,55 +373,24 @@ def predict_batch(ptf, sand=None, silt=None, clay=None, bulk_density=None,
     else:
         raise InputError("missing required predictor 'sand'")
 
-    flags = {}
-    if uses_class_table(ptf):
+    table = uses_class_table(ptf)
+    predictors = dict(zip(PREDICTOR_FIELDS, (sand, silt, clay, bulk_density, organic_carbon)))
+    for name in () if table and texture is not None else required_inputs(ptf):
+        predictors[name] = _as_float_array(name, predictors[name], n)
+    flags, source, spec = {}, _MEMBERS[ptf].source, registered_ann(ptf)
+    if table:
         if texture is None:
-            sand = _as_float_array("sand", sand, n)
-            silt = _as_float_array("silt", silt, n)
-            clay = _as_float_array("clay", clay, n)
-            texture = classify_texture_array(sand, silt, clay)
-        else:
-            texture = np.asarray(texture, dtype=np.int64)
-        rows = _batch_class(ptf, texture, flags)
+            texture = classify_texture_array(*(predictors[f] for f in ("sand", "silt", "clay")))
+        rows = _batch_class(ptf, np.asarray(texture, dtype=np.int64))
+    elif spec is not None:
+        rows = _batch_ann(ptf, spec, flags, **predictors)
+    elif source is None:
+        raise DataError(
+            f"{ptf} needs a trained network; register one with register_ann() "
+            "or load_rosetta_weights()"
+        )
     else:
-        sand = _as_float_array("sand", sand, n)
-        silt = _as_float_array("silt", silt, n)
-        clay = _as_float_array("clay", clay, n)
-        need = required_inputs(ptf)
-        if "bulk_density" in need:
-            bulk_density = _as_float_array("bulk_density", bulk_density, n)
-        if "organic_carbon" in need:
-            organic_carbon = _as_float_array("organic_carbon", organic_carbon, n)
-        spec = registered_ann(ptf)
-        if spec is not None:
-            arrays = {"sand": sand, "silt": silt, "clay": clay,
-                      "bd": bulk_density, "oc": organic_carbon}
-            rows = _batch_ann(ptf, spec, arrays, flags)
-        elif ptf == PtfId.COSBY1:
-            rows = _batch_cosby_regression("cosby_1984_univariate.csv", sand, None, clay, flags)
-        elif ptf == PtfId.COSBY2:
-            rows = _batch_cosby_regression("cosby_1984_bivariate.csv", sand, silt, clay, flags)
-        elif ptf in (PtfId.ROSETTA_H2W, PtfId.ROSETTA_H3W):
-            raise DataError(
-                f"{ptf} needs a trained network; register one with register_ann() "
-                "or load_rosetta_weights()"
-            )
-        elif ptf == PtfId.RAWLS:
-            rows = _batch_rawls(sand, clay, bulk_density, flags)
-        elif ptf == PtfId.CAMPBELL:
-            rows = _batch_campbell(sand, silt, clay, bulk_density, flags)
-        elif ptf == PtfId.WOSTEN:
-            if topsoil is None:
-                top = np.ones(n, dtype=np.float64)
-            else:
-                top = np.asarray(topsoil, dtype=np.float64)
-            rows = _batch_wosten(silt, clay, bulk_density, organic_carbon, top, flags)
-        elif ptf == PtfId.WEYNANTS:
-            rows = _batch_weynants(sand, clay, bulk_density, organic_carbon, flags)
-        elif ptf == PtfId.VEREECKEN:
-            rows = _batch_vereecken(sand, clay, bulk_density, organic_carbon, flags)
-        else:
-            raise InputError(f"unhandled PTF {ptf!r}")
+        rows = source(flags, topsoil=topsoil, **predictors)
 
     if not np.all(np.isfinite(rows)):
         bad = int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])

@@ -626,11 +626,16 @@ def test_non_utf8_input_is_a_reported_error(capsys, tmp_path, sample_file, reade
     assert f"{bad}: not UTF-8 text (invalid start byte at byte {offset})" in err
 
 
+OUTPUT_FILES = ["samples.csv", "report.tsv", "replicas.tsv", "predictions.tsv",
+                "mean_sat.asc", "manifest.json"]
+
+
 @pytest.mark.parametrize("case", ["out", "data", "schema", "config", "weights", "bd-grid",
-                                  "oc-grid", "network"])
-def test_path_problems_are_reported_errors(capsys, tmp_path, case):
-    """A file that is missing or a directory, or an --out that is a file,
-    exits 1 (a network file that cannot be read: 2) naming the path."""
+                                  "oc-grid", "network", *OUTPUT_FILES])
+def test_path_problems_are_reported_errors(capsys, tmp_path, sample_file, case):
+    """A file that is missing or a directory, an --out that is a file, or an
+    output file that cannot be written (here a directory) exits 1 (a network
+    file that cannot be read: 2) naming the path."""
     (tmp_path / "dir").mkdir()
     (tmp_path / "nets" / "rosetta_h2w.ann").mkdir(parents=True)
     (tmp_path / "file").write_text("")
@@ -646,6 +651,7 @@ def test_path_problems_are_reported_errors(capsys, tmp_path, case):
     grids = ("map", "--weights", tmp_path / "replicas.tsv",
              *(arg for n in ("sand", "silt", "clay")
                for arg in (f"--{n}-grid", tmp_path / f"{n}.asc")))
+    written = tmp_path / "out" / case  # an output file, made a directory below
     argv, path, expected = {
         "out": (("ingest", "--data", raw, "--schema", schema), tmp_path / "file", 1),
         "data": (("ingest", "--data", d, "--schema", schema), d, 1),
@@ -656,7 +662,18 @@ def test_path_problems_are_reported_errors(capsys, tmp_path, case):
         "oc-grid": ((*grids, "--oc-grid", d), d, 1),
         "network": ((*predict, "--rosetta-dir", tmp_path / "nets"),
                     tmp_path / "nets" / "rosetta_h2w.ann", 2),
+        "samples.csv": (("ingest", "--data", raw, "--schema", schema), written, 1),
+        "report.tsv": (("evaluate", "--data", sample_file, "--members", "cosby1,carsel"),
+                       written, 1),
+        "replicas.tsv": (("calibrate", "--data", sample_file, "--members", "cosby1,carsel",
+                          "--replicas", "2"), written, 1),
+        "predictions.tsv": (predict, written, 1),
+        "mean_sat.asc": (grids, written, 1),
+        "manifest.json": (("predict", "--weights", tmp_path / "weights.tsv",
+                           "--data", sample_file), written, 1),
     }[case]
+    if path == written:
+        written.mkdir(parents=True)
     out = tmp_path / ("file" if case == "out" else "out")
     code, _, err = run(capsys, *argv, "--out", out)
     assert code == expected and str(path) in err, err
@@ -695,6 +712,40 @@ def test_config_token_splice_fuzz(config_dir, text):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["predict", "--config", str(cfg), "--weights",
                      str(config_dir / "weights.tsv"), "--out", str(config_dir / "out")])
+    assert code in (0, 1, 2), err.getvalue()
+
+
+CALIBRATE_CONFIG = """\
+# a stratified calibration
+members = cosby1,carsel,wosten
+scheme = oc
+oc_edges = 0.5,1.5
+min_stratum_points = 5
+seed = 3
+"""
+
+
+@pytest.fixture(scope="module")
+def calibrate_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("calibrate")
+    rng = np.random.default_rng(80)
+    write_samples(path / "samples.csv", synthetic_population(rng, 15, PtfId.CARSEL, noise=0.01))
+    return path
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(spliced_text(CALIBRATE_CONFIG))
+def test_calibrate_config_token_splice_fuzz(calibrate_dir, text):
+    """A calibrate run with a spliced config file succeeds or exits 1 or 2;
+    none exits 3. The replica count is appended after the spliced text, so
+    no splice can make it huge."""
+    cfg = calibrate_dir / "cfg.txt"
+    with open(cfg, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text + "\nreplicas = 2\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["calibrate", "--config", str(cfg), "--data",
+                     str(calibrate_dir / "samples.csv"), "--out", str(calibrate_dir / "out")])
     assert code in (0, 1, 2), err.getvalue()
 
 
@@ -762,8 +813,7 @@ def test_map_output_failure_matches_serial(capsys, monkeypatch, sample_file, tmp
             os.waitpid(-1, os.WNOHANG)
         outcomes.append((code, stdout, err.replace(str(out), "<out>")))
     assert outcomes[0] == outcomes[1]
-    assert outcomes[0] == (3, "", "internal error: IsADirectoryError: [Errno 21] "
-                                  f"Is a directory: '<out>/{bad}'\n")
+    assert outcomes[0] == (1, "", f"error: <out>/{bad}: Is a directory\n")
 
 
 def package_env(**extra):

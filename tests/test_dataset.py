@@ -32,6 +32,7 @@ from ptfens.dataset import (
     write_removals,
     write_samples,
 )
+from ptfens.ptf import LAYER_LIMITS
 from ptfens.texture import classify_texture
 from helpers import Record, make_sample, observations, sample_table, spliced_text
 
@@ -220,6 +221,27 @@ def test_schema_token_splice_fuzz(schema_dir, text):
         ingest(schema_dir / "raw.csv", read_schema(path))
     except DataError:
         pass
+
+
+RAW_EXPORT_TEXT = ("pedon\tsa\tsi\tcl\tdb\tc_org\tw330\tw15000\n"
+                   "P1\t40\t40\t20\t1.4\t1.0\t0.30\t0.15\n"
+                   "P2\t10\t60\t30\t1.2\t\t0.35\t0.20\n"
+                   "P3\t 80 \t12\t8\t1.6\t150\t0.18\t\n")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(spliced_text(RAW_EXPORT_TEXT))
+def test_raw_export_token_splice_fuzz(schema_dir, text):
+    """A spliced raw export ingests, each row kept or removed once, or raises
+    a DataError; nothing else escapes."""
+    path = schema_dir / "export.txt"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    try:
+        result = ingest(path, SCHEMA)
+    except DataError:
+        return
+    assert len(result.samples) + len(result.removals) == result.n_rows
 
 
 # the twelve-row quality fixture; expected survivors and removals are frozen
@@ -527,6 +549,11 @@ NON_FINITE_ROWS = [
      "water content at psi=15000 is negative: '-0.05'"),
     (("P2", 40, 40, 20, 1.4, 1.0, -0.2, ""), "water content at psi=330 is negative: '-0.2'"),
     (("P2", 40, 40, 20, 1.4, 1.0, "-inf", -1), "water content at psi=330 is not finite: '-inf'"),
+    (("P2", 40, 40, 20, 1.4, -5, 0.30, 0.15), "field 'organic_carbon' is outside [0, 100]: '-5'"),
+    (("P2", 40, 40, 20, 1.4, 150, 0.30, 0.15),
+     "field 'organic_carbon' is outside [0, 100]: '150'"),
+    (("P2", 40, 40, 20, 1.4, 100.5, "x", 0.15),
+     "field 'organic_carbon' is outside [0, 100]: '100.5'"),
 ]
 
 
@@ -804,6 +831,9 @@ def reference_ingest(header, rows, schema):
                     fault = ("BAD_NUMBER", f"field {name!r} is not finite: {raw!r}")
                 elif name in ("sand", "silt", "clay") and v < 0.0:
                     fault = ("BAD_NUMBER", f"field {name!r} is negative: {raw!r}")
+                elif name == "organic_carbon" and not 0.0 <= v <= LAYER_LIMITS[name]:
+                    fault = ("BAD_NUMBER",
+                             f"field {name!r} is outside [0, {LAYER_LIMITS[name]:g}]: {raw!r}")
         if not fault:
             total = (values["sand"] or 0.0) + (values["silt"] or 0.0) + (values["clay"] or 0.0)
             if abs(total - 100.0) > 1.0:

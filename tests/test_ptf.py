@@ -1,5 +1,8 @@
 """The thirteen retention-parameter predictors."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,7 +27,7 @@ from ptfens import (
     write_ann_file,
 )
 from ptfens.coeffs import load_class_table
-from ptfens.ptf import load_rosetta_weights
+from ptfens.ptf import load_rosetta_weights, uses_class_table
 from helpers import constant_net
 
 LOAM = PredictorRecord(sand=40.0, silt=40.0, clay=20.0,
@@ -64,6 +67,67 @@ def test_group_partition():
     for g in "ABCD":
         for m in GROUPS[g]:
             assert group_of(m) == g
+
+
+# each member as described before the member table: group, curve family,
+# number of leading predictor fields needed, and whether it reads a class
+# table without and with a network registered in every slot that takes one
+MEMBER_FACTS = {
+    "cosby0": ("A", "cmp", 3, True, True),
+    "carsel": ("A", "vg", 3, True, True),
+    "clapp": ("A", "cmp", 3, True, True),
+    "rosetta_h1w": ("A", "vg", 3, True, False),
+    "cosby1": ("B", "cmp", 3, False, False),
+    "cosby2": ("B", "cmp", 3, False, False),
+    "rosetta_h2w": ("B", "vg", 3, False, False),
+    "rawls": ("C", "bc", 4, False, False),
+    "campbell": ("C", "cmp", 4, False, False),
+    "rosetta_h3w": ("C", "vg", 4, False, False),
+    "wosten": ("D", "vg", 5, False, False),
+    "weynants": ("D", "vg", 5, False, False),
+    "vereecken": ("D", "vg", 5, False, False),
+}
+NETWORK_SLOTS = ("rosetta_h1w", "rosetta_h2w", "rosetta_h3w")
+
+
+def test_member_table_keeps_every_members_facts():
+    assert GROUPS == {g: tuple(PtfId(m) for m, f in MEMBER_FACTS.items() if f[0] == g)
+                      for g in "ABCD"}
+    assert list(GROUPS) == list("ABCD")
+    assert FAMILY == {PtfId(m): f[1] for m, f in MEMBER_FACTS.items()}
+    fields = ("sand", "silt", "clay", "bulk_density", "organic_carbon")
+    net = constant_net(("sand", "silt", "clay"), (0.05, 0.45, 0.02, 1.4))
+    for networks in (False, True):
+        for m in NETWORK_SLOTS if networks else ():
+            register_ann(m, net)
+        for m, (group, _, k, table, table_with_net) in MEMBER_FACTS.items():
+            assert group_of(m) == group_of(PtfId(m)) == group
+            assert required_inputs(m) == required_inputs(PtfId(m)) == fields[:k]
+            assert uses_class_table(m) == (table_with_net if networks else table), m
+    for m in set(MEMBER_FACTS) - set(NETWORK_SLOTS):
+        with pytest.raises(InputError, match="does not accept a trained network"):
+            register_ann(m, net)
+    with pytest.raises(InputError, match="unknown PTF 'nope'"):
+        group_of("nope")
+    for lookup in (required_inputs, uses_class_table):
+        with pytest.raises(ValueError):
+            lookup("nope")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_TIERS = {"texture class": "A", "sand, silt, clay": "B", "+ bulk density": "C",
+                "+ organic carbon": "D"}
+README_FAMILIES = {"Campbell": "cmp", "van Genuchten": "vg", "Brooks\u2013Corey": "bc"}
+
+
+def test_readme_predictor_table_matches_the_members():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## The thirteen predictors\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+?) \| ([^|]+?) \|$", section, flags=re.M)
+    assert [PtfId(ptf) for ptf, _, _ in rows] == list(ALL_PTFS)
+    for ptf, inputs, family in rows:
+        assert PtfId(ptf) in GROUPS[README_TIERS[inputs]], ptf
+        assert FAMILY[PtfId(ptf)] == README_FAMILIES[family], ptf
 
 
 def test_required_inputs_by_group():
