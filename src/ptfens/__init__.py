@@ -3,8 +3,10 @@
 Thirteen published point predictors of retention-curve parameters, weighted
 ensembles of them calibrated by exact least squares on the weight simplex
 with bootstrap uncertainty, and application of calibrated ensembles to
-gridded soil layers. The paper's genetic algorithm (optimize_weights) is kept
-as a standalone solver on a point set; calibration does not use it.
+gridded soil layers. Prediction is batch-first: a profile given by scalars
+is a batch of one (profile_arrays), on the path of a sample table or a map.
+The paper's genetic algorithm (optimize_weights) is kept as a standalone
+solver on a point set; calibration does not use it.
 """
 
 __version__ = "0.1.0"
@@ -73,14 +75,12 @@ from .ptf import (
     FAMILY,
     GROUPS,
     ParamBatch,
-    PredictorRecord,
     PtfId,
     clear_ann_registry,
-    group_of,
     load_rosetta_weights,
     predict,
     predict_batch,
-    predict_theta,
+    profile_arrays,
     register_ann,
     required_inputs,
 )
@@ -92,8 +92,6 @@ from .retention import (
     CampbellParams,
     RetentionParams,
     VanGenuchtenParams,
-    derived_points,
     theta_at,
-    theta_many,
 )
-from .texture import USDA_CLASSES, classify_texture, classify_texture_array
+from .texture import USDA_CLASSES, classify_texture_array

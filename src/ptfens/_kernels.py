@@ -7,11 +7,12 @@ record plus a float64 row of up to four parameters,
     family 1 (Brooks-Corey):  theta_r, theta_s, psi_b, lambda
     family 2 (Campbell):      theta_s, psi_e, b, unused
 
-theta_points is the one entry to the curve formulas (_vg, _bc, _cmp); the
-scalar evaluator retention.theta_at and every batch path call it. At psi = 0
-each formula gives theta_s exactly, so a caller may read it (THETA_S_COLUMN).
-weighted_sum is the one weighted sum of member water contents, for predict
-and the map's mean; replica_mean_std gives the map's replica spread in
+theta_points is the one entry to the curve formulas (_vg, _bc, _cmp): every
+batch path (ptf.member_thetas, ensemble.point_matrix) calls it, and so does
+retention.theta_at on one parameter set. At psi = 0 each formula gives
+theta_s exactly, so a caller may read it (THETA_S_COLUMN). weighted_sum is
+the one weighted sum of member water contents, for predict, evaluate's
+ensemble row and the map's mean; replica_mean_std gives the map's replica spread in
 closed form from the weights, one row of the triangular factor at a time.
 """
 

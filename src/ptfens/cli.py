@@ -19,10 +19,10 @@ import sys
 
 import numpy as np
 
-from . import __version__, coeffs, dataset, ensemble, mapping, metrics
-from .errors import ConfigError, DataError, open_text
-from .ptf import (ALL_PTFS, GROUPS, LAYER_LIMITS, PREDICTOR_FIELDS, PredictorRecord, PtfId,
-                  clear_ann_registry, load_rosetta_weights)
+from . import __version__, _kernels, coeffs, dataset, ensemble, mapping, metrics
+from .errors import ConfigError, DataError, key_value_lines
+from .ptf import (ALL_PTFS, GROUPS, LAYER_LIMITS, PREDICTOR_FIELDS, PtfId, clear_ann_registry,
+                  load_rosetta_weights, profile_arrays)
 from .texture import TEXTURE_SUM_TOLERANCE, USDA_CLASSES
 
 
@@ -43,17 +43,7 @@ def _sha256(path):
 
 def read_config(path):
     """key = value file; # comments and blank lines ignored."""
-    out = {}
-    with open_text(path, ConfigError) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
-    return out
+    return {key: value for _, key, value in key_value_lines(path, ConfigError)}
 
 
 class _Settings:
@@ -98,26 +88,33 @@ def _require_file(path, what):
 
 
 def _select_members(settings):
+    """The --members or --group selection, else all members. A value given
+    empty (flag or config file), or an id given twice, is a ConfigError."""
     members = settings.get("members")
     group = settings.get("group")
-    if members and group:
+    if members is not None and group is not None:
         raise ConfigError("--members and --group are mutually exclusive")
-    if group:
+    if group is not None:
         key = group.strip().upper()
         if key not in GROUPS:
-            raise ConfigError(f"unknown group {group!r}; choose from {sorted(GROUPS)}")
+            raise ConfigError(f"bad --group {group!r}: choose from {sorted(GROUPS)}")
         return GROUPS[key]
-    if members:
-        out = []
-        for name in members.split(","):
-            name = name.strip()
-            try:
-                out.append(PtfId(name))
-            except ValueError:
-                valid = ", ".join(p.value for p in ALL_PTFS)
-                raise ConfigError(f"unknown PTF {name!r}; valid ids: {valid}") from None
-        return tuple(out)
-    return ALL_PTFS
+    if members is None:
+        return ALL_PTFS
+    if not members.strip():
+        raise ConfigError(f"bad --members {members!r}: no PTF id given")
+    out = []
+    for name in members.split(","):
+        name = name.strip()
+        try:
+            out.append(PtfId(name))
+        except ValueError:
+            valid = ", ".join(p.value for p in ALL_PTFS)
+            raise ConfigError(f"unknown PTF {name!r}; valid ids: {valid}") from None
+    for m in out:
+        if out.count(m) > 1:
+            raise ConfigError(f"bad --members {members!r}: {m.value} is given twice")
+    return tuple(out)
 
 
 def _write_manifest(out_dir, command, settings, input_paths):
@@ -160,10 +157,10 @@ def _psi_list(settings):
     return heads
 
 
-def _predictor_record(settings, topsoil):
-    """The record of the predict flags. A value that ingest rejects or map
-    makes nodata, or an unknown texture class, is a ConfigError naming its
-    flag."""
+def _profile_arrays(settings, topsoil):
+    """predict_batch keyword arrays of the predict flags, a batch of one. A
+    value that ingest rejects or map makes nodata, or an unknown texture
+    class, is a ConfigError naming its flag."""
     values = {name: settings.get(name, None, float) for name in PREDICTOR_FIELDS}
     for name, value in values.items():
         limit = LAYER_LIMITS.get(name)
@@ -178,7 +175,7 @@ def _predictor_record(settings, topsoil):
     if texture_class is not None and texture_class not in USDA_CLASSES:
         raise ConfigError(f"bad --texture-class {texture_class!r}: must be one of "
                           f"{', '.join(USDA_CLASSES)}")
-    return PredictorRecord(**values, texture_class=texture_class, topsoil=topsoil)
+    return profile_arrays(**values, texture_class=texture_class, topsoil=topsoil)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +242,8 @@ def cmd_evaluate(settings, out_dir):
                          metrics.aicc(fit, context)))
 
     if vector:
-        ens = vector.as_array() @ np.stack([member_rows[m] for m in vector.members])
+        ens = _kernels.weighted_sum(vector.as_array(),
+                                    np.stack([member_rows[m] for m in vector.members]))
         fit = metrics.FitSummary.from_predictions(ens, observed,
                                                   n_params=len(vector.members))
         rows.append(("ensemble", fit, metrics.aic(fit, context),
@@ -346,10 +344,10 @@ def cmd_predict(settings, out_dir):
     if data:
         samples = dataset.read_samples(_require_file(data, "input data file (--data)"))
         ids, theta = samples.ids, ensemble.samples_theta(vector, samples, psi_values, topsoil)
-    else:  # a record is a batch of one on the same path
-        rec = _predictor_record(settings, topsoil)
-        ids, theta = ["record"], [ensemble.ensemble_theta(vector, rec, psi_values)]
-    rows = [(sid, psi, t) for sid, sample in zip(ids, np.asarray(theta).tolist())
+    else:  # a profile is a batch of one on the same path
+        ids, theta = ["record"], ensemble.ensemble_theta(
+            vector, psi_values, **_profile_arrays(settings, topsoil))
+    rows = [(sid, psi, t) for sid, sample in zip(ids, theta.tolist())
             for psi, t in zip(psi_values, sample)]
 
     with open(os.path.join(out_dir, "predictions.tsv"), "w", encoding="utf-8") as fh:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, InputError, SchemaError, open_text
+from .errors import ConfigError, InputError, SchemaError, key_value_lines, open_text
 from .ptf import LAYER_LIMITS
 from .texture import TEXTURE_SUM_TOLERANCE, USDA_CLASSES, classify_texture_array
 
@@ -201,27 +201,19 @@ def read_schema(path):
     columns = {}
     theta_columns = {}
     options = {}
-    with open_text(path, SchemaError) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise SchemaError(f"{path}:{lineno}: expected key = value, got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key in ("theta_units", "delimiter", "required_fields"):
-                options[key] = value
-            elif key.startswith("theta_"):
-                try:
-                    head = float(key[len("theta_"):])
-                except ValueError:
-                    raise SchemaError(f"{path}:{lineno}: bad head in {key!r}") from None
-                theta_columns[head] = value
-            elif key in _METADATA_FIELDS:
-                columns[key] = value
-            else:
-                raise SchemaError(f"{path}:{lineno}: unknown schema key {key!r}")
+    for lineno, key, value in key_value_lines(path, SchemaError):
+        if key in ("theta_units", "delimiter", "required_fields"):
+            options[key] = value
+        elif key.startswith("theta_"):
+            try:
+                head = float(key[len("theta_"):])
+            except ValueError:
+                raise SchemaError(f"{path}:{lineno}: bad head in {key!r}") from None
+            theta_columns[head] = value
+        elif key in _METADATA_FIELDS:
+            columns[key] = value
+        else:
+            raise SchemaError(f"{path}:{lineno}: unknown schema key {key!r}")
     kwargs = {}
     if "theta_units" in options:
         kwargs["theta_units"] = options["theta_units"]

@@ -18,9 +18,9 @@ global weights for strata with too few points. Strata are assigned by
 dataset.stratum_indices over the sample table's columns; a StratifiedModel
 holds one CalibrationResult per calibrated stratum and the global one, and
 predictions and maps apply one weight vector at a time. A prediction, of one
-record (ensemble_theta) or of a sample table (samples_theta), takes the
-map's path: ptf.member_thetas summed member by member
-(_kernels.weighted_sum), so a record equals its table row bit for bit.
+profile (a batch of one) or of a sample table (samples_theta), is
+ensemble_theta, the map's path: ptf.member_thetas summed member by member
+(_kernels.weighted_sum), so a profile equals its table row bit for bit.
 
 All randomness derives from one master seed. Replica r of a calibration
 draws its bootstrap from (seed..., r, 0); stratum calibrations extend the
@@ -37,7 +37,7 @@ from . import _kernels
 from .dataset import (DEFAULT_OC_EDGES, _seed_path, bootstrap_split, stratum_indices,
                       stratum_key)
 from .errors import ConfigError, InputError, PtfensError, open_text
-from .ptf import PtfId, _record_arrays, member_batches, member_thetas, required_inputs
+from .ptf import PtfId, member_batches, member_thetas, required_inputs
 from .ptf import predict_batch  # noqa: F401 - uncalled; in pipebench tracer.TARGETS
 from .retention import FIELD_CAPACITY_HEAD, WILTING_POINT_HEAD, _check_psi
 from .ptf import predict  # noqa: F401 - uncalled; in pipebench tracer.TARGETS
@@ -125,20 +125,14 @@ def chi2(weights, member_preds, observed):
     return float(np.sum((ens - observed) ** 2))
 
 
-def _theta_rows(weights, heads, arrays):
-    """(rows, heads) weighted-mean water contents of predict_batch keyword
-    arrays: ptf.member_thetas weighted by _kernels.weighted_sum."""
-    thetas = member_thetas(weights.members, heads, **arrays)
+def ensemble_theta(weights, heads, **arrays):
+    """(rows, heads) weighted-mean water contents of rows of predict_batch
+    keyword arrays: ptf.member_thetas weighted by _kernels.weighted_sum. A
+    row's bytes do not depend on the other rows, so one profile
+    (ptf.profile_arrays) equals its sample-table row (samples_theta)."""
+    thetas = member_thetas(weights.members, _check_psi(heads).reshape(-1), **arrays)
     flat = _kernels.weighted_sum(weights.as_array(), thetas.reshape(len(thetas), -1))
     return flat.reshape(thetas.shape[1:]).T
-
-
-def ensemble_theta(weights, rec, psi):
-    """Weighted-mean water content for one record at one or more heads: a
-    batch of one on samples_theta's path, equal to its row bit for bit."""
-    heads = _check_psi(psi)
-    out = _theta_rows(weights, heads.reshape(-1), _record_arrays(rec))[0]
-    return float(out[0]) if heads.ndim == 0 else out.reshape(heads.shape)
 
 
 def _fit_inputs(member_preds, observed, members):
@@ -322,14 +316,9 @@ def _predictor_arrays(members, table, topsoil=True):
 
 
 def samples_theta(weights, samples, heads, topsoil=True):
-    """Weighted-mean water content of every sample at every head.
-
-    The batch form of ensemble_theta: a (samples, heads) array from the
-    map's member evaluation and member-ordered sum, so a sample's row does
-    not depend on the other samples in the table.
-    """
-    arrays = _predictor_arrays(weights.members, samples, topsoil)
-    return _theta_rows(weights, _check_psi(heads).reshape(-1), arrays)
+    """Weighted-mean water content of every sample at every head: the
+    (samples, heads) ensemble_theta of the table's predictor columns."""
+    return ensemble_theta(weights, heads, **_predictor_arrays(weights.members, samples, topsoil))
 
 
 def point_matrix(members, samples):

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the package, and the text-file opener
-that turns unreadable files and undecodable bytes into one of these errors.
+"""Exception hierarchy shared across the package, the text-file opener that
+turns unreadable files and undecodable bytes into one of these errors, and
+the key = value line reader of config and schema files.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataError (and
 subclasses) -> 2, anything else -> 3, except an OSError (an output that
@@ -72,3 +73,19 @@ def open_text(path, error, newline=None):
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return io.StringIO(text, newline=newline)
+
+
+def key_value_lines(path, error):
+    """(line number, key, value) of each key = value line of a text file,
+    key and value stripped; blank lines and # comments are skipped. A line
+    without '=' raises error (ConfigError or SchemaError) naming the file
+    and line, as does a file that open_text cannot read."""
+    with open_text(path, error) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise error(f"{path}:{lineno}: expected key = value, got {line!r}")
+            key, _, value = line.partition("=")
+            yield lineno, key.strip(), value.strip()

@@ -276,8 +276,8 @@ def apply_ensemble_map(layers, replica_weights, heads=MAP_HEADS, topsoil=True,
 
     replica_weights is the list of calibrated weight vectors, one per
     bootstrap replica, all over the same member list; at least two are
-    needed for a spread estimate. heads are suctions in cm, finite and >= 0,
-    as theta_at takes them. Blocks of whole rows hold about
+    needed for a spread estimate. heads are suctions in cm, finite and >= 0.
+    Blocks of whole rows hold about
     block_cells cells (at least one row), so memory is flat in raster width
     and replica count; the default, MAP_BLOCK_CELLS, keeps a block's
     columns small enough to be reused from the heap. No output byte depends

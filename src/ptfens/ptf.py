@@ -11,9 +11,10 @@ predictor consumes:
     C  B + bulk density
     D  C + organic carbon
 
-All prediction is batch-first over arrays; the scalar entry points wrap a
-batch of one, and member_batches is the one path to ensemble members'
-parameters for every command (member_thetas and ensemble.point_matrix). Out-of-domain outputs
+All prediction is batch-first over arrays: a profile given by scalars is a
+batch of one (profile_arrays turns it into predict_batch's keyword arrays),
+and member_batches is the one path to ensemble members' parameters for
+every command (member_thetas and ensemble.point_matrix). Out-of-domain outputs
 are clamped into the valid parameter domain and flagged rather than
 rejected, so downstream ensembles always get an evaluable curve.
 Predictors that take a variable inside ln() or 1/x floor it at a small
@@ -37,13 +38,7 @@ import numpy as np
 from . import _kernels, coeffs
 from .ann import ann_forward, read_ann_file
 from .errors import DataError, InputError, MemberPredictionError, PtfensError, TableLookupError
-from .retention import (
-    FAMILY_CODES,
-    BrooksCoreyParams,
-    CampbellParams,
-    VanGenuchtenParams,
-    theta_at,
-)
+from .retention import FAMILY_CODES, BrooksCoreyParams, CampbellParams, VanGenuchtenParams
 from .texture import USDA_CLASSES, classify_texture_array
 
 PARTICLE_DENSITY = 2.65  # g/cm3, standard mineral soil assumption
@@ -78,19 +73,6 @@ class PtfId(str, Enum):
 
 
 ALL_PTFS = tuple(PtfId)
-
-@dataclass(frozen=True)
-class PredictorRecord:
-    """One profile's predictors. Unknown fields stay None."""
-
-    sand: float = None
-    silt: float = None
-    clay: float = None
-    bulk_density: float = None
-    organic_carbon: float = None
-    texture_class: str = None
-    topsoil: bool = True
-
 
 @dataclass(frozen=True)
 class ParamBatch:
@@ -250,13 +232,6 @@ GROUPS = dict((tier, tuple(ptf for ptf, row in _MEMBERS.items() if row.tier == t
 FAMILY = dict((ptf, row.family) for ptf, row in _MEMBERS.items())
 
 
-def group_of(ptf):
-    try:
-        return _MEMBERS[PtfId(ptf)].tier
-    except ValueError:
-        raise InputError(f"unknown PTF {ptf!r}") from None
-
-
 def required_inputs(ptf):
     """Canonical predictor fields a PTF needs. Group A accepts an explicit
     texture class in place of the three fractions."""
@@ -399,16 +374,20 @@ def predict_batch(ptf, sand=None, silt=None, clay=None, bulk_density=None,
     return ParamBatch(ptf=ptf, codes=codes, rows=rows, flags=flags)
 
 
-def _record_arrays(rec):
-    """predict_batch keyword arrays of one row from a record; a texture class
-    becomes its class code, which serves class-table members only."""
-    arrays = {name: np.array([float(getattr(rec, name))]) for name in PREDICTOR_FIELDS
-              if getattr(rec, name) is not None}
-    if rec.texture_class is not None:
-        if rec.texture_class not in USDA_CLASSES:
-            raise InputError(f"unknown texture class {rec.texture_class!r}")
-        arrays["texture"] = np.array([USDA_CLASSES.index(rec.texture_class)])
-    arrays["topsoil"] = np.array([1.0 if rec.topsoil else 0.0])
+def profile_arrays(sand=None, silt=None, clay=None, bulk_density=None,
+                   organic_carbon=None, texture_class=None, topsoil=True):
+    """predict_batch keyword arrays of one profile, a batch of one: each
+    predictor given becomes a one-row array (None means unknown, and is left
+    out), and a texture class its class code, which serves class-table
+    members only."""
+    values = (sand, silt, clay, bulk_density, organic_carbon)
+    arrays = {name: np.array([float(value)]) for name, value in zip(PREDICTOR_FIELDS, values)
+              if value is not None}
+    if texture_class is not None:
+        if texture_class not in USDA_CLASSES:
+            raise InputError(f"unknown texture class {texture_class!r}")
+        arrays["texture"] = np.array([USDA_CLASSES.index(texture_class)])
+    arrays["topsoil"] = np.array([1.0 if topsoil else 0.0])
     return arrays
 
 
@@ -465,13 +444,9 @@ def params_from_row(family, row, flags=()):
     raise InputError(f"unknown parameter family {family!r}")
 
 
-def predict(ptf, rec):
-    """Predict retention parameters for a single record."""
-    batch = predict_batch(ptf, **_record_arrays(rec))
+def predict(ptf, **profile):
+    """Retention parameters of one profile, given by profile_arrays' scalar
+    keywords: predict_batch on a batch of one."""
+    batch = predict_batch(ptf, **profile_arrays(**profile))
     flags = tuple(sorted(name for name, mask in batch.flags.items() if mask[0]))
     return params_from_row(FAMILY[batch.ptf], batch.rows[0], flags=flags)
-
-
-def predict_theta(ptf, rec, psi):
-    """Predict water content directly at one or more pressure heads."""
-    return theta_at(predict(ptf, rec), psi)

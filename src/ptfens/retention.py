@@ -1,11 +1,13 @@
 """Closed-form water retention curve families.
 
 Pressure head psi is a positive suction magnitude in cm of water throughout
-(0 = saturation, larger = drier). All parameter containers are immutable and
-validated on construction and pack into the kernels' (family code, row)
-form. The curve formulas live only in _kernels, behind theta_points: theta_at
+(0 = saturation, larger = drier). The parameter containers are immutable,
+validated on construction, and pack into the kernels' (family code, row)
+form; coeffs.load_class_table validates class-table rows with them, and
+ptf.predict returns one for a single profile. The curve formulas live only
+in _kernels, behind theta_points, which every batch path calls: theta_at
 evaluates one parameter set through it at a scalar psi or an array of psi
-values, and theta_many evaluates many parameter sets point by point.
+values.
 """
 
 from dataclasses import dataclass, field
@@ -126,33 +128,3 @@ def theta_at(p: RetentionParams, psi):
     rows = np.broadcast_to(np.asarray(p.packed(), dtype=np.float64), (flat.size, 4))
     out = _kernels.theta_points(codes, rows, flat).reshape(psi.shape)
     return float(out) if out.ndim == 0 else out
-
-
-def derived_points(p: RetentionParams):
-    """(theta_sat, theta_fc, theta_wp): water content at 0, 330 and 15000 cm."""
-    return (
-        theta_at(p, SATURATION_HEAD),
-        theta_at(p, FIELD_CAPACITY_HEAD),
-        theta_at(p, WILTING_POINT_HEAD),
-    )
-
-
-def pack_params(params_list):
-    """Pack parameter sets into (family codes, parameter rows) for the kernels."""
-    codes = np.empty(len(params_list), dtype=np.int8)
-    rows = np.zeros((len(params_list), 4), dtype=np.float64)
-    for i, p in enumerate(params_list):
-        codes[i] = FAMILY_CODES[p.family]
-        rows[i, :] = p.packed()
-    return codes, rows
-
-
-def theta_many(params_list, psi):
-    """Water content for record i at suction psi[i] over packed parameter sets."""
-    codes, rows = pack_params(params_list)
-    psi = _check_psi(psi)
-    if psi.shape != codes.shape:
-        raise InputError(
-            f"psi length {psi.size} does not match {codes.size} parameter sets"
-        )
-    return _kernels.theta_points(codes, rows, psi)

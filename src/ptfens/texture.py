@@ -76,11 +76,3 @@ def classify_texture_array(sand, silt, clay):
             f"(sand={sand.flat[where]}, silt={silt.flat[where]}, clay={clay.flat[where]})"
         )
     return idx
-
-
-def classify_texture(sand, silt, clay):
-    """USDA texture class name for one sand/silt/clay triple (mass %)."""
-    idx = classify_texture_array(
-        np.atleast_1d(sand), np.atleast_1d(silt), np.atleast_1d(clay)
-    )
-    return USDA_CLASSES[int(idx[0])]

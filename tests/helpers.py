@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 from hypothesis import strategies as st
 
-from ptfens import USDA_CLASSES, AnnSpec, PredictorRecord, SampleTable, predict_theta
+from ptfens import USDA_CLASSES, AnnSpec, SampleTable, predict, theta_at
 from ptfens import ptf as ptf_module
 from ptfens.dataset import _NUMERIC_FIELDS
 
@@ -84,12 +84,12 @@ def population_records(rng, n, true_ptf, noise=0.0, prefix="s",
     oc = rng.uniform(0.2, 4.0, size=n)
     samples = []
     for i in range(n):
-        rec = PredictorRecord(sand=sand[i], silt=silt[i], clay=clay[i],
-                              bulk_density=bd[i], organic_carbon=oc[i])
+        params = predict(true_ptf, sand=sand[i], silt=silt[i], clay=clay[i],
+                         bulk_density=bd[i], organic_carbon=oc[i])
         obs = []
         prev = None
         for psi in sorted(heads):
-            theta = predict_theta(true_ptf, rec, psi)
+            theta = theta_at(params, psi)
             theta += rng.normal(0.0, noise) if noise else 0.0
             theta = min(max(theta, 0.01), 0.59)
             if prev is not None:
@@ -104,6 +104,36 @@ def population_records(rng, n, true_ptf, noise=0.0, prefix="s",
 def synthetic_population(rng, n, true_ptf, **kwargs):
     """The SampleTable of population_records."""
     return sample_table(population_records(rng, n, true_ptf, **kwargs))
+
+
+def curve_theta(params, psi):
+    """Water content of one retention parameter set at suction psi (cm), from
+    the published closed forms, written apart from the package's kernels:
+
+        van Genuchten: theta_r + (theta_s - theta_r) / (1 + (alpha psi)^n)^(1 - 1/n)
+        Brooks-Corey:  theta_s up to psi_b, then theta_r + (theta_s - theta_r) (psi_b / psi)^lambda
+        Campbell:      theta_s up to psi_e, then theta_s (psi_e / psi)^(1 / b)
+    """
+    psi = float(psi)
+    if params.family == "vg":
+        m = 1.0 - 1.0 / params.n
+        return params.theta_r + (params.theta_s - params.theta_r) / (
+            1.0 + (params.alpha * psi) ** params.n) ** m
+    if params.family == "bc":
+        if psi <= params.psi_b:
+            return params.theta_s
+        return params.theta_r + (params.theta_s - params.theta_r) * (
+            params.psi_b / psi) ** params.lambda_
+    if psi <= params.psi_e:
+        return params.theta_s
+    return params.theta_s * (params.psi_e / psi) ** (1.0 / params.b)
+
+
+def member_curves(members, heads, **profile):
+    """(members, heads) closed-form water contents of one profile, each
+    member's parameters from ptf.predict on predict's scalar keywords."""
+    return np.array([[curve_theta(predict(m, **profile), psi) for psi in heads]
+                     for m in members])
 
 
 def constant_net(input_names, outputs):

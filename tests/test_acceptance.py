@@ -35,15 +35,14 @@ from ptfens import (
     qa_filter,
     read_samples,
     simplex_weights,
-    theta_many,
 )
 from ptfens import _kernels
 from ptfens.errors import DataError
 from ptfens.ensemble import point_matrix, write_replica_table, write_weights
 from ptfens.metrics import rmse
-from ptfens.retention import pack_params
+from ptfens.retention import FAMILY_CODES
 
-from helpers import make_sample, sample_table
+from helpers import make_sample, member_curves, sample_table
 from test_dataset import qa_fixture
 from test_ensemble import two_class_population
 from test_mapping import MEMBERS as MAP_MEMBERS
@@ -85,7 +84,8 @@ def test_acceptance_1_retention_invariants():
     grid = np.concatenate([[0.0], np.logspace(-2.0, 7.0, 24)])
     ok = True
     for family, params in random_parameter_sets(rng, n).items():
-        codes, rows = pack_params(params)
+        codes = np.full(n, FAMILY_CODES[family], dtype=np.int8)
+        rows = np.array([p.packed() for p in params])
         thetas = np.empty((n, grid.size))
         for g, psi in enumerate(grid):
             thetas[:, g] = _kernels.theta_points(codes, rows, np.full(n, psi))
@@ -96,10 +96,10 @@ def test_acceptance_1_retention_invariants():
         ok &= bool(np.all(thetas <= theta_s[:, None] + 1e-15))
         ok &= bool(np.all(thetas >= floor[:, None] - 1e-15))
         if family == "vg":
-            near_zero = theta_many(params, np.full(n, 1e-6))
+            near_zero = _kernels.theta_points(codes, rows, np.full(n, 1e-6))
         else:
             air_entry = rows[:, 2] if family == "bc" else rows[:, 1]
-            near_zero = theta_many(params, air_entry + 1e-6)
+            near_zero = _kernels.theta_points(codes, rows, air_entry + 1e-6)
         ok &= bool(np.all(np.abs(near_zero - theta_s) < 1e-5))  # continuity
     elapsed = time.perf_counter() - t0
     report(1, "retention-invariants", ok, elapsed, 10.0)
@@ -226,7 +226,6 @@ def test_acceptance_6_stratification_benefit():
 
 def test_acceptance_7_mapping_oracle():
     t0 = time.perf_counter()
-    from ptfens import PredictorRecord, predict_theta
     from ptfens.mapping import DEFAULT_NODATA, MAP_HEADS
 
     layers = layer_stack()
@@ -235,11 +234,9 @@ def test_acceptance_7_mapping_oracle():
     ok = product.n_valid_cells == 9
     for r in range(3):
         for c in range(3):
-            rec = PredictorRecord(sand=layers.sand.values[r, c],
-                                  silt=layers.silt.values[r, c],
-                                  clay=layers.clay.values[r, c])
-            member = np.array([predict_theta(m, rec, np.asarray(MAP_HEADS))
-                               for m in MAP_MEMBERS])
+            member = member_curves(MAP_MEMBERS, MAP_HEADS, sand=layers.sand.values[r, c],
+                                   silt=layers.silt.values[r, c],
+                                   clay=layers.clay.values[r, c])
             estimates = weight_matrix @ member
             for t, head in enumerate(MAP_HEADS):
                 want_mean = estimates[:, t].mean()

@@ -11,18 +11,21 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import ptfens
 from ptfens import (
     Grid,
-    PredictorRecord,
     PtfId,
+    USDA_CLASSES,
     WeightVector,
     calibrate,
-    predict_theta,
+    classify_texture_array,
+    predict,
+    profile_arrays,
     read_grid,
     read_samples,
+    theta_at,
     write_grid,
     write_samples,
     write_ann_file,
@@ -365,9 +368,9 @@ def test_predict_single_record(capsys, tmp_path):
     assert lines[0] == "sample_id\tpsi\ttheta"
     rows = [ln.split("\t") for ln in lines[1:]]
     assert [r[1] for r in rows] == ["0", "330", "15000"]  # the default heads
-    rec = PredictorRecord(sand=40.0, silt=40.0, clay=20.0)
+    params = predict(PtfId.CARSEL, sand=40.0, silt=40.0, clay=20.0)
     for r in rows:
-        assert float(r[2]) == predict_theta(PtfId.CARSEL, rec, float(r[1]))
+        assert float(r[2]) == theta_at(params, float(r[1]))
     theta = [float(r[2]) for r in rows]
     assert theta[0] >= theta[1] >= theta[2]
     assert "theta=" in stdout
@@ -429,10 +432,9 @@ def test_predict_data_is_the_batch_path(capsys, sample_file, tmp_path):
     # weighted member by member, in member order (not BLAS's order)
     assert np.array_equal(got, sum(w * row for w, row in zip(vector.weights, preds)))
 
-    per_record = [ensemble_theta(vector, PredictorRecord(
-        **{f: arrays[f][i].item() for f in fields}), h)
-        for i in range(len(samples)) for h in (330.0, 15000.0)]
-    np.testing.assert_array_equal(got, np.array(per_record))
+    per_profile = [ensemble_theta(vector, [330.0, 15000.0], **profile_arrays(
+        **{f: arrays[f][i].item() for f in fields}))[0] for i in range(len(samples))]
+    np.testing.assert_array_equal(got, np.concatenate(per_profile))
 
 
 def test_predict_texture_class_record(capsys, tmp_path):
@@ -444,12 +446,12 @@ def test_predict_texture_class_record(capsys, tmp_path):
     assert code == 0
     rows = [ln.split("\t") for ln in
             (tmp_path / "pred" / "predictions.tsv").read_text().splitlines()[1:]]
-    rec = PredictorRecord(texture_class="loam")
+    params = [predict(m, texture_class="loam") for m in vector.members]
     assert [r[0] for r in rows] == ["record"] * 3
     for r in rows:
         psi = float(r[1])
-        assert float(r[2]) == sum(w * predict_theta(m, rec, psi)
-                                  for m, w in zip(vector.members, vector.weights))
+        assert float(r[2]) == sum(w * theta_at(p, psi)
+                                  for p, w in zip(params, vector.weights))
 
     # a texture class serves class-table members only
     write_weights(weights, WeightVector(members=(PtfId.COSBY0, PtfId.CARSEL, PtfId.COSBY1),
@@ -459,6 +461,101 @@ def test_predict_texture_class_record(capsys, tmp_path):
     assert (code, stdout) == (2, "")
     assert err == "data error: member cosby1: missing required predictor 'sand'\n"
     assert not (tmp_path / "pred2" / "predictions.tsv").exists()
+
+
+# every member that needs no trained network, and the class-table ones
+NETWORK_FREE = ("cosby0", "carsel", "clapp", "rosetta_h1w", "cosby1", "cosby2", "rawls",
+                "campbell", "wosten", "weynants", "vereecken")
+CLASS_TABLE = ("cosby0", "carsel", "clapp", "rosetta_h1w")
+PROFILE_HEADS = "0,10,330,15000"
+
+
+@pytest.fixture(scope="module")
+def profile_dir(tmp_path_factory):
+    """Twelve profiles of varied texture, weight files over every
+    network-free member and over the class-table members, and each weight
+    file's predict --data rows of the profiles."""
+    path = tmp_path_factory.mktemp("profiles")
+    rng = np.random.default_rng(91)
+    write_samples(path / "samples.csv", synthetic_population(rng, 12, PtfId.WOSTEN))
+    for name, members in (("all", NETWORK_FREE), ("classes", CLASS_TABLE)):
+        write_weights(path / f"{name}.tsv", WeightVector.normalized(
+            tuple(map(PtfId, members)), rng.uniform(0.1, 1.0, len(members))))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["predict", "--weights", str(path / f"{name}.tsv"), "--data",
+                         str(path / "samples.csv"), "--psi", PROFILE_HEADS,
+                         "--out", str(path / name)]) == 0
+    return path
+
+
+def prediction_rows(directory):
+    return (directory / "predictions.tsv").read_text().splitlines()[1:]
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(st.permutations(range(12)))
+def test_predict_data_rows_follow_a_shuffle(profile_dir, order):
+    """predict --data on the sample table with its rows shuffled writes the
+    same predictions.tsv rows, shuffled the same way, byte for byte."""
+    shuffled = profile_dir / "shuffled.csv"
+    write_samples(shuffled, read_samples(profile_dir / "samples.csv").take(order))
+    out = profile_dir / "shuffled_out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["predict", "--weights", str(profile_dir / "all.tsv"), "--data",
+                     str(shuffled), "--psi", PROFILE_HEADS, "--out", str(out)]) == 0
+    heads = len(PROFILE_HEADS.split(","))
+    rows = prediction_rows(profile_dir / "all")
+    assert prediction_rows(out) == [row for i in order
+                                    for row in rows[i * heads:(i + 1) * heads]]
+
+
+def test_profile_flags_give_their_table_rows_bytes(capsys, profile_dir, tmp_path):
+    """A single-profile predict, with all five predictor flags or with only
+    --texture-class, writes the theta bytes of that profile's row under
+    --data."""
+    samples = read_samples(profile_dir / "samples.csv")
+    heads = len(PROFILE_HEADS.split(","))
+    codes = classify_texture_array(samples.sand, samples.silt, samples.clay)
+    for i in range(len(samples)):
+        five = [(f"--{f.replace('_', '-')}", repr(getattr(samples, f)[i].item()))
+                for f in ("sand", "silt", "clay", "bulk_density", "organic_carbon")]
+        for name, flags in (("all", [a for pair in five for a in pair]),
+                            ("classes", ["--texture-class", USDA_CLASSES[codes[i]]])):
+            out = tmp_path / f"{name}_{i}"
+            code, _, err = run(capsys, "predict", "--weights", profile_dir / f"{name}.tsv",
+                               *flags, "--psi", PROFILE_HEADS, "--out", out)
+            assert (code, err) == (0, "")
+            want = prediction_rows(profile_dir / name)[i * heads:(i + 1) * heads]
+            assert [row.split("\t")[1:] for row in prediction_rows(out)] == \
+                [row.split("\t")[1:] for row in want], (name, samples.ids[i])
+
+
+@pytest.mark.parametrize("command", ["calibrate", "evaluate"])
+@pytest.mark.parametrize("flags, config, message", [
+    (("--members=",), "", "bad --members '': no PTF id given"),
+    ((), "members =\n", "bad --members '': no PTF id given"),
+    (("--group=",), "", "bad --group '': choose from"),
+    ((), "group =\n", "bad --group '': choose from"),
+    (("--members", "cosby1,cosby1"), "",
+     "bad --members 'cosby1,cosby1': cosby1 is given twice"),
+    ((), "members = carsel, cosby1 ,carsel\n",
+     "bad --members 'carsel, cosby1 ,carsel': carsel is given twice"),
+])
+def test_member_selection_rejects_empty_and_repeated(capsys, sample_file, tmp_path, command,
+                                                     flags, config, message):
+    """An empty --members or --group, on the command line or in a config
+    file, selects nothing rather than every member, and a repeated id is not
+    a second member: each is a usage error naming the flag, and no output
+    is written."""
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    replicas = ("--replicas", "2") if command == "calibrate" else ()
+    code, stdout, err = run(capsys, command, "--data", sample_file, "--config", cfg,
+                            *flags, *replicas, "--out", out)
+    assert (code, stdout) == (1, "")
+    assert err.startswith(f"error: {message}"), err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("members, flags, flag", [
@@ -874,6 +971,37 @@ def test_map_bytes_do_not_depend_on_blas_threads(tmp_path):
         assert (proc.returncode, proc.stderr) == (0, "")
         written.append({p.name: p.read_bytes() for p in sorted(out.glob("*.asc"))})
     assert len(written[0]) == 6
+    assert [name for name in written[0] if written[0][name] != written[1][name]] == []
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="needs 2 usable CPUs for a threaded BLAS")
+def test_calibrate_and_evaluate_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """calibrate (replicas.tsv, summary.tsv, weights_*.tsv) and evaluate
+    --weights (report.tsv) write the same bytes with one and two OpenBLAS
+    threads on 3,200 points. evaluate's ensemble row is a weighted_sum, not
+    BLAS; calibrate's weight solve and RMSEs still use BLAS products, which
+    OpenBLAS 0.3.31 (x86-64) gives the same bytes on 1 and 2 threads at this
+    size, though not for an 11 x 200,000 matrix-vector product."""
+    rng = np.random.default_rng(4)
+    write_samples(tmp_path / "samples.csv", synthetic_population(
+        rng, 800, PtfId.WOSTEN, noise=0.02, heads=(100.0, 330.0, 1000.0, 15000.0)))
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"run_{threads}"
+        for argv in (["calibrate", "--members", ",".join(NETWORK_FREE), "--scheme", "texture",
+                      "--replicas", "3", "--out", str(out)],
+                     ["evaluate", "--members", ",".join(NETWORK_FREE),
+                      "--weights", str(out / "weights_global.tsv"), "--out", str(out)]):
+            proc = subprocess.run([sys.executable, "-m", "ptfens", *argv,
+                                   "--data", str(tmp_path / "samples.csv")],
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                  env=package_env(OPENBLAS_NUM_THREADS=threads),
+                                  timeout=300, check=False)
+            assert (proc.returncode, proc.stderr) == (0, "")
+        written.append({p.name: p.read_bytes() for p in sorted(out.glob("*.tsv"))})
+    assert {"replicas.tsv", "summary.tsv", "weights_global.tsv", "report.tsv"} <= set(written[0])
+    assert len([name for name in written[0] if name.startswith("weights_texture")]) > 3
     assert [name for name in written[0] if written[0][name] != written[1][name]] == []
 
 

@@ -33,7 +33,7 @@ from ptfens.dataset import (
     write_samples,
 )
 from ptfens.ptf import LAYER_LIMITS
-from ptfens.texture import classify_texture
+from ptfens.texture import USDA_CLASSES, classify_texture_array
 from helpers import Record, make_sample, observations, sample_table, spliced_text
 
 SCHEMA = Schema(
@@ -380,7 +380,8 @@ def test_stratify_texture_matches_per_sample_classification():
     expected = {}
     for s in samples:  # the per-sample reference
         try:
-            key = stratum_key("texture", classify_texture(s.sand, s.silt, s.clay))
+            code = classify_texture_array([s.sand], [s.silt], [s.clay])[0]
+            key = stratum_key("texture", USDA_CLASSES[code])
         except InputError:
             key = "unassigned"
         expected.setdefault(key, []).append(s.sample_id)

@@ -13,7 +13,6 @@ from ptfens import (
     DataError,
     GaConfig,
     InputError,
-    PredictorRecord,
     PtfId,
     WeightVector,
     calibrate,
@@ -22,12 +21,14 @@ from ptfens import (
     clear_ann_registry,
     ensemble_theta,
     optimize_weights,
-    predict_theta,
+    predict,
+    profile_arrays,
     read_replica_table,
     read_weights,
     register_ann,
     samples_theta,
     simplex_weights,
+    theta_at,
     write_replica_table,
     write_weights,
 )
@@ -123,31 +124,33 @@ def test_chi2_shape_mismatch():
         chi2(np.array([1.0]), np.ones((2, 3)), np.zeros(3))
 
 
+LOAM = dict(sand=40.0, silt=40.0, clay=20.0, bulk_density=1.35, organic_carbon=1.2)
+
+
 def test_ensemble_theta_degenerate_and_mean():
-    rec = PredictorRecord(sand=40.0, silt=40.0, clay=20.0,
-                          bulk_density=1.35, organic_carbon=1.2)
+    rec = profile_arrays(**LOAM)
     one_hot = WeightVector(members=(PtfId.COSBY1, PtfId.CARSEL),
                            weights=(1.0, 0.0))
-    assert ensemble_theta(one_hot, rec, 330.0) == \
-        predict_theta(PtfId.COSBY1, rec, 330.0)
+    a = theta_at(predict(PtfId.COSBY1, **LOAM), 330.0)
+    b = theta_at(predict(PtfId.CARSEL, **LOAM), 330.0)
+    assert ensemble_theta(one_hot, [330.0], **rec).tolist() == [[a]]
     even = WeightVector(members=(PtfId.COSBY1, PtfId.CARSEL),
                         weights=(0.5, 0.5))
-    a = predict_theta(PtfId.COSBY1, rec, 330.0)
-    b = predict_theta(PtfId.CARSEL, rec, 330.0)
-    theta = ensemble_theta(even, rec, 330.0)
+    theta = ensemble_theta(even, [330.0], **rec)[0, 0]
     assert theta == pytest.approx((a + b) / 2.0, rel=1e-14)
     assert min(a, b) <= theta <= max(a, b)
 
 
 def test_ensemble_theta_vector_heads_nonincreasing():
-    rec = PredictorRecord(sand=40.0, silt=40.0, clay=20.0,
-                          bulk_density=1.35, organic_carbon=1.2)
+    rec = profile_arrays(**LOAM)
     wv = WeightVector.normalized(MEMBERS, [1.0, 1.0, 1.0])
-    theta = ensemble_theta(wv, rec, np.array([0.0, 330.0, 15000.0]))
-    assert theta.shape == (3,)
-    assert theta[0] >= theta[1] >= theta[2]
-    square = ensemble_theta(wv, rec, np.array([[0.0, 330.0], [15000.0, 330.0]]))
-    np.testing.assert_array_equal(square, [[theta[0], theta[1]], [theta[2], theta[1]]])
+    theta = ensemble_theta(wv, np.array([0.0, 330.0, 15000.0]), **rec)
+    assert theta.shape == (1, 3)
+    assert theta[0, 0] >= theta[0, 1] >= theta[0, 2]
+    square = ensemble_theta(wv, np.array([[0.0, 330.0], [15000.0, 330.0]]), **rec)
+    np.testing.assert_array_equal(square, theta[:, [0, 1, 2, 1]])
+    with pytest.raises(InputError):
+        ensemble_theta(wv, [-1.0], **rec)
 
 
 def test_optimizer_single_member():
@@ -371,7 +374,7 @@ def test_point_matrix_missing_predictor():
 
 def test_sample_row_does_not_depend_on_its_batch():
     """A sample's predicted row has the same bytes in its full table, in a
-    one-row take of the table and as a single predict record: the members
+    one-row take of the table and as a profile of scalars: the members
     are summed one by one in member order, not by BLAS, whose summation
     order changes with the batch size."""
     # every member that needs no trained network
@@ -382,11 +385,10 @@ def test_sample_row_does_not_depend_on_its_batch():
     heads = [0.0, 330.0, 15000.0]
     whole = samples_theta(vector, table, heads)
     for i in range(len(table)):
-        rec = PredictorRecord(**{f: getattr(table, f)[i].item() for f in (
-            "sand", "silt", "clay", "bulk_density", "organic_carbon")})
+        rec = profile_arrays(**{f: getattr(table, f)[i].item() for f in PREDICTOR_FIELDS})
         np.testing.assert_array_equal(samples_theta(vector, table.take([i]), heads)[0],
                                       whole[i])
-        np.testing.assert_array_equal(ensemble_theta(vector, rec, heads), whole[i])
+        np.testing.assert_array_equal(ensemble_theta(vector, heads, **rec)[0], whole[i])
 
 
 def test_calibrate_prefers_true_model():

@@ -18,7 +18,6 @@ from ptfens import (
     InputError,
     MAP_HEADS,
     MemberPredictionError,
-    PredictorRecord,
     PtfId,
     SoilLayerStack,
     TableLookupError,
@@ -27,7 +26,6 @@ from ptfens import (
     classify_texture_array,
     clear_ann_registry,
     predict_batch,
-    predict_theta,
     read_grid,
     register_ann,
     required_inputs,
@@ -36,7 +34,7 @@ from ptfens import (
 )
 from ptfens import _kernels, mapping
 from ptfens.mapping import DEFAULT_NODATA, HEAD_LABELS
-from helpers import drop_class, random_net, spliced_text
+from helpers import drop_class, member_curves, random_net, spliced_text
 
 MEMBERS = (PtfId.COSBY1, PtfId.CARSEL)
 REPLICAS = [
@@ -446,11 +444,9 @@ def test_map_matches_per_cell_recomputation():
     weight_matrix = np.stack([wv.as_array() for wv in REPLICAS])
     for r in range(3):
         for c in range(3):
-            rec = PredictorRecord(sand=layers.sand.values[r, c],
-                                  silt=layers.silt.values[r, c],
-                                  clay=layers.clay.values[r, c])
-            member = np.array([predict_theta(m, rec, np.asarray(MAP_HEADS))
-                               for m in MEMBERS])  # (members, heads)
+            member = member_curves(MEMBERS, MAP_HEADS, sand=layers.sand.values[r, c],
+                                   silt=layers.silt.values[r, c],
+                                   clay=layers.clay.values[r, c])  # (members, heads)
             estimates = weight_matrix @ member    # (replicas, heads)
             for t, head in enumerate(MAP_HEADS):
                 want_mean = estimates[:, t].mean()

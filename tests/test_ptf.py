@@ -13,25 +13,24 @@ from ptfens import (
     FAMILY,
     GROUPS,
     InputError,
-    PredictorRecord,
     PtfId,
-    classify_texture,
+    USDA_CLASSES,
+    classify_texture_array,
     clear_ann_registry,
-    group_of,
     predict,
     predict_batch,
-    predict_theta,
+    profile_arrays,
     register_ann,
     required_inputs,
     theta_at,
     write_ann_file,
+    write_samples,
 )
 from ptfens.coeffs import load_class_table
-from ptfens.ptf import load_rosetta_weights, uses_class_table
-from helpers import constant_net
+from ptfens.ptf import load_rosetta_weights, member_thetas, uses_class_table
+from helpers import constant_net, synthetic_population
 
-LOAM = PredictorRecord(sand=40.0, silt=40.0, clay=20.0,
-                       bulk_density=1.35, organic_carbon=1.2)
+LOAM = dict(sand=40.0, silt=40.0, clay=20.0, bulk_density=1.35, organic_carbon=1.2)
 
 CLASS_TABLE_FILES = {
     PtfId.COSBY0: "cosby_1984_classes.csv",
@@ -64,9 +63,6 @@ def test_group_partition():
     pooled = [m for g in "ABCD" for m in GROUPS[g]]
     assert len(pooled) == 13
     assert set(pooled) == set(ALL_PTFS)
-    for g in "ABCD":
-        for m in GROUPS[g]:
-            assert group_of(m) == g
 
 
 # each member as described before the member table: group, curve family,
@@ -101,14 +97,12 @@ def test_member_table_keeps_every_members_facts():
         for m in NETWORK_SLOTS if networks else ():
             register_ann(m, net)
         for m, (group, _, k, table, table_with_net) in MEMBER_FACTS.items():
-            assert group_of(m) == group_of(PtfId(m)) == group
+            assert PtfId(m) in GROUPS[group]
             assert required_inputs(m) == required_inputs(PtfId(m)) == fields[:k]
             assert uses_class_table(m) == (table_with_net if networks else table), m
     for m in set(MEMBER_FACTS) - set(NETWORK_SLOTS):
         with pytest.raises(InputError, match="does not accept a trained network"):
             register_ann(m, net)
-    with pytest.raises(InputError, match="unknown PTF 'nope'"):
-        group_of("nope")
     for lookup in (required_inputs, uses_class_table):
         with pytest.raises(ValueError):
             lookup("nope")
@@ -130,6 +124,23 @@ def test_readme_predictor_table_matches_the_members():
         assert FAMILY[PtfId(ptf)] == README_FAMILIES[family], ptf
 
 
+def test_readme_quick_start_runs(tmp_path, monkeypatch):
+    """The README's library quick start runs as written, on a samples.csv
+    where it reads one."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("\n## Library quick start\n", 1)[1].split("```python\n", 1)[1]
+    code = block.split("```", 1)[0]
+    (tmp_path / "work").mkdir()
+    write_samples(tmp_path / "work" / "samples.csv",
+                  synthetic_population(np.random.default_rng(33), 12, PtfId.CARSEL, noise=0.01))
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    assert scope["theta_fc"] == theta_at(scope["params"], 330.0)
+    assert scope["curve"].shape == (50,) and len(scope["batch"]) == 2
+    assert scope["grid"].shape == (12, 2) and scope["theta"].shape == (1, 1)
+
+
 def test_required_inputs_by_group():
     assert set(required_inputs(PtfId.COSBY0)) == {"sand", "silt", "clay"}
     assert set(required_inputs(PtfId.COSBY1)) == {"sand", "silt", "clay"}
@@ -142,44 +153,42 @@ def test_required_inputs_by_group():
 
 def test_family_consistency():
     for ptf in TABLE_AND_REGRESSION:
-        params = predict(ptf, LOAM)
+        params = predict(ptf, **LOAM)
         assert params.family == FAMILY[ptf], ptf
 
 
 def test_lookup_matches_fixture_row():
-    rec = PredictorRecord(texture_class="loam")
-    params = predict(PtfId.CARSEL, rec)
+    params = predict(PtfId.CARSEL, texture_class="loam")
     assert (params.theta_r, params.theta_s, params.alpha, params.n) == \
         (0.078, 0.43, 0.036, 1.56)
-    assert predict(PtfId.CARSEL, rec) == params  # deterministic
+    assert predict(PtfId.CARSEL, texture_class="loam") == params  # deterministic
 
 
 def test_lookup_unknown_class():
     with pytest.raises(InputError) as err:
-        predict(PtfId.CLAPP, PredictorRecord(texture_class="muck"))
+        predict(PtfId.CLAPP, texture_class="muck")
     assert "muck" in str(err.value)
 
 
 def test_class_ptf_reduces_to_lookup():
-    cls = classify_texture(LOAM.sand, LOAM.silt, LOAM.clay)
+    cls = USDA_CLASSES[classify_texture_array([40.0], [40.0], [20.0])[0]]
     for ptf in (PtfId.COSBY0, PtfId.CARSEL, PtfId.CLAPP, PtfId.ROSETTA_H1W):
-        assert predict(ptf, LOAM) == class_params(ptf, cls)
+        assert predict(ptf, **LOAM) == class_params(ptf, cls)
 
 
 def test_explicit_texture_class_bypasses_fractions():
-    rec = PredictorRecord(texture_class="loam")
-    assert predict(PtfId.CARSEL, rec) == class_params(PtfId.CARSEL, "loam")
+    assert predict(PtfId.CARSEL, texture_class="loam") == class_params(PtfId.CARSEL, "loam")
 
 
 def test_cosby_univariate_hand_values():
-    params = predict(PtfId.COSBY1, LOAM)
+    params = predict(PtfId.COSBY1, **LOAM)
     assert params.b == pytest.approx(2.91 + 0.159 * 20.0, rel=1e-12)
     assert params.theta_s == pytest.approx(0.489 - 0.00126 * 40.0, rel=1e-12)
     assert params.psi_e == pytest.approx(10.0 ** (1.88 - 0.0131 * 40.0), rel=1e-12)
 
 
 def test_cosby_bivariate_hand_values():
-    params = predict(PtfId.COSBY2, LOAM)
+    params = predict(PtfId.COSBY2, **LOAM)
     assert params.b == pytest.approx(3.10 + 0.157 * 20.0 - 0.003 * 40.0, rel=1e-12)
     assert params.theta_s == pytest.approx(
         0.505 - 0.00142 * 40.0 - 0.00037 * 20.0, rel=1e-12)
@@ -188,7 +197,7 @@ def test_cosby_bivariate_hand_values():
 
 
 def test_rawls_saturation_is_porosity():
-    params = predict(PtfId.RAWLS, LOAM)
+    params = predict(PtfId.RAWLS, **LOAM)
     assert params.theta_s == pytest.approx(1.0 - 1.35 / 2.65, rel=1e-12)
     assert params.family == "bc"
     assert 0.0 <= params.theta_r < params.theta_s
@@ -205,26 +214,23 @@ def test_campbell_independent_recomputation():
     psi_e = (c["air_entry_coeff_kpa"] * np.exp(ln_dg) ** -0.5
              * (1.35 / c["reference_bd"]) ** (c["bd_exponent_coeff"] * b)
              * c["kpa_to_cm"])
-    params = predict(PtfId.CAMPBELL, LOAM)
+    params = predict(PtfId.CAMPBELL, **LOAM)
     assert params.theta_s == pytest.approx(1.0 - 1.35 / 2.65, rel=1e-12)
     assert params.b == pytest.approx(b, rel=1e-12)
     assert params.psi_e == pytest.approx(psi_e, rel=1e-12)
 
 
 def test_wosten_topsoil_flag_changes_output():
-    top = predict(PtfId.WOSTEN, LOAM)
-    sub = predict(PtfId.WOSTEN, PredictorRecord(
-        sand=40.0, silt=40.0, clay=20.0, bulk_density=1.35,
-        organic_carbon=1.2, topsoil=False))
+    top = predict(PtfId.WOSTEN, **LOAM)
+    sub = predict(PtfId.WOSTEN, **LOAM, topsoil=False)
     assert top != sub
     assert top.n > 1.0 and sub.n > 1.0
     assert top.alpha > 0.0 and sub.alpha > 0.0
 
 
 def test_out_of_domain_shape_is_clamped_and_flagged():
-    clayey = PredictorRecord(sand=10.0, silt=50.0, clay=40.0,
-                             bulk_density=1.4, organic_carbon=1.0)
-    params = predict(PtfId.VEREECKEN, clayey)
+    params = predict(PtfId.VEREECKEN, sand=10.0, silt=50.0, clay=40.0,
+                     bulk_density=1.4, organic_carbon=1.0)
     assert "n_clamped" in params.flags
     assert params.n == pytest.approx(1.0 + 1e-6)
     # curve still evaluates inside its bounds
@@ -233,58 +239,52 @@ def test_out_of_domain_shape_is_clamped_and_flagged():
 
 
 def test_floored_inputs_flagged():
-    rec = PredictorRecord(sand=45.0, silt=35.0, clay=20.0,
-                          bulk_density=1.4, organic_carbon=0.0)
-    params = predict(PtfId.WEYNANTS, rec)
+    rec = dict(sand=45.0, silt=35.0, clay=20.0, bulk_density=1.4)
+    params = predict(PtfId.WEYNANTS, **rec, organic_carbon=0.0)
     assert "input_floored" in params.flags
-    zero = predict(PtfId.WEYNANTS, rec)
-    floor = predict(PtfId.WEYNANTS, PredictorRecord(
-        sand=45.0, silt=35.0, clay=20.0, bulk_density=1.4, organic_carbon=0.01))
+    zero = predict(PtfId.WEYNANTS, **rec, organic_carbon=0.0)
+    floor = predict(PtfId.WEYNANTS, **rec, organic_carbon=0.01)
     assert zero.alpha == floor.alpha  # 0 is lifted to the 0.01 floor
 
 
 def test_missing_predictor_named():
-    no_oc = PredictorRecord(sand=40.0, silt=40.0, clay=20.0, bulk_density=1.35)
     with pytest.raises(InputError) as err:
-        predict(PtfId.WOSTEN, no_oc)
+        predict(PtfId.WOSTEN, sand=40.0, silt=40.0, clay=20.0, bulk_density=1.35)
     assert "organic_carbon" in str(err.value)
-    no_bd = PredictorRecord(sand=40.0, silt=40.0, clay=20.0)
     with pytest.raises(InputError) as err:
-        predict(PtfId.RAWLS, no_bd)
+        predict(PtfId.RAWLS, sand=40.0, silt=40.0, clay=20.0)
     assert "bulk_density" in str(err.value)
 
 
 def test_texture_sum_violation_rejected():
-    bad = PredictorRecord(sand=40.0, silt=40.0, clay=30.0,
-                          bulk_density=1.35, organic_carbon=1.2)
-    with pytest.raises(InputError):
-        predict(PtfId.COSBY0, bad)  # class lookup classifies, which validates
+    with pytest.raises(InputError):  # class lookup classifies, which validates
+        predict(PtfId.COSBY0, sand=40.0, silt=40.0, clay=30.0)
 
 
 def test_network_backed_members_need_weights():
     for ptf in (PtfId.ROSETTA_H2W, PtfId.ROSETTA_H3W):
         with pytest.raises(DataError) as err:
-            predict(ptf, LOAM)
+            predict(ptf, **LOAM)
         assert "network" in str(err.value)
 
 
 def test_registered_network_enables_prediction():
     net = constant_net(("sand", "silt", "clay", "bd"), (0.05, 0.45, 0.02, 1.4))
     register_ann(PtfId.ROSETTA_H3W, net)
-    params = predict(PtfId.ROSETTA_H3W, LOAM)
+    params = predict(PtfId.ROSETTA_H3W, **LOAM)
     assert (params.theta_r, params.theta_s) == (0.05, 0.45)
     assert params.family == "vg"
 
 
 def test_registered_network_overrides_class_table():
-    table_params = predict(PtfId.ROSETTA_H1W, LOAM)
+    table_params = predict(PtfId.ROSETTA_H1W, **LOAM)
     net = constant_net(("sand", "silt", "clay"), (0.06, 0.48, 0.015, 1.7))
     register_ann(PtfId.ROSETTA_H1W, net)
-    net_params = predict(PtfId.ROSETTA_H1W, LOAM)
+    net_params = predict(PtfId.ROSETTA_H1W, **LOAM)
     assert net_params != table_params
     assert net_params.theta_s == 0.48
     clear_ann_registry()
-    assert predict(PtfId.ROSETTA_H1W, LOAM) == table_params
+    assert predict(PtfId.ROSETTA_H1W, **LOAM) == table_params
 
 
 def test_register_rejects_wrong_slot_and_outputs():
@@ -313,31 +313,35 @@ def test_load_rosetta_weights_from_directory(tmp_path):
                    constant_net(("sand", "silt", "clay"), (0.04, 0.42, 0.03, 1.5)))
     loaded = load_rosetta_weights(tmp_path)
     assert loaded == [PtfId.ROSETTA_H2W]
-    params = predict(PtfId.ROSETTA_H2W, LOAM)
+    params = predict(PtfId.ROSETTA_H2W, **LOAM)
     assert params.theta_s == pytest.approx(0.42)
     with pytest.raises(DataError):
         load_rosetta_weights(tmp_path / "nothing_here")
 
 
-def test_predict_theta_composes():
-    for ptf in (PtfId.COSBY0, PtfId.CARSEL, PtfId.COSBY2, PtfId.RAWLS,
-                PtfId.WOSTEN):
-        params = predict(ptf, LOAM)
-        for psi in (0.0, 330.0, 15000.0):
-            assert predict_theta(ptf, LOAM, psi) == theta_at(params, psi)
+def test_predict_and_theta_at_equal_member_thetas():
+    """A profile's curve from predict and theta_at has the bytes that the
+    commands' path, member_thetas on its one-row arrays, gives."""
+    heads = (0.0, 330.0, 15000.0)
+    thetas = member_thetas(TABLE_AND_REGRESSION, heads, **profile_arrays(**LOAM))
+    for k, ptf in enumerate(TABLE_AND_REGRESSION):
+        params = predict(ptf, **LOAM)
+        for t, psi in enumerate(heads):
+            assert theta_at(params, psi) == thetas[k, t, 0], (ptf, psi)
 
 
-def test_predict_theta_saturation_is_theta_s():
+def test_theta_at_saturation_is_theta_s():
     for ptf in TABLE_AND_REGRESSION:
-        assert predict_theta(ptf, LOAM, 0.0) == predict(ptf, LOAM).theta_s
+        params = predict(ptf, **LOAM)
+        assert theta_at(params, 0.0) == params.theta_s
 
 
 def test_clapp_composed_hand_value():
     params = class_params(PtfId.CLAPP, "loam")
     psi = params.psi_e * 16.0
     expected = params.theta_s * (params.psi_e / psi) ** (1.0 / params.b)
-    rec = PredictorRecord(texture_class="loam")
-    assert predict_theta(PtfId.CLAPP, rec, psi) == pytest.approx(expected, rel=1e-12)
+    params = predict(PtfId.CLAPP, texture_class="loam")
+    assert theta_at(params, psi) == pytest.approx(expected, rel=1e-12)
 
 
 def test_carsel_composed_hand_value():
@@ -345,9 +349,8 @@ def test_carsel_composed_hand_value():
     m = 1.0 - 1.0 / p.n
     expected = p.theta_r + (p.theta_s - p.theta_r) * (
         1.0 + (p.alpha * 330.0) ** p.n) ** -m
-    rec = PredictorRecord(texture_class="loam")
-    assert predict_theta(PtfId.CARSEL, rec, 330.0) == pytest.approx(expected,
-                                                                    rel=1e-12)
+    params = predict(PtfId.CARSEL, texture_class="loam")
+    assert theta_at(params, 330.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_batch_matches_scalar_predictions():
@@ -361,12 +364,11 @@ def test_batch_matches_scalar_predictions():
                               bulk_density=bd, organic_carbon=oc)
         assert len(batch) == 40
         for i in range(0, 40, 7):
-            rec = PredictorRecord(sand=sand[i], silt=silt[i], clay=clay[i],
-                                  bulk_density=bd[i], organic_carbon=oc[i])
-            assert np.allclose(batch.rows[i], predict(ptf, rec).packed(),
-                               rtol=1e-13, atol=0)
+            params = predict(ptf, sand=sand[i], silt=silt[i], clay=clay[i],
+                             bulk_density=bd[i], organic_carbon=oc[i])
+            assert np.allclose(batch.rows[i], params.packed(), rtol=1e-13, atol=0)
 
 
 def test_predict_is_pure():
     for ptf in TABLE_AND_REGRESSION:
-        assert predict(ptf, LOAM) == predict(ptf, LOAM)
+        assert predict(ptf, **LOAM) == predict(ptf, **LOAM)

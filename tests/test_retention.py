@@ -9,10 +9,11 @@ from ptfens import (
     InputError,
     ParameterError,
     VanGenuchtenParams,
-    derived_points,
     theta_at,
 )
-from ptfens.retention import pack_params, theta_many
+from ptfens import _kernels
+from ptfens.retention import (FAMILY_CODES, FIELD_CAPACITY_HEAD, SATURATION_HEAD,
+                              WILTING_POINT_HEAD)
 
 VG = VanGenuchtenParams(theta_r=0.1, theta_s=0.5, alpha=0.01, n=2.0)
 BC = BrooksCoreyParams(theta_r=0.0, theta_s=0.4, psi_b=10.0, lambda_=0.5)
@@ -51,7 +52,8 @@ def test_theta_at_dispatch():
 
 
 def test_derived_points_vg():
-    sat, fc, wp = derived_points(VG)
+    """Water content at saturation, field capacity and wilting point."""
+    sat, fc, wp = theta_at(VG, [SATURATION_HEAD, FIELD_CAPACITY_HEAD, WILTING_POINT_HEAD])
     assert sat == 0.5
     expected_fc = 0.1 + 0.4 * (1.0 + 3.3 ** 2) ** -0.5
     assert fc == pytest.approx(expected_fc, abs=1e-12)
@@ -61,8 +63,8 @@ def test_derived_points_vg():
 
 def test_derived_points_first_is_saturation():
     for p in (VG, BC, CMP):
-        assert derived_points(p)[0] == theta_at(p, 0.0)
-    assert derived_points(CMP)[0] == 0.45
+        assert theta_at(p, SATURATION_HEAD) == p.theta_s
+    assert theta_at(CMP, SATURATION_HEAD) == 0.45
 
 
 def test_psi_array_matches_scalars():
@@ -144,12 +146,16 @@ def test_air_entry_continuity():
 
 
 def test_batched_evaluation_matches_scalar():
+    """theta_points on a mixed-family (codes, rows) batch gives each point
+    the bytes theta_at gives its parameter set alone."""
     rng = np.random.default_rng(13)
     params = (_random_params(rng, "vg", 5) + _random_params(rng, "bc", 5)
               + _random_params(rng, "cmp", 5))
+    order = rng.permutation(len(params))
+    params = [params[i] for i in order]
     psi = rng.uniform(0.0, 5000.0, size=len(params))
-    codes, rows = pack_params(params)
-    assert codes.shape == (15,) and rows.shape == (15, 4)
-    theta = theta_many(params, psi)
+    codes = np.array([FAMILY_CODES[p.family] for p in params], dtype=np.int8)
+    rows = np.array([p.packed() for p in params])
+    theta = _kernels.theta_points(codes, rows, psi)
     for i, p in enumerate(params):
-        assert theta[i] == pytest.approx(theta_at(p, float(psi[i])), rel=1e-13)
+        assert theta[i] == theta_at(p, float(psi[i]))

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from ptfens import InputError, USDA_CLASSES, classify_texture
-from ptfens.texture import classify_texture_array
+from ptfens import InputError, USDA_CLASSES, classify_texture_array
 
 # interior representatives, one per class
 POINTS = {
@@ -23,41 +22,42 @@ POINTS = {
 }
 
 
+
+
+def names(sand, silt, clay):
+    """The class name of each sand/silt/clay triple."""
+    return [USDA_CLASSES[code] for code in classify_texture_array(sand, silt, clay)]
+
+
 def test_class_list():
     assert len(USDA_CLASSES) == 12
     assert set(POINTS) == set(USDA_CLASSES)
 
 
 def test_interior_points():
-    for expected, (sand, silt, clay) in POINTS.items():
-        assert classify_texture(sand, silt, clay) == expected
+    assert names(*np.array(list(POINTS.values()), dtype=float).T) == list(POINTS)
 
 
 def test_boundaryish_points():
-    assert classify_texture(10, 85, 5) == "silt"
-    assert classify_texture(33, 33, 34) == "clay loam"
+    assert names([10, 33], [85, 33], [5, 34]) == ["silt", "clay loam"]
 
 
 def test_sum_tolerance():
-    assert classify_texture(40.0, 40.0, 20.5) == "loam"  # 100.5 accepted
-    assert classify_texture(40.0, 40.0, 20.8) == "loam"  # 100.8 accepted
-    with pytest.raises(InputError):
-        classify_texture(40.0, 40.0, 21.2)  # 101.2
-    with pytest.raises(InputError):
-        classify_texture(40.0, 40.0, 22.0)  # 102
-    with pytest.raises(InputError):
-        classify_texture(40.0, 40.0, 18.0)  # 98
+    # 100.5 and 100.8 accepted
+    assert names([40.0, 40.0], [40.0, 40.0], [20.5, 20.8]) == ["loam", "loam"]
+    for clay in (21.2, 22.0, 18.0):  # 101.2, 102, 98
+        with pytest.raises(InputError):
+            classify_texture_array([40.0], [40.0], [clay])
 
 
 def test_renormalization_matches_exact():
-    scale = 1.005
-    for expected, (sand, silt, clay) in POINTS.items():
-        assert classify_texture(sand * scale, silt * scale, clay * scale) == expected
+    fractions = np.array(list(POINTS.values()), dtype=float) * 1.005
+    assert names(*fractions.T) == list(POINTS)
 
 
 def test_negative_fraction_rejected():
     with pytest.raises(InputError):
-        classify_texture(-1.0, 81.0, 20.0)
+        classify_texture_array([-1.0], [81.0], [20.0])
 
 
 def test_every_valid_triple_gets_a_class():
@@ -68,9 +68,11 @@ def test_every_valid_triple_gets_a_class():
 
 
 def test_array_codes_match_scalar_names():
+    """A triple's class in a batch is its class classified alone."""
     rng = np.random.default_rng(8)
     fractions = rng.dirichlet((2.0, 2.0, 1.0), size=200) * 100.0
     sand, silt, clay = fractions[:, 0], fractions[:, 1], fractions[:, 2]
     codes = classify_texture_array(sand, silt, clay)
     for i in range(len(sand)):
-        assert USDA_CLASSES[codes[i]] == classify_texture(sand[i], silt[i], clay[i])
+        assert codes[i] == classify_texture_array(sand[i:i + 1], silt[i:i + 1],
+                                                  clay[i:i + 1])[0]
