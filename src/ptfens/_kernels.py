@@ -12,8 +12,9 @@ batch path (ptf.member_thetas, ensemble.point_matrix) calls it, and so does
 retention.theta_at on one parameter set. At psi = 0 each formula gives
 theta_s exactly, so a caller may read it (THETA_S_COLUMN). weighted_sum is
 the one weighted sum of member water contents, for predict, evaluate's
-ensemble row and the map's mean; replica_mean_std gives the map's replica spread in
-closed form from the weights, one row of the triangular factor at a time.
+ensemble row, calibrate's chi2 and pooled RMSE, and the map's mean;
+replica_mean_std gives the map's replica spread in closed form from the
+weights, one row of the triangular factor at a time.
 """
 
 import numpy as np

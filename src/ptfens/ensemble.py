@@ -24,7 +24,9 @@ ensemble_theta, the map's path: ptf.member_thetas summed member by member
 
 All randomness derives from one master seed. Replica r of a calibration
 draws its bootstrap from (seed..., r, 0); stratum calibrations extend the
-seed with a crc32 of the stratum key. Reruns are bit-identical.
+seed with a crc32 of the stratum key. Reruns are bit-identical, and no fit
+sum (G = PP', b = Py, chi2, the pooled RMSE) calls BLAS, whose threads
+split a product differently: the bytes do not depend on the thread count.
 """
 
 import csv
@@ -121,7 +123,7 @@ def chi2(weights, member_preds, observed):
     if total <= 0.0:
         weights = np.ones_like(weights)
         total = weights.sum()
-    ens = (weights / total) @ member_preds
+    ens = _kernels.weighted_sum(weights / total, member_preds)
     return float(np.sum((ens - observed) ** 2))
 
 
@@ -187,8 +189,9 @@ def simplex_weights(member_preds, observed, members=None):
     """
     member_preds, observed, members = _fit_inputs(member_preds, observed, members)
     n_members = member_preds.shape[0]
-    gram = member_preds @ member_preds.T
-    lin = member_preds @ observed
+    # einsum without optimize never calls BLAS (see the module docstring)
+    gram = np.einsum("ij,kj->ik", member_preds, member_preds)
+    lin = np.einsum("ij,j->i", member_preds, observed)
     corner_chi2 = np.sum((member_preds - observed) ** 2, axis=1)
     best = int(np.argmin(corner_chi2))
     tol = _KKT_TOL * float(np.max(np.diag(gram)))
@@ -204,7 +207,7 @@ def simplex_weights(member_preds, observed, members=None):
         z = _support_solution(gram, lin, idx)
         if np.all(z > 0.0):
             w[idx] = z  # w is zero off the support throughout
-            grad = gram @ w - lin
+            grad = np.einsum("ij,j->i", gram, w) - lin
             multipliers = grad - grad[idx].mean()
             multipliers[idx] = np.inf
             j = int(np.argmin(multipliers))
@@ -502,11 +505,11 @@ def calibrate_stratified(members, samples, scheme, n_replicas=100, seed=0,
         assigned = np.zeros(observed.size, dtype=bool)
         for key, covered in point_vectors.items():
             w = vector_for(key).as_array()
-            ens[covered] = w @ preds[:, covered]
+            ens[covered] = _kernels.weighted_sum(w, preds[:, covered])
             assigned[covered] = True
         rest = ~assigned
         if np.any(rest):
-            ens[rest] = fallback.as_array() @ preds[:, rest]
+            ens[rest] = _kernels.weighted_sum(fallback.as_array(), preds[:, rest])
         return float(np.sqrt(np.mean((ens - observed) ** 2)))
 
     return StratifiedModel(

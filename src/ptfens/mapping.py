@@ -17,7 +17,8 @@ its grammar is Python float()'s without digit-group underscores and
 non-ASCII digits, a '#' is a bad value, and whitespace-only lines are
 skipped. Only a body that fails is scanned again, line by line, to name the
 file line at fault. Values are written as repr(float), which reads back
-bit for bit; one repr per value is the floor of writing a grid as text, so
+bit for bit, one row at a time, so a writer holds O(ncols) floats and text;
+one repr per value is the floor of writing a grid as text, so
 write_grids writes several grids at once, split over up to one forked
 writer per usable CPU, each grid's bytes being exactly write_grid's. A
 writer reports only success or failure; after any failure the grids are
@@ -158,7 +159,7 @@ def _body_fault(body, nrows, ncols):
 
 def write_grid(path, grid):
     """Write a grid in the canonical six-header-line layout; values are
-    written as repr(float), which reads back exactly."""
+    written as repr(float), which reads back exactly, one row at a time."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"ncols {grid.ncols}\n")
         fh.write(f"nrows {grid.nrows}\n")
@@ -166,7 +167,8 @@ def write_grid(path, grid):
         fh.write(f"yllcorner {repr(float(grid.yllcorner))}\n")
         fh.write(f"cellsize {repr(float(grid.cellsize))}\n")
         fh.write(f"NODATA_value {repr(float(grid.nodata))}\n")
-        fh.writelines(" ".join(map(repr, row)) + "\n" for row in grid.values.tolist())
+        for row in grid.values:  # O(ncols) floats and text at a time
+            fh.write(" ".join(map(repr, row.tolist())) + "\n")
 
 
 def write_grids(pairs):
@@ -217,15 +219,16 @@ def _writer_count(n_pairs):
     return max(1, min(n_pairs, cpus))
 
 
-# Cells per map block. At 8,192 a block's float64 column is 64 KiB, under
+# Cells per map block. At 4,096 a block's float64 column is 32 KiB, under
 # glibc's 128 KiB mmap threshold, so most block temporaries are reused from
 # the heap rather than mapped and zero-filled anew. Measured on a 300 x 240
-# map with 13 members and 100 replicas (one BLAS thread, shared 2-vCPU
-# host), time per call and peak RSS over twelve calls: 65,536 cells 151 ms,
-# 86 MB; 16,384 130 ms, 60 MB; 8,192 147 ms, 54.5 MB; 4,096 162 ms,
-# 49.5 MB; 2,048 235 ms, 47 MB. Below 8,192 the per-block cost of the
-# member predictions takes over.
-MAP_BLOCK_CELLS = 8192
+# map with 13 members and 100 replicas, grids written a row at a time (one
+# BLAS thread, shared 2-vCPU host), median apply_ensemble_map time per call
+# and peak RSS over twelve calls, five rounds: 16,384 cells 120 ms, 59.0 MB;
+# 8,192 107 ms, 50.9 MB; 4,096 122 ms, 46.8 MB; 2,048 178 ms, 44.6 MB.
+# 4,096 trades about 15 ms per call for 4 MB of peak; below it the
+# per-block cost of the member predictions takes over.
+MAP_BLOCK_CELLS = 4096
 
 
 @dataclass(eq=False)
@@ -277,11 +280,12 @@ def apply_ensemble_map(layers, replica_weights, heads=MAP_HEADS, topsoil=True,
     replica_weights is the list of calibrated weight vectors, one per
     bootstrap replica, all over the same member list; at least two are
     needed for a spread estimate. heads are suctions in cm, finite and >= 0.
-    Blocks of whole rows hold about
-    block_cells cells (at least one row), so memory is flat in raster width
-    and replica count; the default, MAP_BLOCK_CELLS, keeps a block's
-    columns small enough to be reused from the heap. No output byte depends
-    on block_cells.
+    Blocks of whole rows hold about block_cells cells (at least one row), so
+    the working set is flat in raster width and replica count: about 3.5 MiB
+    traced at the default, MAP_BLOCK_CELLS, with 11 members, whose 32 KiB
+    float64 block columns come from the heap rather than fresh mappings. The
+    layers and the mean and CV grids are held whole; write_grid writes a
+    grid a row at a time. No output byte depends on block_cells.
     """
     replica_weights = list(replica_weights)
     if len(replica_weights) < 2:

@@ -17,6 +17,7 @@ import ptfens
 from ptfens import (
     Grid,
     PtfId,
+    SampleTable,
     USDA_CLASSES,
     WeightVector,
     calibrate,
@@ -35,7 +36,7 @@ from ptfens import _kernels, ensemble
 from ptfens.cli import main, read_config
 from ptfens.ensemble import GLOBAL_STRATUM, ensemble_theta, point_matrix
 from ptfens.metrics import FitSummary
-from ptfens.ptf import predict_batch
+from ptfens.ptf import member_thetas, predict_batch
 from helpers import (constant_net, drop_class, make_sample, sample_table, spliced_text,
                      synthetic_population)
 
@@ -974,23 +975,15 @@ def test_map_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert [name for name in written[0] if written[0][name] != written[1][name]] == []
 
 
-@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
-                    reason="needs 2 usable CPUs for a threaded BLAS")
-def test_calibrate_and_evaluate_bytes_do_not_depend_on_blas_threads(tmp_path):
-    """calibrate (replicas.tsv, summary.tsv, weights_*.tsv) and evaluate
-    --weights (report.tsv) write the same bytes with one and two OpenBLAS
-    threads on 3,200 points. evaluate's ensemble row is a weighted_sum, not
-    BLAS; calibrate's weight solve and RMSEs still use BLAS products, which
-    OpenBLAS 0.3.31 (x86-64) gives the same bytes on 1 and 2 threads at this
-    size, though not for an 11 x 200,000 matrix-vector product."""
-    rng = np.random.default_rng(4)
-    write_samples(tmp_path / "samples.csv", synthetic_population(
-        rng, 800, PtfId.WOSTEN, noise=0.02, heads=(100.0, 330.0, 1000.0, 15000.0)))
+def calibrate_evaluate_bytes_by_blas_threads(tmp_path, replicas):
+    """{file name: bytes} of the .tsv files that calibrate --scheme texture
+    and then evaluate --weights leave on tmp_path/samples.csv, under one
+    and under two OpenBLAS threads."""
     written = []
     for threads in ("1", "2"):
         out = tmp_path / f"run_{threads}"
         for argv in (["calibrate", "--members", ",".join(NETWORK_FREE), "--scheme", "texture",
-                      "--replicas", "3", "--out", str(out)],
+                      "--replicas", str(replicas), "--out", str(out)],
                      ["evaluate", "--members", ",".join(NETWORK_FREE),
                       "--weights", str(out / "weights_global.tsv"), "--out", str(out)]):
             proc = subprocess.run([sys.executable, "-m", "ptfens", *argv,
@@ -1000,8 +993,51 @@ def test_calibrate_and_evaluate_bytes_do_not_depend_on_blas_threads(tmp_path):
                                   timeout=300, check=False)
             assert (proc.returncode, proc.stderr) == (0, "")
         written.append({p.name: p.read_bytes() for p in sorted(out.glob("*.tsv"))})
+    return written
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="needs 2 usable CPUs for a threaded BLAS")
+def test_calibrate_and_evaluate_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """calibrate (replicas.tsv, summary.tsv, weights_*.tsv) and evaluate
+    --weights (report.tsv) write the same bytes with one and two OpenBLAS
+    threads on 3,200 points, with every texture stratum calibrated.
+    evaluate's ensemble row is a weighted_sum, and calibrate's weight solve
+    and RMSEs are einsums, none of them BLAS; the size at which OpenBLAS
+    splits a product over threads is tested at 50,000 points below."""
+    rng = np.random.default_rng(4)
+    write_samples(tmp_path / "samples.csv", synthetic_population(
+        rng, 800, PtfId.WOSTEN, noise=0.02, heads=(100.0, 330.0, 1000.0, 15000.0)))
+    written = calibrate_evaluate_bytes_by_blas_threads(tmp_path, replicas=3)
     assert {"replicas.tsv", "summary.tsv", "weights_global.tsv", "report.tsv"} <= set(written[0])
     assert len([name for name in written[0] if name.startswith("weights_texture")]) > 3
+    assert [name for name in written[0] if written[0][name] != written[1][name]] == []
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="needs 2 usable CPUs for a threaded BLAS")
+def test_calibrate_bytes_do_not_depend_on_blas_threads_at_50000_points(tmp_path):
+    """calibrate and evaluate on 12,500 samples, 50,000 points, write the
+    same bytes with one and two OpenBLAS threads. OpenBLAS 0.3.31 (x86-64)
+    splits an 11 x 50,000 matrix-vector product over its threads; with G =
+    PP', b = Py and chi2 as BLAS products, replicas.tsv, summary.tsv and
+    weights_global.tsv differed."""
+    n, heads = 12500, (100.0, 330.0, 1000.0, 15000.0)
+    rng = np.random.default_rng(4)
+    fractions = rng.dirichlet((2.0, 2.0, 2.0), size=n) * 100.0
+    predictors = {"sand": fractions[:, 0], "silt": fractions[:, 1], "clay": fractions[:, 2],
+                  "bulk_density": rng.uniform(0.9, 1.8, n),
+                  "organic_carbon": rng.uniform(0.2, 4.0, n)}
+    theta = member_thetas([PtfId.WOSTEN], heads, topsoil=np.ones(n), **predictors)[0]
+    theta = np.clip(theta + rng.normal(0.0, 0.02, theta.shape), 0.01, 0.59)
+    theta = np.minimum.accumulate(theta, axis=0)  # a drier head is never wetter
+    write_samples(tmp_path / "samples.csv", SampleTable(
+        ids=tuple(f"s{i}" for i in range(n)), latitude=np.full(n, np.nan),
+        longitude=np.full(n, np.nan), **predictors, soil_order=(None,) * n,
+        temperature_regime=(None,) * n, obs_owner=np.repeat(np.arange(n), len(heads)),
+        obs_psi=np.tile(heads, n), obs_theta=theta.T.ravel()))
+    written = calibrate_evaluate_bytes_by_blas_threads(tmp_path, replicas=2)
+    assert {"replicas.tsv", "summary.tsv", "weights_global.tsv", "report.tsv"} <= set(written[0])
     assert [name for name in written[0] if written[0][name] != written[1][name]] == []
 
 

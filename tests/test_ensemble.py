@@ -297,6 +297,62 @@ def test_simplex_weights_matches_brute_force_and_beats_corners_and_ga(problem):
     assert again.as_array().tobytes() == wv.as_array().tobytes()
 
 
+NETWORK_FREE = (PtfId.COSBY0, PtfId.CARSEL, PtfId.CLAPP, PtfId.ROSETTA_H1W, PtfId.COSBY1,
+                PtfId.COSBY2, PtfId.RAWLS, PtfId.CAMPBELL, PtfId.WOSTEN, PtfId.WEYNANTS,
+                PtfId.VEREECKEN)
+
+
+@pytest.fixture(scope="module")
+def calibration_points():
+    """The 11 network-free members' predictions at the 1,200 observation
+    points of 300 samples, and the observed water contents."""
+    rng = np.random.default_rng(60)
+    samples = synthetic_population(rng, 300, PtfId.WOSTEN, noise=0.02,
+                                   heads=(100.0, 330.0, 1000.0, 15000.0))
+    preds, observed, _ = point_matrix(NETWORK_FREE, samples)
+    return preds, observed
+
+
+def bootstrap_points(data, preds, observed):
+    """A bootstrap draw of the points, as a calibration replica fits."""
+    at = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(
+        0, observed.size, observed.size)
+    return np.ascontiguousarray(preds[:, at]), observed[at]
+
+
+FIT_RELATIONS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+@FIT_RELATIONS
+@given(st.data())
+def test_simplex_weights_member_order_keeps_support_and_chi2(calibration_points, data):
+    """Permuting the members gives the same support and a chi2 equal to
+    1e-12 relative; the weights themselves move by rounding."""
+    preds, observed = bootstrap_points(data, *calibration_points)
+    order = data.draw(st.permutations(range(len(NETWORK_FREE))))
+    members = tuple(m.value for m in NETWORK_FREE)
+    fit = simplex_weights(preds, observed, members=members)
+    permuted = simplex_weights(preds[order], observed, members=[members[k] for k in order])
+    support = {m for m, w in zip(fit.members, fit.weights) if w > 0.0}
+    assert {m for m, w in zip(permuted.members, permuted.weights) if w > 0.0} == support
+    best = chi2(fit, preds, observed)
+    assert chi2(permuted, preds[order], observed) == pytest.approx(best, rel=1e-12)
+
+
+@FIT_RELATIONS
+@given(st.data())
+def test_simplex_weights_adding_a_member_never_raises_chi2(calibration_points, data):
+    """The optimum over more members is over a larger simplex: adding one
+    never raises chi2 beyond 1e-12 relative rounding."""
+    preds, observed = bootstrap_points(data, *calibration_points)
+    order = data.draw(st.permutations(range(len(NETWORK_FREE))))
+    k = data.draw(st.integers(1, len(NETWORK_FREE) - 1))
+    fewer, more = preds[order[:k]], preds[order[:k + 1]]
+    before = chi2(simplex_weights(fewer, observed), fewer, observed)
+    after = chi2(simplex_weights(more, observed), more, observed)
+    assert after <= before * (1.0 + 1e-12)
+
+
 def test_simplex_weights_edge_cases():
     rng = np.random.default_rng(58)
     p = rng.uniform(0.05, 0.5, size=(3, 40))
