@@ -65,9 +65,9 @@ from .mapping import (
     MapProduct,
     SoilLayerStack,
     apply_ensemble_map,
+    map_files,
     read_grid,
     write_grid,
-    write_grids,
 )
 from .metrics import FitSummary, SelectionContext, aic, aicc, j_star, rmse, sigma_hat2
 from .ptf import (

@@ -36,7 +36,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _sha256(path):
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(1 << 16), b""):  # well under a map block
             digest.update(chunk)
     return digest.hexdigest()
 
@@ -373,7 +373,6 @@ def cmd_map(settings, out_dir, seed):
     replicas = sorted(strata[stratum], key=lambda r: r.index)
     vectors = [r.weights for r in replicas]
 
-    grids = {}
     paths = {}
     for field, flag in (("sand", "sand_grid"), ("silt", "silt_grid"),
                         ("clay", "clay_grid"), ("bulk_density", "bd_grid"),
@@ -381,28 +380,16 @@ def cmd_map(settings, out_dir, seed):
         path = settings.get(flag)
         if path or field in ("sand", "silt", "clay"):
             paths[field] = _require_file(path, f"--{flag.replace('_', '-')}")
-            grids[field] = mapping.read_grid(path)
-    layers = mapping.SoilLayerStack(
-        sand=grids["sand"], silt=grids["silt"], clay=grids["clay"],
-        bulk_density=grids.get("bulk_density"),
-        organic_carbon=grids.get("organic_carbon"))
-
-    product = mapping.apply_ensemble_map(
-        layers, vectors, topsoil=settings.get("topsoil", True, bool))
-    # the six grids are independent files: write_grids spreads them over up
-    # to one writer process per usable CPU, each writing write_grid's bytes
-    mapping.write_grids(
-        (os.path.join(out_dir, f"{kind}_{mapping.HEAD_LABELS[head]}.asc"), by_head[head])
-        for head in mapping.MAP_HEADS
-        for kind, by_head in (("mean", product.mean), ("cv", product.cv)))
+    counts = mapping.map_files(paths, vectors, out_dir,
+                               topsoil=settings.get("topsoil", True, bool))
     _write_manifest(out_dir, "map", settings, [table_path] + list(paths.values()) + nets)
     print(f"stratum={stratum} replicas={len(vectors)} "
-          f"valid_cells={product.n_valid_cells} "
-          f"missing_layer_cells={product.missing_layer_cells} "
-          f"texture_sum_cells={product.texture_sum_cells} "
-          f"negative_fraction_cells={product.negative_fraction_cells} "
-          f"out_of_range_cells={product.out_of_range_cells} "
-          f"zero_mean_cv_cells={product.cv_zero_mean_cells}")
+          f"valid_cells={counts['n_valid_cells']} "
+          f"missing_layer_cells={counts['missing_layer_cells']} "
+          f"texture_sum_cells={counts['texture_sum_cells']} "
+          f"negative_fraction_cells={counts['negative_fraction_cells']} "
+          f"out_of_range_cells={counts['out_of_range_cells']} "
+          f"zero_mean_cv_cells={counts['cv_zero_mean_cells']}")
     return 0
 
 

@@ -77,7 +77,7 @@ class WeightVector:
         if total <= 0.0:  # degenerate genome: fall back to the uniform mix
             raw = np.ones_like(raw)
             total = raw.sum()
-        return cls(members=tuple(members), weights=tuple(raw / total))
+        return cls(members=tuple(members), weights=tuple((raw / total).tolist()))
 
     def as_array(self):
         return np.asarray(self.weights, dtype=np.float64)

@@ -12,22 +12,29 @@ a texture fraction is negative or the fractions do not sum to 100, bulk
 density or organic carbon lies outside its physical range, or the replica
 mean is zero are nodata in the outputs; MapProduct counts them by reason.
 
-A grid body is parsed in one numpy.loadtxt call, numpy's C float parser:
-its grammar is Python float()'s without digit-group underscores and
-non-ASCII digits, a '#' is a bad value, and whitespace-only lines are
-skipped. Only a body that fails is scanned again, line by line, to name the
-file line at fault. Values are written as repr(float), which reads back
-bit for bit, one row at a time, so a writer holds O(ncols) floats and text;
-one repr per value is the floor of writing a grid as text, so
-write_grids writes several grids at once, split over up to one forked
-writer per usable CPU, each grid's bytes being exactly write_grid's. A
-writer reports only success or failure; after any failure the grids are
-written again in a plain loop, which raises what a serial loop raises.
+A grid body is parsed by numpy.loadtxt, numpy's C float parser, a block of
+rows per call: its grammar is Python float()'s without digit-group
+underscores and non-ASCII digits, a '#' is a bad value, and whitespace-only
+lines are skipped. A body fault is named by reading the file again, line by
+line, for the file line at fault. Values are written as repr(float), which
+reads back bit for bit, one row at a time.
+
+apply_ensemble_map maps grids held in memory. map_files, which the map
+command runs, streams the layer files instead, so that no process holds a
+whole raster: the rows are split into one band per usable CPU, this process
+and forked children each read, map and write their own band block by
+block, and each output is put together from the bands' rows once every
+band has succeeded. After any failure the map runs again as one band in
+this process, which raises what a serial run raises.
 """
 
+import contextlib
+import itertools
 import math
 import os
-from dataclasses import dataclass
+import shutil
+import tempfile
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -86,17 +93,77 @@ class Grid:
 
 def read_grid(path):
     """Parse an ESRI ASCII grid; strict six-line header in canonical order,
-    then nrows lines of ncols values (blank lines skipped)."""
-    with open_text(path, GridFormatError) as fh:
-        lines = fh.read().splitlines()
+    then nrows lines of ncols values (blank lines skipped): all its rows as
+    one block of the reader that map streams blocks with."""
+    with _GridReader(path) as reader:
+        return reader.window(reader.nrows)
+
+
+class _GridReader:
+    """An ESRI ASCII grid file read a block of rows at a time from row start
+    on: the header is checked on opening and rows are parsed as they are
+    asked for. A body fault in any block is named as read_grid names it, by
+    reading the whole file again (_body_fault)."""
+
+    def __init__(self, path, start=0):
+        self.path = path
+        self._lines = _text_lines(path)
+        self.header = _parse_header(self._lines, path)
+        self.ncols, self.nrows = self.header[:2]
+        self._rows = (line for line in self._lines if line.strip())
+        next(itertools.islice(self._rows, start, start), None)  # pass over rows before start
+        self._done = start  # rows read or passed over
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._lines.close()
+
+    def georef(self):
+        return self.header[:5]
+
+    def window(self, n):
+        """The next n rows as a Grid with this file's georeferencing."""
+        lines = list(itertools.islice(self._rows, n))
+        self._done += n
+        values = None
+        if len(lines) == n:
+            try:
+                values = _parse_rows(lines)
+            except ValueError:
+                pass
+        if values is None or values.shape != (n, self.ncols) or (
+                self._done == self.nrows and next(self._rows, None) is not None):
+            raise GridFormatError(
+                f"{self.path}: {_body_fault(self.path, self.nrows, self.ncols)}")
+        return Grid(self.ncols, n, *self.header[2:], values=values)
+
+
+def _text_lines(path):
+    """The lines of a UTF-8 text file, split as str.splitlines splits, read
+    as they are asked for; a file that open_text cannot read raises its
+    error, which names the file (and the first byte that is not UTF-8)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                yield from line.splitlines()
+    except (OSError, UnicodeDecodeError):
+        open_text(path, GridFormatError)
+        raise
+
+
+def _parse_header(lines, path):
+    """(ncols, nrows, xllcorner, yllcorner, cellsize, nodata), checked."""
     header = {}
     for i, key in enumerate(_HEADER_KEYS):
-        if i >= len(lines):
+        line = next(lines, None)
+        if line is None:
             raise GridFormatError(f"{path}: truncated header at line {i + 1}")
-        parts = lines[i].split()
+        parts = line.split()
         if len(parts) != 2 or parts[0].lower() != key.lower():
             raise GridFormatError(
-                f"{path}: line {i + 1}: expected '{key} <value>', got {lines[i]!r}")
+                f"{path}: line {i + 1}: expected '{key} <value>', got {line!r}")
         header[key] = parts[1]
     try:
         ncols, nrows = int(header["ncols"]), int(header["nrows"])
@@ -113,18 +180,7 @@ def read_grid(path):
     if cellsize <= 0.0:
         raise GridFormatError(f"{path}: line 5: cellsize must be positive, "
                               f"got {header['cellsize']!r}")
-
-    body = lines[6:]
-    values = None
-    if any(line.strip() for line in body):  # loadtxt warns on an empty body
-        try:
-            values = _parse_rows(body)
-        except ValueError:
-            pass
-    if values is None or values.shape != (nrows, ncols):
-        raise GridFormatError(f"{path}: {_body_fault(body, nrows, ncols)}")
-    return Grid(ncols=ncols, nrows=nrows, xllcorner=xll, yllcorner=yll,
-                cellsize=cellsize, nodata=nodata, values=values)
+    return ncols, nrows, xll, yll, cellsize, nodata
 
 
 def _parse_rows(lines):
@@ -141,13 +197,19 @@ def _parses(text):
     return True
 
 
-def _body_fault(body, nrows, ncols):
-    """What is wrong with a grid body that did not parse as nrows x ncols
-    numbers, naming the file line (the body starts on line 7)."""
-    rows = [(n, line) for n, line in enumerate(body, start=7) if line.strip()]
-    if len(rows) != nrows:
-        return f"expected {nrows} data rows, found {len(rows)}"
-    for n, line in rows:
+def _body_fault(path, nrows, ncols):
+    """What is wrong with the body of the grid file at path, which did not
+    parse as nrows x ncols numbers, naming the file line (the body starts
+    on line 7). The file is read again, a line at a time."""
+    def rows():
+        for n, line in enumerate(_text_lines(path), start=1):
+            if n > 6 and line.strip():
+                yield n, line
+
+    found = sum(1 for _ in rows())
+    if found != nrows:
+        return f"expected {nrows} data rows, found {found}"
+    for n, line in rows():
         parts = line.split()
         if len(parts) != ncols:
             return f"line {n}: expected {ncols} values, found {len(parts)}"
@@ -160,63 +222,22 @@ def _body_fault(body, nrows, ncols):
 def write_grid(path, grid):
     """Write a grid in the canonical six-header-line layout; values are
     written as repr(float), which reads back exactly, one row at a time."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"ncols {grid.ncols}\n")
-        fh.write(f"nrows {grid.nrows}\n")
-        fh.write(f"xllcorner {repr(float(grid.xllcorner))}\n")
-        fh.write(f"yllcorner {repr(float(grid.yllcorner))}\n")
-        fh.write(f"cellsize {repr(float(grid.cellsize))}\n")
-        fh.write(f"NODATA_value {repr(float(grid.nodata))}\n")
-        for row in grid.values:  # O(ncols) floats and text at a time
-            fh.write(" ".join(map(repr, row.tolist())) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(_header_text(*grid.georef(), grid.nodata))
+        _write_rows(fh, grid.values)
 
 
-def write_grids(pairs):
-    """Write each (path, Grid) pair with write_grid, the pairs split
-    round-robin over at most one writer per usable CPU: this process writes
-    pairs 0, k, 2k, ... and k - 1 forked children write the rest. A child
-    ends with os._exit, status 0 if each of its writes succeeded and 1
-    otherwise, so it never returns into the caller, runs no atexit handler
-    and flushes none of the parent's buffers. If anything failed (a write of
-    this process, a child's status, or os.fork itself), every pair is
-    written again by a plain loop once every child has been reaped, which
-    raises what a serial loop raises. Without os.fork, or with one usable
-    CPU, this is the plain loop."""
-    pairs = list(pairs)
-    n_writers = _writer_count(len(pairs))
-    pids, failed = [], False
-    try:
-        for k in range(1, n_writers):
-            pid = os.fork()
-            if pid == 0:  # the child: write share k, then exit
-                status = 1
-                try:
-                    for pair in pairs[k::n_writers]:
-                        write_grid(*pair)
-                    status = 0
-                finally:
-                    os._exit(status)
-            pids.append(pid)
-        for pair in pairs[::n_writers]:
-            write_grid(*pair)
-    except Exception:  # noqa: BLE001 - the plain loop below meets it again, or not
-        failed = True
-    finally:
-        for pid in pids:
-            failed |= os.waitpid(pid, 0)[1] != 0
-    if failed:
-        for pair in pairs:
-            write_grid(*pair)
+def _header_text(ncols, nrows, *values):
+    """A grid's six header lines, as bytes; values in _HEADER_KEYS order."""
+    return "".join([f"ncols {ncols}\n", f"nrows {nrows}\n"] + [
+        f"{key} {float(value)!r}\n" for key, value in zip(_HEADER_KEYS[2:], values)]).encode()
 
 
-def _writer_count(n_pairs):
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(n_pairs, cpus))
+def _write_rows(fh, values):
+    """Append rows of values to a binary file as repr(float) text, holding
+    O(ncols) floats and text at a time."""
+    for row in values:
+        fh.write((" ".join(map(repr, row.tolist())) + "\n").encode())
 
 
 # Cells per map block. At 4,096 a block's float64 column is 32 KiB, under
@@ -284,8 +305,10 @@ def apply_ensemble_map(layers, replica_weights, heads=MAP_HEADS, topsoil=True,
     the working set is flat in raster width and replica count: about 3.5 MiB
     traced at the default, MAP_BLOCK_CELLS, with 11 members, whose 32 KiB
     float64 block columns come from the heap rather than fresh mappings. The
-    layers and the mean and CV grids are held whole; write_grid writes a
-    grid a row at a time. No output byte depends on block_cells.
+    layers and the mean and CV grids are held whole: this is the in-memory
+    library call. map_files, which the map command runs, calls it on one
+    block of rows at a time and holds no whole raster; it relies on no
+    output byte depending on block_cells or on the window mapped.
     """
     replica_weights = list(replica_weights)
     if len(replica_weights) < 2:
@@ -349,3 +372,102 @@ def apply_ensemble_map(layers, replica_weights, heads=MAP_HEADS, topsoil=True,
         n_valid_cells=n_valid, cv_zero_mean_cells=n_zero_mean,
         missing_layer_cells=n_missing, texture_sum_cells=n_sum,
         negative_fraction_cells=n_negative, out_of_range_cells=n_range)
+
+
+# map_files' outputs in the order written, and counts in a band's report
+_OUTPUTS = tuple((kind, head) for head in MAP_HEADS for kind in ("mean", "cv"))
+_COUNTS = tuple(f.name for f in fields(MapProduct))[2:]
+
+
+def map_files(paths, replica_weights, out_dir, topsoil=True):
+    """Map the layer files at paths ({SoilLayerStack field: path}) as
+    apply_ensemble_map maps their grids, writing mean_{sat,fc,wp}.asc and
+    cv_{sat,fc,wp}.asc to out_dir, in bands of rows as the module docstring
+    says; returns MapProduct's counts by name. Bands write to unnamed
+    temporary files in out_dir, a forked child reports its counts through a
+    pipe and ends with os._exit, and no output is opened before every band
+    has succeeded."""
+    cpus = _usable_cpus()
+    if cpus > 1:
+        try:
+            return _map_bands(paths, replica_weights, out_dir, topsoil, cpus)
+        except Exception:  # noqa: BLE001 - the serial run below meets it again, or not
+            pass
+    return _map_bands(paths, replica_weights, out_dir, topsoil, 1)
+
+
+def _usable_cpus():
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_bands(paths, replica_weights, out_dir, topsoil, cpus):
+    """map_files over one band per CPU, at most one per row; raises, once
+    every child is reaped, if any band failed."""
+    outputs = [os.path.join(out_dir, f"{kind}_{HEAD_LABELS[head]}.asc")
+               for kind, head in _OUTPUTS]
+    with contextlib.ExitStack() as stack:
+        readers = {name: stack.enter_context(_GridReader(path)) for name, path in paths.items()}
+        SoilLayerStack(**readers)  # the whole layers are co-registered
+        georef = readers["sand"].georef()
+        n_bands = min(cpus, georef[1])
+        bands = [range(georef[1] * b // n_bands, georef[1] * (b + 1) // n_bands)
+                 for b in range(n_bands)]
+        parts = [[stack.enter_context(tempfile.TemporaryFile(dir=out_dir)) for _ in outputs]
+                 for _ in bands]
+        read_end, write_end = os.pipe()
+        reports = stack.enter_context(open(read_end, "rb"))
+        sender = stack.enter_context(open(write_end, "wb", buffering=0))
+        pids = []
+        try:
+            for band, files in zip(bands[1:], parts[1:]):
+                pid = os.fork()
+                if pid == 0:  # the child: map its band, report its counts, exit
+                    status = 1
+                    try:
+                        own = {name: _GridReader(path, band.start) for name, path in paths.items()}
+                        counts = _map_band(own, replica_weights, band, files, topsoil)
+                        sender.write(" ".join(map(str, counts.tolist())).encode() + b"\n")
+                        status = 0
+                    finally:
+                        os._exit(status)
+                pids.append(pid)
+            counts = _map_band(readers, replica_weights, bands[0], parts[0], topsoil)
+        finally:
+            sender.close()  # so that reports ends once every child has exited
+            failed = [os.waitpid(pid, 0)[1] != 0 for pid in pids]
+        if any(failed):
+            raise ChildProcessError("a map band failed")
+        for line in reports:
+            counts += np.array(line.split(), dtype=np.int64)
+        for path, files in zip(outputs, zip(*parts)):
+            with open(path, "wb") as fh:
+                fh.write(_header_text(*georef, DEFAULT_NODATA))
+                for part in files:
+                    part.seek(0)
+                    shutil.copyfileobj(part, fh)
+    return dict(zip(_COUNTS, counts.tolist()))
+
+
+def _map_band(readers, replica_weights, rows, outs, topsoil):
+    """Map the range rows block by block from readers ({layer: _GridReader}
+    at row rows.start), appending the six outputs' rows to the binary files
+    outs in _OUTPUTS order; the counts, in _COUNTS order."""
+    counts = np.zeros(len(_COUNTS), dtype=np.int64)
+    block_rows = max(1, MAP_BLOCK_CELLS // readers["sand"].ncols)
+    for row0 in range(rows.start, rows.stop, block_rows):
+        n = min(block_rows, rows.stop - row0)
+        product = apply_ensemble_map(
+            SoilLayerStack(**{name: r.window(n) for name, r in readers.items()}),
+            replica_weights, topsoil=topsoil)
+        for fh, (kind, head) in zip(outs, _OUTPUTS):
+            _write_rows(fh, getattr(product, kind)[head].values)
+        counts += [getattr(product, name) for name in _COUNTS]
+        del product  # not held while the next block is read and mapped
+    for fh in outs:
+        fh.flush()
+    return counts

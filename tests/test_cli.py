@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import ptfens
 from ptfens import (
     Grid,
+    GridFormatError,
     PtfId,
     SampleTable,
     USDA_CLASSES,
@@ -32,7 +34,7 @@ from ptfens import (
     write_ann_file,
     write_weights,
 )
-from ptfens import _kernels, ensemble
+from ptfens import _kernels, ensemble, mapping
 from ptfens.cli import main, read_config
 from ptfens.ensemble import GLOBAL_STRATUM, ensemble_theta, point_matrix
 from ptfens.metrics import FitSummary
@@ -179,6 +181,46 @@ def test_evaluate_weights_predicts_each_member_once(capsys, monkeypatch, sample_
     assert code == 2 and "rosetta_h2w" in err
 
 
+# every member that needs no trained network
+NETWORK_FREE = ("cosby0", "carsel", "clapp", "rosetta_h1w", "cosby1", "cosby2", "rawls",
+                "campbell", "wosten", "weynants", "vereecken")
+
+
+@pytest.fixture(scope="module")
+def evaluate_dir(tmp_path_factory):
+    """A sample file and the report.tsv rows of evaluate over every
+    network-free member and rosetta_h2w (not evaluable without a network),
+    by model."""
+    path = tmp_path_factory.mktemp("evaluate")
+    write_samples(path / "samples.csv", synthetic_population(
+        np.random.default_rng(82), 15, PtfId.WOSTEN, noise=0.02))
+    return path, evaluate_report(path, NETWORK_FREE + ("rosetta_h2w",))
+
+
+def evaluate_report(path, members):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["evaluate", "--data", str(path / "samples.csv"),
+                     "--members", ",".join(members), "--out", str(path / "out")])
+    assert code == 0
+    rows = [line.split("\t") for line in
+            (path / "out" / "report.tsv").read_text().splitlines()[1:]]
+    return {row[0]: row[1:] for row in rows}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(NETWORK_FREE + ("rosetta_h2w",)), min_size=1, unique=True)
+       .filter(lambda members: members != ["rosetta_h2w"]))
+def test_evaluate_member_fit_does_not_depend_on_the_selection(evaluate_dir, members):
+    """A member's n_points, n_params, RMSE and j (and a member that is not
+    evaluable) read the same whichever other members are selected, in any
+    order; its AIC may differ, through j*, the mean j of the selection."""
+    path, everyone = evaluate_dir
+    report = evaluate_report(path, members)
+    assert list(report) == members
+    for member, row in report.items():
+        assert row[:4] == everyone[member][:4], member
+
+
 def test_evaluate_bad_member_name(capsys, sample_file, tmp_path):
     code, _, err = run(capsys, "evaluate", "--data", sample_file,
                        "--members", "bogus", "--out", tmp_path)
@@ -252,6 +294,28 @@ def test_calibrate_stratified_outputs(capsys, tmp_path):
         _, meta = ensemble.read_weights(out / f"weights_{key.replace(':', '_')}.tsv")
         assert meta["stratum"] == key and float(meta["mean_cal_rmse"]) > 0.0
         assert f"stratum={key} points={points} cal_rmse=" in stdout
+
+
+def test_calibrate_summary_columns_are_numbers(capsys, tmp_path):
+    """Every summary.tsv field after ptf_id parses with float(), and a
+    member's mean_weight has the text of its weights_<stratum>.tsv row
+    (numpy 2 scalars written with repr read np.float64(...))."""
+    rng = np.random.default_rng(81)
+    data = tmp_path / "samples.csv"
+    write_samples(data, synthetic_population(rng, 20, PtfId.COSBY1, noise=0.02))
+    out = tmp_path / "strat"
+    code, _, _ = run(capsys, "calibrate", "--data", data, "--members", "cosby1,carsel",
+                     "--scheme", "pressure", "--replicas", "3",
+                     "--min-stratum-points", "10", "--seed", "2", "--out", out)
+    assert code == 0
+    header, *rows = (out / "summary.tsv").read_text().splitlines()
+    assert header == "stratum\tptf_id\tmean_weight\tweight_std"
+    assert {row.split("\t")[0] for row in rows} == {GLOBAL_STRATUM, "psi:330", "psi:15000"}
+    for row in rows:
+        stratum, ptf_id, mean_weight, weight_std = row.split("\t")
+        float(mean_weight), float(weight_std)
+        weights = (out / f"weights_{stratum.replace(':', '_')}.tsv").read_text().splitlines()
+        assert f"{ptf_id}\t{mean_weight}" in weights
 
 
 @pytest.mark.parametrize("edges, recorded", [(None, "0.1,0.3,0.6,1.0,2.0,4.0,8.0"),
@@ -464,9 +528,7 @@ def test_predict_texture_class_record(capsys, tmp_path):
     assert not (tmp_path / "pred2" / "predictions.tsv").exists()
 
 
-# every member that needs no trained network, and the class-table ones
-NETWORK_FREE = ("cosby0", "carsel", "clapp", "rosetta_h1w", "cosby1", "cosby2", "rawls",
-                "campbell", "wosten", "weynants", "vereecken")
+# the class-table members
 CLASS_TABLE = ("cosby0", "carsel", "clapp", "rosetta_h1w")
 PROFILE_HEADS = "0,10,330,15000"
 
@@ -893,7 +955,8 @@ def map_argv(cal, tmp_path, out):
             "--clay-grid", tmp_path / "clay.asc", "--out", out)
 
 
-# with two writers this process writes the mean grids and the child the CV grids
+# an output that is a directory fails once every band has succeeded, when the
+# outputs are put together, and the serial rerun meets it again
 @pytest.mark.parametrize("bad", ["mean_sat.asc", "cv_sat.asc"], ids=["parent", "child"])
 def test_map_output_failure_matches_serial(capsys, monkeypatch, sample_file, tmp_path, bad):
     cal = tmp_path / "cal"
@@ -912,6 +975,77 @@ def test_map_output_failure_matches_serial(capsys, monkeypatch, sample_file, tmp
         outcomes.append((code, stdout, err.replace(str(out), "<out>")))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0] == (1, "", f"error: <out>/{bad}: Is a directory\n")
+
+
+CHEAP_TABLE = ("stratum\treplica\tcal_rmse\tval_rmse\tw_cosby1\tw_cosby2\n"
+               "global\t0\t0.01\t\t0.5\t0.5\nglobal\t1\t0.01\t\t0.3\t0.7\n"
+               "global\t2\t0.01\t\t0.8\t0.2\n")
+
+
+def textured_grid_args(directory, nrows, ncols):
+    """The --sand/silt/clay-grid arguments of grid files of nrows x ncols
+    cells over the texture triangle, written to directory."""
+    fractions = np.random.default_rng(nrows).dirichlet((2.0, 2.0, 2.0), (nrows, ncols)) * 100.0
+    args = []
+    for k, name in enumerate(("sand", "silt", "clay")):
+        write_grid(directory / f"{name}.asc", Grid(ncols=ncols, nrows=nrows, xllcorner=0.0,
+                                                   yllcorner=0.0, cellsize=1.0, nodata=-9999.0,
+                                                   values=fractions[..., k]))
+        args += [f"--{name}-grid", directory / f"{name}.asc"]
+    return args
+
+
+def test_map_memory_flat_in_raster_height(monkeypatch, tmp_path):
+    """With one band, the traced peak of map on a raster 20 blocks tall
+    (1,280 x 64 cells) stays within 10% of that on one block (64 x 64):
+    map streams rows, so its memory depends on the block budget, not on
+    the raster. Holding the inputs and outputs whole, the peak went from
+    1.5 MB to 10.5 MB. Children are out of tracemalloc's sight, hence one
+    band."""
+    monkeypatch.setattr(mapping, "_usable_cpus", lambda: 1)
+    (tmp_path / "replicas.tsv").write_text(CHEAP_TABLE)
+    peaks = []
+    for run_index, nrows in enumerate((64, 64, 1280)):  # the first run fills caches
+        directory = tmp_path / f"run{run_index}"
+        directory.mkdir()
+        argv = ["map", "--weights", tmp_path / "replicas.tsv",
+                *textured_grid_args(directory, nrows, 64), "--out", directory / "maps"]
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([str(a) for a in argv]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    one_block, twenty_blocks = peaks[1:]
+    assert abs(twenty_blocks - one_block) <= 0.1 * one_block, peaks
+
+
+# three blocks of 64 rows, the last one 22 rows
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_map_malformed_row_in_the_last_block(capsys, monkeypatch, tmp_path, cpus):
+    """One malformed row in the last block of one input exits 2 with the
+    message read_grid gives for that file; the grids of an earlier run stay
+    byte-unchanged, and no band file is left in --out."""
+    (tmp_path / "replicas.tsv").write_text(CHEAP_TABLE)
+    argv = ("map", "--weights", tmp_path / "replicas.tsv",
+            *textured_grid_args(tmp_path, 150, 64), "--out", tmp_path / "maps")
+    assert run(capsys, *argv)[0] == 0
+    before = {p.name: p.read_bytes() for p in (tmp_path / "maps").iterdir()}
+    assert len(before) == 7  # six grids and the manifest
+    silt = tmp_path / "silt.asc"
+    lines = silt.read_text().splitlines()
+    lines[6 + 140] = lines[6 + 140].replace(" ", " 1.5.5 ", 1).rsplit(" ", 1)[0]
+    silt.write_text("\n".join(lines) + "\n")
+    with pytest.raises(GridFormatError) as want:
+        read_grid(silt)
+    assert str(want.value) == f"{silt}: line 147: could not convert string to float: '1.5.5'"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    code, stdout, err = run(capsys, *argv)
+    with pytest.raises(ChildProcessError):  # every band was reaped
+        os.waitpid(-1, os.WNOHANG)
+    assert (code, stdout, err) == (2, "", f"data error: {want.value}\n")
+    assert {p.name: p.read_bytes() for p in (tmp_path / "maps").iterdir()} == before
 
 
 def package_env(**extra):

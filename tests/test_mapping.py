@@ -30,7 +30,6 @@ from ptfens import (
     register_ann,
     required_inputs,
     write_grid,
-    write_grids,
 )
 from ptfens import _kernels, mapping
 from ptfens.mapping import DEFAULT_NODATA, HEAD_LABELS
@@ -300,9 +299,7 @@ def test_read_grid_token_splice_fuzz(grid_file, text):
     assert grid.values.shape == (grid.nrows, grid.ncols)
 
 
-def six_grids(rng):
-    """Six grids of different shapes, as map writes them."""
-    return [small_grid(rng.uniform(0.0, 1.0, size=(3 + k, 4))) for k in range(6)]
+OUTPUT_NAMES = [f"{kind}_{HEAD_LABELS[head]}.asc" for kind, head in mapping._OUTPUTS]
 
 
 def use_cpus(monkeypatch, n):
@@ -314,80 +311,138 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 4])
-def test_write_grids_bytes_match_write_grid(tmp_path, monkeypatch, cpus):
-    grids = six_grids(np.random.default_rng(71))
-    for k, grid in enumerate(grids):
-        write_grid(tmp_path / f"serial_{k}.asc", grid)
+@pytest.fixture
+def band_case(tmp_path, monkeypatch):
+    """Five layer files of nrows x 11 cells (a nodata, an off-sum and a
+    negative-fraction cell), 11 members, 4 replicas, blocks of 3 rows, and
+    a function that writes apply_ensemble_map's grids with write_grid into
+    a directory, returning the product."""
+    monkeypatch.setattr(mapping, "MAP_BLOCK_CELLS", 33)
+
+    def make(nrows=40):
+        rng = np.random.default_rng(78)
+        layers = stack_of(full_stack(rng, nrows=40, ncols=11), np.s_[:nrows])
+        layers.sand.values[1, 7] += 3.0
+        layers.sand.values[2, 2], layers.silt.values[2, 2], layers.clay.values[2, 2] = \
+            -1.0, 61.0, 40.0
+        paths = {}
+        for name in PREDICTOR_FIELDS:
+            paths[name] = tmp_path / f"{name}.asc"
+            write_grid(paths[name], layers.layer(name))
+        replicas = [WeightVector.normalized(TABLE_AND_REGRESSION, rng.uniform(0.1, 1.0, 11))
+                    for _ in range(4)]
+
+        def reference(directory):
+            directory.mkdir()
+            product = apply_ensemble_map(layers, replicas)
+            for name, (kind, head) in zip(OUTPUT_NAMES, mapping._OUTPUTS):
+                write_grid(directory / name, getattr(product, kind)[head])
+            return product
+        return paths, replicas, reference
+    return make
+
+
+def assert_same_files(got, want):
+    """got holds the six output grids, byte for byte those in want, and no
+    other file (no band or temporary file left behind)."""
+    assert sorted(os.listdir(got)) == sorted(OUTPUT_NAMES)
+    for name in OUTPUT_NAMES:
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+
+# (usable CPUs, raster rows): 1, 2 and 3 bands, and 4 CPUs over 3 rows
+@pytest.mark.parametrize("cpus, nrows", [(1, 40), (2, 40), (3, 40), (4, 3)],
+                         ids=["1", "2", "3", "4"])
+def test_map_bands_bytes_match_write_grid(tmp_path, monkeypatch, band_case, cpus, nrows):
+    paths, replicas, reference = band_case(nrows)
+    product = reference(tmp_path / "serial")
     use_cpus(monkeypatch, cpus)
-    write_grids((tmp_path / f"split_{k}.asc", grid) for k, grid in enumerate(grids))
+    (tmp_path / "out").mkdir()
+    counts = mapping.map_files(paths, replicas, tmp_path / "out")
     assert_no_child_left()
-    for k in range(6):
-        assert (tmp_path / f"split_{k}.asc").read_bytes() == \
-            (tmp_path / f"serial_{k}.asc").read_bytes()
+    assert counts == {name: getattr(product, name) for name in mapping._COUNTS}
+    assert (counts["texture_sum_cells"], counts["negative_fraction_cells"],
+            counts["missing_layer_cells"]) == (1, 1, 1 if nrows > 3 else 0)
+    assert_same_files(tmp_path / "out", tmp_path / "serial")
 
 
-def test_write_grids_without_fork(tmp_path, monkeypatch):
-    grids = six_grids(np.random.default_rng(72))
+def test_map_bands_without_fork(tmp_path, monkeypatch, band_case):
+    paths, replicas, reference = band_case()
+    reference(tmp_path / "serial")
     monkeypatch.delattr(os, "fork")
     use_cpus(monkeypatch, 4)
-    write_grids((tmp_path / f"{k}.asc", grid) for k, grid in enumerate(grids))
-    for k, grid in enumerate(grids):
-        assert np.array_equal(read_grid(tmp_path / f"{k}.asc").values, grid.values)
+    (tmp_path / "out").mkdir()
+    mapping.map_files(paths, replicas, tmp_path / "out")
+    assert_same_files(tmp_path / "out", tmp_path / "serial")
 
 
-def write_failure(tmp_path, grids, bad, cpus, monkeypatch):
-    """The exception write_grids raises with a directory at each of the bad
-    indices, written over the given number of CPUs."""
+def corrupt_row(path, row, column, text="x"):
+    """Replace one value of a grid file's data row with text."""
+    lines = path.read_text().splitlines()
+    values = lines[6 + row].split()
+    values[column] = text
+    lines[6 + row] = " ".join(values)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def band_failure(tmp_path, paths, replicas, cpus, monkeypatch):
+    """What map_files raises over the given number of CPUs, with out_dir
+    left empty and every child reaped."""
     out = tmp_path / f"cpus{cpus}"
     out.mkdir()
-    for k in bad:
-        (out / f"{k}.asc").mkdir()
     use_cpus(monkeypatch, cpus)
-    with pytest.raises(OSError) as err:
-        write_grids((out / f"{k}.asc", grid) for k, grid in enumerate(grids))
+    with pytest.raises(GridFormatError) as err:
+        mapping.map_files(paths, replicas, out)
     assert_no_child_left()
-    return type(err.value), str(err.value).replace(str(out), "<out>")
+    assert os.listdir(out) == []
+    return str(err.value)
 
 
-# with two writers this process writes the even pairs and the child the odd
-@pytest.mark.parametrize("bad", [[0], [1], [3, 4], [2, 5]],
-                         ids=["parent", "child", "child-first", "parent-first"])
-def test_write_grids_raises_the_serial_failure(tmp_path, monkeypatch, bad):
-    grids = six_grids(np.random.default_rng(73))
-    serial = write_failure(tmp_path, grids, bad, 1, monkeypatch)
-    assert serial[0] is IsADirectoryError
-    assert serial[1].endswith(f"'<out>/{bad[0]}.asc'")
+# malformed rows (layer, row) over 40 rows: with two bands this process maps
+# rows 0-19 and the child rows 20-39; a serial run meets the faults in block
+# order, layer by layer within a block
+@pytest.mark.parametrize("bad, first", [
+    ([("sand", 5)], ("sand", 5)),
+    ([("sand", 30)], ("sand", 30)),
+    ([("sand", 30), ("clay", 5)], ("clay", 5)),
+    ([("sand", 5), ("clay", 30)], ("sand", 5)),
+], ids=["parent", "child", "child-first", "parent-first"])
+def test_map_bands_raise_the_serial_failure(tmp_path, monkeypatch, band_case, bad, first):
+    paths, replicas, _ = band_case()
+    for name, row in bad:
+        corrupt_row(paths[name], row, 3)
+    serial = band_failure(tmp_path, paths, replicas, 1, monkeypatch)
+    name, row = first
+    assert serial == f"{paths[name]}: line {7 + row}: could not convert string to float: 'x'"
     for cpus in (2, 4):
-        assert write_failure(tmp_path, grids, bad, cpus, monkeypatch) == serial
+        assert band_failure(tmp_path, paths, replicas, cpus, monkeypatch) == serial
 
 
-def test_write_grids_reruns_after_a_child_exits_1(tmp_path, monkeypatch):
+def test_map_bands_rerun_after_a_child_exits_1(tmp_path, monkeypatch, band_case):
     """A child that ends with status 1 and raises nothing in this process
-    has its share written again here, with write_grid's bytes."""
-    grids = six_grids(np.random.default_rng(74))
-    for k, grid in enumerate(grids):
-        write_grid(tmp_path / f"serial_{k}.asc", grid)
-    parent = os.getpid()
+    has the whole map run again here, with the same bytes."""
+    paths, replicas, reference = band_case()
+    reference(tmp_path / "serial")
+    parent, real_map_band = os.getpid(), mapping._map_band
 
-    def write_or_die(path, grid):
+    def map_or_die(*args):
         if os.getpid() != parent:
             os._exit(1)
-        write_grid(path, grid)
+        return real_map_band(*args)
 
-    monkeypatch.setattr(mapping, "write_grid", write_or_die)
+    monkeypatch.setattr(mapping, "_map_band", map_or_die)
     use_cpus(monkeypatch, 2)
-    write_grids((tmp_path / f"split_{k}.asc", grid) for k, grid in enumerate(grids))
+    (tmp_path / "out").mkdir()
+    mapping.map_files(paths, replicas, tmp_path / "out")
     assert_no_child_left()
-    for k in range(6):
-        assert (tmp_path / f"split_{k}.asc").read_bytes() == \
-            (tmp_path / f"serial_{k}.asc").read_bytes()
+    assert_same_files(tmp_path / "out", tmp_path / "serial")
 
 
-def test_write_grids_survives_a_failed_fork(tmp_path, monkeypatch):
+def test_map_bands_survive_a_failed_fork(tmp_path, monkeypatch, band_case):
     """os.fork failing after one child (EAGAIN: too many processes) still
-    writes every grid."""
-    grids = six_grids(np.random.default_rng(75))
+    maps every row."""
+    paths, replicas, reference = band_case()
+    reference(tmp_path / "serial")
     real_fork, forks = os.fork, []
 
     def fork_once():
@@ -398,38 +453,40 @@ def test_write_grids_survives_a_failed_fork(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork_once)
     use_cpus(monkeypatch, 4)
-    write_grids((tmp_path / f"{k}.asc", grid) for k, grid in enumerate(grids))
+    (tmp_path / "out").mkdir()
+    mapping.map_files(paths, replicas, tmp_path / "out")
     assert_no_child_left()
-    for k, grid in enumerate(grids):
-        assert np.array_equal(read_grid(tmp_path / f"{k}.asc").values, grid.values)
+    assert_same_files(tmp_path / "out", tmp_path / "serial")
 
 
-def test_write_grids_writes_each_pair_once(tmp_path, monkeypatch):
-    """On success there is no rerun: four writers (three forked) write each
-    pair once, in round-robin shares."""
-    grids = six_grids(np.random.default_rng(76))
-    log = tmp_path / "writes.log"
+def test_map_bands_map_each_row_once(tmp_path, monkeypatch, band_case):
+    """On success there is no rerun: four bands (three forked) map each
+    row once, in contiguous bands, this process the first."""
+    paths, replicas, _ = band_case()
+    log = tmp_path / "bands.log"
+    real_map_band = mapping._map_band
 
-    def logged_write(path, grid):
-        write_grid(path, grid)
+    def logged_band(readers, replicas, rows, outs, topsoil):
+        counts = real_map_band(readers, replicas, rows, outs, topsoil)
         fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-        os.write(fd, f"{os.getpid()} {path.name}\n".encode())
+        os.write(fd, f"{os.getpid()} {rows.start} {rows.stop}\n".encode())
         os.close(fd)
+        return counts
 
     real_fork, forks = os.fork, []
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-    monkeypatch.setattr(mapping, "write_grid", logged_write)
+    monkeypatch.setattr(mapping, "_map_band", logged_band)
     use_cpus(monkeypatch, 4)
-    write_grids((tmp_path / f"{k}.asc", grid) for k, grid in enumerate(grids))
+    (tmp_path / "out").mkdir()
+    mapping.map_files(paths, replicas, tmp_path / "out")
     assert_no_child_left()
     assert len(forks) == 3
-    writers = {}
+    bands = {}
     for line in log.read_text().splitlines():
-        pid, name = line.split()
-        writers.setdefault(pid, []).append(name)
-    assert sorted(writers.values()) == [["0.asc", "4.asc"], ["1.asc", "5.asc"],
-                                        ["2.asc"], ["3.asc"]]
-    assert writers[str(os.getpid())] == ["0.asc", "4.asc"]
+        pid, start, stop = line.split()
+        bands.setdefault(pid, []).append((int(start), int(stop)))
+    assert sorted(bands.values()) == [[(0, 10)], [(10, 20)], [(20, 30)], [(30, 40)]]
+    assert bands[str(os.getpid())] == [(0, 10)]
 
 
 def test_grid_shape_validation():
