@@ -1,20 +1,19 @@
 """Hot numeric kernels, vectorized with numpy.
 
 Retention parameters are handled in packed form: an int8 family code per
-record plus a float64 row of up to four parameters,
-
-    family 0 (van Genuchten): theta_r, theta_s, alpha, n
-    family 1 (Brooks-Corey):  theta_r, theta_s, psi_b, lambda
-    family 2 (Campbell):      theta_s, psi_e, b, unused
+record plus a float64 row of four slots. COLUMNS is the one statement of each
+family's packed columns, in row order; a family with fewer than four leaves
+the last slots 0. The retention dataclasses, the clamps of ptf, the class-table
+loader and the network output check all read their layout from it.
 
 theta_points is the one entry to the curve formulas (_vg, _bc, _cmp): every
 batch path (ptf.member_thetas, ensemble.point_matrix) calls it, and so does
 retention.theta_at on one parameter set. At psi = 0 each formula gives
-theta_s exactly, so a caller may read it (THETA_S_COLUMN). weighted_sum is
-the one weighted sum of member water contents, for predict, evaluate's
-ensemble row, calibrate's chi2 and pooled RMSE, and the map's mean;
-replica_mean_std gives the map's replica spread in closed form from the
-weights, one row of the triangular factor at a time.
+theta_s exactly, so a caller may read it (THETA_S_COLUMN, its index in
+COLUMNS). weighted_sum is the one weighted sum of member water contents, for
+predict, evaluate's ensemble row, calibrate's chi2 and pooled RMSE, and the
+map's mean; replica_mean_std gives the map's replica spread in closed form
+from the weights, one row of the triangular factor at a time.
 """
 
 import numpy as np
@@ -22,6 +21,9 @@ import numpy as np
 FAMILY_VG = 0
 FAMILY_BC = 1
 FAMILY_CMP = 2
+COLUMNS = {FAMILY_VG: ("theta_r", "theta_s", "alpha", "n"),
+           FAMILY_BC: ("theta_r", "theta_s", "psi_b", "lambda"),
+           FAMILY_CMP: ("theta_s", "psi_e", "b")}
 
 
 def _vg(tr, ts, al, n, psi):
@@ -43,7 +45,7 @@ def _cmp(ts, pe, b, _, psi):
 
 
 _CURVES = {FAMILY_VG: _vg, FAMILY_BC: _bc, FAMILY_CMP: _cmp}
-THETA_S_COLUMN = {FAMILY_VG: 1, FAMILY_BC: 1, FAMILY_CMP: 0}
+THETA_S_COLUMN = {code: columns.index("theta_s") for code, columns in COLUMNS.items()}
 
 
 def theta_points(codes, params, psi):

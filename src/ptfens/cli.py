@@ -361,7 +361,7 @@ def cmd_predict(settings, out_dir):
     return 0
 
 
-def cmd_map(settings, out_dir, seed):
+def cmd_map(settings, out_dir):
     table_path = _require_file(settings.get("weights"),
                                "replica weight table (--weights)")
     nets = _load_rosetta(settings)
@@ -494,7 +494,7 @@ def main(argv=None):
         if args.command == "predict":
             return cmd_predict(settings, out_dir)
         if args.command == "map":
-            return cmd_map(settings, out_dir, seed)
+            return cmd_map(settings, out_dir)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,18 +21,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DataError
-from .retention import (
-    BrooksCoreyParams,
-    CampbellParams,
-    RetentionParams,
-    VanGenuchtenParams,
-)
+from .retention import FAMILY_CLASSES, RetentionParams
 
-_CLASS_FAMILIES = {
-    frozenset(("theta_r", "theta_s", "alpha", "n")): VanGenuchtenParams,
-    frozenset(("theta_r", "theta_s", "psi_b", "lambda")): BrooksCoreyParams,
-    frozenset(("theta_s", "psi_e", "b")): CampbellParams,
-}
+_CLASS_FAMILIES = {frozenset(cls.columns): cls for cls in FAMILY_CLASSES.values()}
 
 TRANSFORMS = {
     "identity": lambda x: x,
@@ -88,8 +79,7 @@ def load_class_table(name, ptf):
     for row in rows[1:]:
         values = dict(zip(header, (v.strip() for v in row)))
         cls = values.pop("class")
-        kwargs = {("lambda_" if k == "lambda" else k): float(v) for k, v in values.items()}
-        entries[cls] = family(**kwargs)
+        entries[cls] = family.from_columns({k: float(v) for k, v in values.items()})
     provenance = comments[0] if comments else ""
     return ClassLookupTable(ptf=ptf, provenance=provenance, entries=entries)
 

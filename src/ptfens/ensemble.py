@@ -603,12 +603,15 @@ def read_replica_table(path):
     lineno, header = body[0]
     members = tuple(_parse_field(path, lineno, PtfId, c[2:], "member column")
                     for c in header[4:])
-    strata = {}
+    strata, seen = {}, set()
     for lineno, row in body[1:]:
         if len(row) != len(header):
             raise InputError(f"{path}:{lineno}: expected {len(header)} tab-separated "
                              f"fields, found {len(row)}")
         index = _parse_field(path, lineno, int, row[1], "replica index")
+        if (row[0], index) in seen:
+            raise InputError(f"{path}:{lineno}: replica {index} of stratum {row[0]!r} repeated")
+        seen.add((row[0], index))
         cal_rmse = _parse_field(path, lineno, float, row[2], "cal_rmse")
         val_rmse = _parse_field(path, lineno, float, row[3], "val_rmse") if row[3] else None
         raw = [_parse_field(path, lineno, float, v, "weight") for v in row[4:]]

@@ -16,9 +16,11 @@ batch of one (profile_arrays turns it into predict_batch's keyword arrays),
 and member_batches is the one path to ensemble members' parameters for
 every command (member_thetas and ensemble.point_matrix). Out-of-domain outputs
 are clamped into the valid parameter domain and flagged rather than
-rejected, so downstream ensembles always get an evaluable curve.
-Predictors that take a variable inside ln() or 1/x floor it at a small
-positive value (0.01 in the variable's own unit) and flag the row as
+rejected, so downstream ensembles always get an evaluable curve: a batch
+function or network gives its family's raw columns by name, and _clamp packs
+them in the order of _kernels.COLUMNS, the one statement of each family's
+layout. Predictors that take a variable inside ln() or 1/x floor it at a
+small positive value (0.01 in the variable's own unit) and flag the row as
 input_floored.
 
 rosetta_h2w and rosetta_h3w are trained networks and need a weight file
@@ -38,7 +40,7 @@ import numpy as np
 from . import _kernels, coeffs
 from .ann import ann_forward, read_ann_file
 from .errors import DataError, InputError, MemberPredictionError, PtfensError, TableLookupError
-from .retention import FAMILY_CODES, BrooksCoreyParams, CampbellParams, VanGenuchtenParams
+from .retention import FAMILY_CLASSES, FAMILY_CODES
 from .texture import USDA_CLASSES, classify_texture_array
 
 PARTICLE_DENSITY = 2.65  # g/cm3, standard mineral soil assumption
@@ -90,40 +92,26 @@ class ParamBatch:
 # ---------------------------------------------------------------------------
 # clamping into the valid parameter domain
 
-def _clamp_vg(theta_r, theta_s, alpha, n, flags):
-    ts = np.clip(theta_s, 1e-6, 1.0)
-    flags["theta_s_clamped"] = ts != theta_s
-    tr = np.clip(theta_r, 0.0, None)
-    tr = np.minimum(tr, np.maximum(ts - 1e-6, 0.0))
-    flags["theta_r_clamped"] = tr != theta_r
-    al = np.maximum(alpha, 1e-8)
-    flags["alpha_clamped"] = al != alpha
-    nn = np.maximum(n, 1.0 + 1e-6)
-    flags["n_clamped"] = nn != n
-    return np.stack([tr, ts, al, nn], axis=1)
+_CLAMP_ABOVE = {"alpha": 1e-8, "n": 1.0 + 1e-6}  # a shape column's floor, 1e-6 but for these
 
 
-def _clamp_bc(theta_r, theta_s, psi_b, lambda_, flags):
-    ts = np.clip(theta_s, 1e-6, 1.0)
-    flags["theta_s_clamped"] = ts != theta_s
-    tr = np.clip(theta_r, 0.0, None)
-    tr = np.minimum(tr, np.maximum(ts - 1e-6, 0.0))
-    flags["theta_r_clamped"] = tr != theta_r
-    pb = np.maximum(psi_b, 1e-6)
-    flags["psi_b_clamped"] = pb != psi_b
-    lm = np.maximum(lambda_, 1e-6)
-    flags["lambda_clamped"] = lm != lambda_
-    return np.stack([tr, ts, pb, lm], axis=1)
-
-
-def _clamp_cmp(theta_s, psi_e, b, flags):
-    ts = np.clip(theta_s, 1e-6, 1.0)
-    flags["theta_s_clamped"] = ts != theta_s
-    pe = np.maximum(psi_e, 1e-6)
-    flags["psi_e_clamped"] = pe != psi_e
-    bb = np.maximum(b, 1e-6)
-    flags["b_clamped"] = bb != b
-    return np.stack([ts, pe, bb, np.zeros_like(ts)], axis=1)
+def _clamp(family, flags, **raw):
+    """Packed rows of a family's raw columns, each moved into the parameter
+    domain: theta_s into [1e-6, 1], theta_r into [0, theta_s - 1e-6], a
+    shape column to its floor. flags[<column>_clamped] marks the rows moved."""
+    columns = _kernels.COLUMNS[FAMILY_CODES[family]]
+    ts = np.clip(raw["theta_s"], 1e-6, 1.0)
+    out = {"theta_s": ts}
+    if "theta_r" in columns:
+        tr = np.clip(raw["theta_r"], 0.0, None)
+        out["theta_r"] = np.minimum(tr, np.maximum(ts - 1e-6, 0.0))
+    for name in columns:
+        if name not in out:
+            out[name] = np.maximum(raw[name], _CLAMP_ABOVE.get(name, 1e-6))
+    for name, value in out.items():
+        flags[f"{name}_clamped"] = value != raw[name]
+    return np.stack([out[name] for name in columns]
+                    + [np.zeros_like(ts)] * (4 - len(columns)), axis=1)
 
 
 def _floored(values, flags):
@@ -144,20 +132,18 @@ def _regression(name, **variables):
 
 
 def _batch_cosby1(flags, sand, clay, **_):
-    out = _regression("cosby_1984_univariate.csv", sand=sand, clay=clay)
-    return _clamp_cmp(out["theta_s"], out["psi_e"], out["b"], flags)
+    return _regression("cosby_1984_univariate.csv", sand=sand, clay=clay)
 
 
 def _batch_cosby2(flags, sand, silt, clay, **_):
-    out = _regression("cosby_1984_bivariate.csv", sand=sand, clay=clay, silt=silt)
-    return _clamp_cmp(out["theta_s"], out["psi_e"], out["b"], flags)
+    return _regression("cosby_1984_bivariate.csv", sand=sand, clay=clay, silt=silt)
 
 
 def _batch_rawls(flags, sand, clay, bulk_density, **_):
     phi = 1.0 - bulk_density / PARTICLE_DENSITY
     phi = _floored(phi, flags)
     out = _regression("rawls_brakensiek_1985.csv", sand=sand, clay=clay, phi=phi)
-    return _clamp_bc(out["theta_r"], phi, out["psi_b"], out["lambda"], flags)
+    return dict(out, theta_s=phi)
 
 
 def _batch_campbell(flags, sand, silt, clay, bulk_density, **_):
@@ -175,7 +161,7 @@ def _batch_campbell(flags, sand, silt, clay, bulk_density, **_):
     psi_e_kpa = psi_es_kpa * (bulk_density / c["reference_bd"]) ** (c["bd_exponent_coeff"] * b)
     psi_e = psi_e_kpa * c["kpa_to_cm"]
     theta_s = 1.0 - bulk_density / c["particle_density"]
-    return _clamp_cmp(theta_s, psi_e, b, flags)
+    return {"theta_s": theta_s, "psi_e": psi_e, "b": b}
 
 
 def _batch_wosten(flags, silt, clay, bulk_density, organic_carbon, topsoil, **_):
@@ -184,20 +170,17 @@ def _batch_wosten(flags, silt, clay, bulk_density, organic_carbon, topsoil, **_)
     clay = _floored(clay, flags)
     bd = _floored(bulk_density, flags)
     top = np.ones(len(silt)) if topsoil is None else np.asarray(topsoil, dtype=np.float64)
-    out = _regression("wosten_1999.csv", silt=silt, clay=clay, om=om, bd=bd, topsoil=top)
-    return _clamp_vg(out["theta_r"], out["theta_s"], out["alpha"], out["n"], flags)
+    return _regression("wosten_1999.csv", silt=silt, clay=clay, om=om, bd=bd, topsoil=top)
 
 
 def _batch_weynants(flags, sand, clay, bulk_density, organic_carbon, **_):
     oc = _floored(organic_carbon, flags)
-    out = _regression("weynants_2009.csv", sand=sand, clay=clay, bd=bulk_density, oc=oc)
-    return _clamp_vg(out["theta_r"], out["theta_s"], out["alpha"], out["n"], flags)
+    return _regression("weynants_2009.csv", sand=sand, clay=clay, bd=bulk_density, oc=oc)
 
 
 def _batch_vereecken(flags, sand, clay, bulk_density, organic_carbon, **_):
-    out = _regression("vereecken_1989.csv", sand=sand, clay=clay, bd=bulk_density,
-                      oc=organic_carbon)
-    return _clamp_vg(out["theta_r"], out["theta_s"], out["alpha"], out["n"], flags)
+    return _regression("vereecken_1989.csv", sand=sand, clay=clay, bd=bulk_density,
+                       oc=organic_carbon)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +189,9 @@ def _batch_vereecken(flags, sand, clay, bulk_density, organic_carbon, **_):
 _Member = namedtuple("_Member", "tier family source")
 
 # One row per predictor: input tier, curve family, and parameter source: a
-# class-table file, a batch function of the canonical predictor keywords, or
-# None for a Rosetta slot that predicts only with a registered network.
+# class-table file, a batch function from the canonical predictor keywords
+# to the family's raw columns by name, or None for a Rosetta slot that
+# predicts only with a registered network.
 _MEMBERS = {
     PtfId.COSBY0: _Member("A", "cmp", "cosby_1984_classes.csv"),
     PtfId.CARSEL: _Member("A", "vg", "carsel_parrish_1988_classes.csv"),
@@ -272,11 +256,10 @@ def register_ann(ptf, spec):
     ptf = PtfId(ptf)
     if ptf not in _NETWORK_SLOTS:
         raise InputError(f"{ptf} does not accept a trained network")
-    if tuple(spec.output_names) != ("theta_r", "theta_s", "alpha", "n"):
-        raise DataError(
-            f"network for {ptf} must output theta_r theta_s alpha n, "
-            f"got {' '.join(spec.output_names)}"
-        )
+    columns = _kernels.COLUMNS[FAMILY_CODES[FAMILY[ptf]]]
+    if tuple(spec.output_names) != columns:
+        raise DataError(f"network for {ptf} must output {' '.join(columns)}, "
+                        f"got {' '.join(spec.output_names)}")
     unknown = set(spec.input_names).difference(_ANN_INPUTS)
     if unknown:
         raise DataError(f"network for {ptf} uses unknown inputs {sorted(unknown)}")
@@ -310,15 +293,14 @@ def load_rosetta_weights(directory):
     return loaded
 
 
-def _batch_ann(ptf, spec, flags, **predictors):
+def _batch_ann(ptf, spec, **predictors):
     cols = []
     for name in spec.input_names:
         arr = predictors.get(_ANN_INPUTS[name])
         if arr is None:
             raise InputError(f"network for {ptf} needs predictor {name!r}")
         cols.append(arr)
-    out = ann_forward(spec, np.stack(cols, axis=1))
-    return _clamp_vg(out[:, 0], out[:, 1], out[:, 2], out[:, 3], flags)
+    return dict(zip(spec.output_names, ann_forward(spec, np.stack(cols, axis=1)).T))
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +340,14 @@ def predict_batch(ptf, sand=None, silt=None, clay=None, bulk_density=None,
             texture = classify_texture_array(*(predictors[f] for f in ("sand", "silt", "clay")))
         rows = _batch_class(ptf, np.asarray(texture, dtype=np.int64))
     elif spec is not None:
-        rows = _batch_ann(ptf, spec, flags, **predictors)
+        rows = _clamp(FAMILY[ptf], flags, **_batch_ann(ptf, spec, **predictors))
     elif source is None:
         raise DataError(
             f"{ptf} needs a trained network; register one with register_ann() "
             "or load_rosetta_weights()"
         )
     else:
-        rows = source(flags, topsoil=topsoil, **predictors)
+        rows = _clamp(FAMILY[ptf], flags, **source(flags, topsoil=topsoil, **predictors))
 
     if not np.all(np.isfinite(rows)):
         bad = int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])
@@ -434,14 +416,11 @@ def member_thetas(members, heads, texture=None, **predictors):
 
 
 def params_from_row(family, row, flags=()):
-    """Rehydrate a packed parameter row into its dataclass."""
-    if family == "vg":
-        return VanGenuchtenParams(row[0], row[1], row[2], row[3], flags=flags)
-    if family == "bc":
-        return BrooksCoreyParams(row[0], row[1], row[2], row[3], flags=flags)
-    if family == "cmp":
-        return CampbellParams(row[0], row[1], row[2], flags=flags)
-    raise InputError(f"unknown parameter family {family!r}")
+    """Rehydrate a packed parameter row into its family's dataclass."""
+    if family not in FAMILY_CLASSES:
+        raise InputError(f"unknown parameter family {family!r}")
+    cls = FAMILY_CLASSES[family]
+    return cls.from_columns(dict(zip(cls.columns, row)), flags=flags)
 
 
 def predict(ptf, **profile):

@@ -4,14 +4,16 @@ Pressure head psi is a positive suction magnitude in cm of water throughout
 (0 = saturation, larger = drier). The parameter containers are immutable,
 validated on construction, and pack into the kernels' (family code, row)
 form; coeffs.load_class_table validates class-table rows with them, and
-ptf.predict returns one for a single profile. The curve formulas live only
-in _kernels, behind theta_points, which every batch path calls: theta_at
-evaluates one parameter set through it at a scalar psi or an array of psi
-values.
+ptf.predict returns one for a single profile. Their fields are the family's
+columns in _kernels.COLUMNS, and one base class reads packing, construction
+by column name and the domain check from that table. The curve formulas
+live only in _kernels, behind theta_points, which every batch path calls:
+theta_at evaluates one parameter set through it at a scalar psi or an array
+of psi values.
 """
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Union, get_args
 
 import numpy as np
 
@@ -22,9 +24,44 @@ SATURATION_HEAD = 0.0
 FIELD_CAPACITY_HEAD = 330.0
 WILTING_POINT_HEAD = 15000.0
 
+FAMILY_CODES = {"vg": _kernels.FAMILY_VG, "bc": _kernels.FAMILY_BC, "cmp": _kernels.FAMILY_CMP}
+_FIELDS = {"lambda": "lambda_"}  # a column's field where it is a Python keyword
+
+
+class _Curve:
+    """What the three families share, each reading its columns from
+    _kernels.COLUMNS: construction by column name, the packed row and the
+    domain check. The fields are the columns in the same order."""
+
+    def __init_subclass__(cls):
+        cls.columns = _kernels.COLUMNS[FAMILY_CODES[cls.family]]
+
+    @classmethod
+    def from_columns(cls, values, flags=()):
+        """The parameter set of a {column: value} mapping."""
+        return cls(**{_FIELDS.get(c, c): values[c] for c in cls.columns}, flags=flags)
+
+    def packed(self):
+        row = tuple(getattr(self, _FIELDS.get(c, c)) for c in self.columns)
+        return row + (0.0,) * (4 - len(row))
+
+    def __post_init__(self):
+        value = dict(zip(self.columns, self.packed()))
+        ts = value["theta_s"]
+        if "theta_r" not in value:
+            if not 0.0 < ts <= 1.0:
+                raise ParameterError(f"require 0 < theta_s <= 1, got {ts}")
+        elif not 0.0 <= value["theta_r"] < ts <= 1.0:
+            raise ParameterError(f"require 0 <= theta_r < theta_s <= 1, got "
+                                 f"theta_r={value['theta_r']}, theta_s={ts}")
+        for column, v in value.items():
+            low = 1.0 if column == "n" else 0.0  # m = 1 - 1/n must be > 0
+            if not column.startswith("theta_") and not v > low:
+                raise ParameterError(f"{column} must be > {low:g}, got {v}")
+
 
 @dataclass(frozen=True)
-class VanGenuchtenParams:
+class VanGenuchtenParams(_Curve):
     """theta(psi) = theta_r + (theta_s - theta_r) * [1 + (alpha*psi)^n]^-(1-1/n).
 
     The shape exponent m is tied to n as m = 1 - 1/n.
@@ -38,23 +75,9 @@ class VanGenuchtenParams:
 
     family = "vg"
 
-    def __post_init__(self):
-        if not 0.0 <= self.theta_r < self.theta_s <= 1.0:
-            raise ParameterError(
-                f"require 0 <= theta_r < theta_s <= 1, got "
-                f"theta_r={self.theta_r}, theta_s={self.theta_s}"
-            )
-        if not self.alpha > 0.0:
-            raise ParameterError(f"alpha must be > 0, got {self.alpha}")
-        if not self.n > 1.0:
-            raise ParameterError(f"n must be > 1, got {self.n}")
-
-    def packed(self):
-        return (self.theta_r, self.theta_s, self.alpha, self.n)
-
 
 @dataclass(frozen=True)
-class BrooksCoreyParams:
+class BrooksCoreyParams(_Curve):
     """theta = theta_s for psi <= psi_b, else theta_r + (theta_s-theta_r)*(psi_b/psi)^lambda."""
 
     theta_r: float
@@ -65,23 +88,9 @@ class BrooksCoreyParams:
 
     family = "bc"
 
-    def __post_init__(self):
-        if not 0.0 <= self.theta_r < self.theta_s <= 1.0:
-            raise ParameterError(
-                f"require 0 <= theta_r < theta_s <= 1, got "
-                f"theta_r={self.theta_r}, theta_s={self.theta_s}"
-            )
-        if not self.psi_b > 0.0:
-            raise ParameterError(f"psi_b must be > 0, got {self.psi_b}")
-        if not self.lambda_ > 0.0:
-            raise ParameterError(f"lambda must be > 0, got {self.lambda_}")
-
-    def packed(self):
-        return (self.theta_r, self.theta_s, self.psi_b, self.lambda_)
-
 
 @dataclass(frozen=True)
-class CampbellParams:
+class CampbellParams(_Curve):
     """theta = theta_s for psi <= psi_e, else theta_s*(psi_e/psi)^(1/b).
 
     Residual water content is zero in this family.
@@ -94,21 +103,9 @@ class CampbellParams:
 
     family = "cmp"
 
-    def __post_init__(self):
-        if not 0.0 < self.theta_s <= 1.0:
-            raise ParameterError(f"require 0 < theta_s <= 1, got {self.theta_s}")
-        if not self.psi_e > 0.0:
-            raise ParameterError(f"psi_e must be > 0, got {self.psi_e}")
-        if not self.b > 0.0:
-            raise ParameterError(f"b must be > 0, got {self.b}")
-
-    def packed(self):
-        return (self.theta_s, self.psi_e, self.b, 0.0)
-
 
 RetentionParams = Union[VanGenuchtenParams, BrooksCoreyParams, CampbellParams]
-
-FAMILY_CODES = {"vg": _kernels.FAMILY_VG, "bc": _kernels.FAMILY_BC, "cmp": _kernels.FAMILY_CMP}
+FAMILY_CLASSES = {cls.family: cls for cls in get_args(RetentionParams)}
 
 
 def _check_psi(psi):
@@ -120,7 +117,7 @@ def _check_psi(psi):
 
 def theta_at(p: RetentionParams, psi):
     """Water content of one curve at suction psi (cm), a scalar or an array."""
-    if not isinstance(p, (VanGenuchtenParams, BrooksCoreyParams, CampbellParams)):
+    if not isinstance(p, _Curve):
         raise ParameterError(f"not a retention parameter set: {p!r}")
     psi = _check_psi(psi)
     flat = psi.reshape(-1)

@@ -1184,6 +1184,7 @@ REPLICA_HEADER = "stratum\treplica\tcal_rmse\tval_rmse\tw_cosby1\tw_carsel\n"
     ("global\t1\t0.01\t\t0.7\n", ":3: expected 6 tab-separated fields"),
     ("global\t1\t0.01\t\t0\t0\n", ":3: weights must sum to 1, got 0"),
     ("global\t1\t0.01\t\t0.3\t0.9\n", ":3: weights must sum to 1, got 1.2"),
+    ("global\t0\t0.02\t\t0.7\t0.3\n", ":3: replica 0 of stratum 'global' repeated"),
 ])
 def test_map_malformed_replica_table(capsys, tmp_path, row, message):
     table = tmp_path / "replicas.tsv"

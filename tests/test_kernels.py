@@ -145,7 +145,7 @@ def test_zero_weight_genome_is_uniform():
     assert out[0] == pytest.approx(0.0, abs=1e-30)  # uniform mix hits exactly
 
 
-# clamped extremes of the parameter domain (ptf._clamp_*), theta_r both zeros
+# clamped extremes of the parameter domain (ptf._clamp), theta_r both zeros
 EXTREMES = {
     FAMILY_VG: ([0.0, -0.0, 0.05], [1e-6, 0.4, 1.0], [1e-8, 0.02, 50.0],
                 [1.0 + 1e-6, 1.5, 12.0]),

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptfens import (
     ALL_PTFS,
@@ -26,8 +27,10 @@ from ptfens import (
     write_ann_file,
     write_samples,
 )
+from ptfens import _kernels, ptf as ptf_module
 from ptfens.coeffs import load_class_table
-from ptfens.ptf import load_rosetta_weights, member_thetas, uses_class_table
+from ptfens.ptf import load_rosetta_weights, member_thetas, params_from_row, uses_class_table
+from ptfens.retention import FAMILY_CODES
 from helpers import constant_net, synthetic_population
 
 LOAM = dict(sand=40.0, silt=40.0, clay=20.0, bulk_density=1.35, organic_carbon=1.2)
@@ -372,3 +375,28 @@ def test_batch_matches_scalar_predictions():
 def test_predict_is_pure():
     for ptf in TABLE_AND_REGRESSION:
         assert predict(ptf, **LOAM) == predict(ptf, **LOAM)
+
+
+# raw member outputs: any finite value, the domain's edges and the columns'
+# floors included, negative and huge ones too
+RAW_VALUE = st.one_of(st.floats(-1e300, 1e300),
+                      st.sampled_from((0.0, -0.0, 1e-8, 1e-6, 1.0, 1.0 + 1e-6, 1e300)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(sorted(FAMILY_CODES)), data=st.data())
+def test_clamped_rows_lie_in_the_domain(family, data):
+    """_clamp's rows are rows the family's dataclass accepts, and each
+    <column>_clamped flag marks exactly the entries _clamp moved."""
+    columns = _kernels.COLUMNS[FAMILY_CODES[family]]
+    n = data.draw(st.integers(1, 6))
+    raw = {c: np.array(data.draw(st.lists(RAW_VALUE, min_size=n, max_size=n)))
+           for c in columns}
+    flags = {}
+    rows = ptf_module._clamp(family, flags, **raw)
+    for row in rows:
+        params_from_row(family, row)  # raises ParameterError outside the domain
+    assert sorted(flags) == sorted(f"{c}_clamped" for c in columns)
+    for j, c in enumerate(columns):
+        assert flags[f"{c}_clamped"].tolist() == (rows[:, j] != raw[c]).tolist()
+    assert not rows[:, len(columns):].any()

@@ -1,5 +1,8 @@
 """Water retention curve evaluators: fixed values, invariants, dispatch."""
 
+import dataclasses
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -12,8 +15,8 @@ from ptfens import (
     theta_at,
 )
 from ptfens import _kernels
-from ptfens.retention import (FAMILY_CODES, FIELD_CAPACITY_HEAD, SATURATION_HEAD,
-                              WILTING_POINT_HEAD)
+from ptfens.retention import (FAMILY_CLASSES, FAMILY_CODES, FIELD_CAPACITY_HEAD,
+                              SATURATION_HEAD, WILTING_POINT_HEAD)
 
 VG = VanGenuchtenParams(theta_r=0.1, theta_s=0.5, alpha=0.01, n=2.0)
 BC = BrooksCoreyParams(theta_r=0.0, theta_s=0.4, psi_b=10.0, lambda_=0.5)
@@ -159,3 +162,21 @@ def test_batched_evaluation_matches_scalar():
     theta = _kernels.theta_points(codes, rows, psi)
     for i, p in enumerate(params):
         assert theta[i] == theta_at(p, float(psi[i]))
+
+
+def test_columns_table_is_the_only_layout():
+    """Each family's dataclass fields, theta_s column and shipped class-table
+    header agree with _kernels.COLUMNS."""
+    for family, cls in FAMILY_CLASSES.items():
+        columns = _kernels.COLUMNS[FAMILY_CODES[family]]
+        fields = tuple("lambda" if f.name == "lambda_" else f.name
+                       for f in dataclasses.fields(cls) if f.name != "flags")
+        assert fields == columns == cls.columns
+        assert _kernels.THETA_S_COLUMN[FAMILY_CODES[family]] == columns.index("theta_s")
+    headers = set()
+    for entry in resources.files("ptfens").joinpath("data").iterdir():
+        if entry.name.endswith("_classes.csv"):
+            lines = entry.read_text(encoding="utf-8").splitlines()
+            header = next(ln for ln in lines if ln.strip() and not ln.startswith("#"))
+            headers.add(tuple(h.strip() for h in header.split(",")[1:]))
+    assert len(headers) > 1 and headers <= set(_kernels.COLUMNS.values())
