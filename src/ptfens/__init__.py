@@ -43,6 +43,7 @@ from .ensemble import (
     read_weights,
     samples_theta,
     simplex_weights,
+    simplex_weights_batch,
     write_replica_table,
     write_weights,
 )

@@ -28,12 +28,13 @@ from ptfens import (
     register_ann,
     samples_theta,
     simplex_weights,
+    simplex_weights_batch,
     theta_at,
     write_replica_table,
     write_weights,
 )
 from ptfens import ensemble as ensemble_module
-from ptfens.dataset import bootstrap_split
+from ptfens.dataset import bootstrap_split, stratum_indices
 from ptfens.ptf import PREDICTOR_FIELDS, member_thetas
 from ptfens.ensemble import GLOBAL_STRATUM, ReplicaResult, point_matrix
 from helpers import (make_sample, population_records, random_net, sample_table,
@@ -240,11 +241,11 @@ _THETA = st.integers(0, 600).map(lambda k: k / 1000.0)
 
 
 @st.composite
-def fit_problems(draw):
+def fit_problems(draw, members=st.integers(1, 6)):
     """(members, points) predictions and targets: water contents on a 0.001
     grid; targets are either free or a noisy mix of the members, and the
     last member may duplicate the first."""
-    m = draw(st.integers(1, 6))
+    m = draw(members)
     n = draw(st.integers(1, 25))
     preds = np.array(draw(st.lists(_THETA, min_size=m * n, max_size=m * n)))
     preds = preds.reshape(m, n)
@@ -353,6 +354,23 @@ def test_simplex_weights_adding_a_member_never_raises_chi2(calibration_points, d
     assert after <= before * (1.0 + 1e-12)
 
 
+@FIT_RELATIONS
+@given(st.data())
+def test_simplex_weights_batch_of_mixed_targets_equals_each_fit_alone(calibration_points, data):
+    """Bootstrap draws of different sizes from 11 members, with targets a
+    random mix of them: most fits step back in the same passes as others,
+    and each still has the bytes of its fit solved alone."""
+    preds, _ = calibration_points
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    observed = rng.dirichlet(np.ones(len(preds))) @ preds + rng.normal(0.0, 0.02, preds.shape[1])
+    fits = []
+    for size in data.draw(st.lists(st.integers(5, preds.shape[1]), min_size=2, max_size=8)):
+        at = rng.integers(0, preds.shape[1], size)
+        fits.append((np.ascontiguousarray(preds[:, at]), observed[at]))
+    for (p, y), fitted in zip(fits, simplex_weights_batch(fits)):
+        assert fitted.as_array().tobytes() == simplex_weights(p, y).as_array().tobytes()
+
+
 def test_simplex_weights_edge_cases():
     rng = np.random.default_rng(58)
     p = rng.uniform(0.05, 0.5, size=(3, 40))
@@ -381,6 +399,64 @@ def test_simplex_weights_edge_cases():
         simplex_weights(np.ones((2, 3)), np.zeros(4))
 
 
+@pytest.mark.parametrize("case", ["nan-target", "infinite-prediction", "no-points",
+                                  "no-members"])
+def test_simplex_weights_rejects_malformed_input(case):
+    """Each case is an InputError before any solve. Unchecked, a NaN target
+    failed in a reduction, an infinite prediction in the SVD, no points
+    returned the first corner, and no members failed in an argmin."""
+    preds = np.random.default_rng(70).uniform(0.05, 0.5, size=(3, 10))
+    observed = preds.mean(axis=0)
+    if case == "nan-target":
+        observed[4] = np.nan
+    elif case == "infinite-prediction":
+        preds[1, 2] = np.inf
+    elif case == "no-points":
+        preds, observed = preds[:, :0], observed[:0]
+    else:
+        preds = preds[:0]
+    with pytest.raises(InputError):
+        simplex_weights(preds, observed)
+
+
+@SOLVER_PROPERTIES
+@given(st.integers(1, 6).flatmap(lambda m: st.lists(
+    fit_problems(st.just(m)), min_size=2, max_size=5, unique_by=lambda fit: fit[1].size)))
+def test_simplex_weights_batch_bytes_equal_each_fit_alone(fits):
+    """A fit's weights have the same bytes in a batch as alone: fits with one
+    member count and different point counts, among them duplicate members
+    and fewer points than members, drop out of the batch at different passes."""
+    batch = simplex_weights_batch(fits)
+    assert len(batch) == len(fits)
+    for (preds, observed), fitted in zip(fits, batch):
+        alone = simplex_weights(preds, observed)
+        assert fitted.as_array().tobytes() == alone.as_array().tobytes()
+
+
+def test_kkt_solve_falls_back_per_fit_on_a_singular_stack():
+    """A stack holding a singular system (three identical members on the
+    support) solves that fit by least squares and every other fit as a stack
+    of its own."""
+    rng = np.random.default_rng(71)
+    stats = []
+    for n in (8, 12, 20):
+        preds = rng.uniform(0.05, 0.5, size=(3, n))
+        if n == 12:
+            preds[:] = preds[0]
+        stats.append(ensemble_module._normal_equations(preds, rng.uniform(0.05, 0.5, n)))
+    gram, lin, _ = map(np.stack, zip(*stats))
+    support = np.array([[True, False, True], [True, True, True], [True, True, True]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.block([[gram[1], np.ones((3, 1))], [np.ones((1, 3)), 0.0]]),
+                        np.append(lin[1], 1.0))
+    z = ensemble_module._kkt_solutions(gram, lin, support)
+    for f in (0, 2):
+        alone = ensemble_module._kkt_solutions(gram[f:f + 1], lin[f:f + 1], support[f:f + 1])
+        assert z[f].tobytes() == alone[0].tobytes()
+    assert z[1].tobytes() == ensemble_module._support_solution(
+        gram[1], lin[1], np.arange(3)).tobytes()
+
+
 def test_calibrate_default_is_simplex_weights():
     rng = np.random.default_rng(59)
     samples = synthetic_population(rng, 20, PtfId.WOSTEN, noise=0.02)
@@ -390,6 +466,27 @@ def test_calibrate_default_is_simplex_weights():
         cols = [2 * row + k for row in rep.calibration_rows for k in (0, 1)]
         assert fitted.weights == simplex_weights(preds[:, cols], observed[cols],
                                                  members=MEMBERS)
+
+
+def test_calibrate_stratified_replicas_are_simplex_weights():
+    """Every replica of every stratum, the global one included, is fitted in
+    one batch and equals simplex_weights on that replica's drawn points."""
+    rng = np.random.default_rng(59)
+    samples = synthetic_population(rng, 60, PtfId.WOSTEN, noise=0.02)
+    model = calibrate_stratified(MEMBERS, samples, "texture", n_replicas=3, seed=21,
+                                 min_stratum_points=10)
+    preds, observed, _ = point_matrix(MEMBERS, samples)  # two points per sample
+    groups = stratum_indices(samples, "texture")
+    assert len(model.strata) >= 2
+    for key, result in model.calibrations.items():
+        if key == GLOBAL_STRATUM:
+            rows, seed = np.arange(len(samples)), (21,)
+        else:
+            rows, seed = groups[key], ensemble_module._stratum_seed((21,), key)
+        for rep, fitted in zip(bootstrap_split(samples.take(rows), 3, seed), result.replicas):
+            cols = [2 * row + k for row in rows[list(rep.calibration_rows)] for k in (0, 1)]
+            assert fitted.weights == simplex_weights(preds[:, cols], observed[cols],
+                                                     members=MEMBERS)
 
 
 def test_point_matrix_shapes():
