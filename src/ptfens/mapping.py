@@ -16,8 +16,8 @@ A grid body is parsed by numpy.loadtxt, numpy's C float parser, a block of
 rows per call: its grammar is Python float()'s without digit-group
 underscores and non-ASCII digits, a '#' is a bad value, and whitespace-only
 lines are skipped. A body fault is named by reading the file again, line by
-line, for the file line at fault. Values are written as repr(float), which
-reads back bit for bit, one row at a time.
+line, for the file line at fault. Values are written as %.17g text (17
+significant digits), which reads back bit for bit, one row at a time.
 
 apply_ensemble_map maps grids held in memory. map_files, which the map
 command runs, streams the layer files instead, so that no process holds a
@@ -68,6 +68,9 @@ class Grid:
     def __post_init__(self):
         if self.ncols < 1 or self.nrows < 1:
             raise GridFormatError(f"bad grid dimensions {self.nrows} x {self.ncols}")
+        for name in ("xllcorner", "yllcorner", "cellsize", "nodata"):  # read_grid's header rule
+            if not math.isfinite(getattr(self, name)):
+                raise GridFormatError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.cellsize <= 0.0:
             raise GridFormatError(f"cellsize must be positive, got {self.cellsize!r}")
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -221,7 +224,7 @@ def _body_fault(path, nrows, ncols):
 
 def write_grid(path, grid):
     """Write a grid in the canonical six-header-line layout; values are
-    written as repr(float), which reads back exactly, one row at a time."""
+    written as %.17g text, which reads back exactly, one row at a time."""
     with open(path, "wb") as fh:
         fh.write(_header_text(*grid.georef(), grid.nodata))
         _write_rows(fh, grid.values)
@@ -234,10 +237,11 @@ def _header_text(ncols, nrows, *values):
 
 
 def _write_rows(fh, values):
-    """Append rows of values to a binary file as repr(float) text, holding
-    O(ncols) floats and text at a time."""
+    """Append rows of values to a binary file as %.17g text, one template
+    filled per row, holding O(ncols) floats and text at a time."""
+    line = " ".join(["%.17g"] * values.shape[1]) + "\n"
     for row in values:
-        fh.write((" ".join(map(repr, row.tolist())) + "\n").encode())
+        fh.write((line % tuple(row.tolist())).encode())
 
 
 # Cells per map block. At 4,096 a block's float64 column is 32 KiB, under

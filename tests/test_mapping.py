@@ -77,7 +77,7 @@ def test_grid_round_trip(tmp_path):
     back = read_grid(path)
     assert back.georef() == grid.georef()
     assert back.nodata == grid.nodata
-    assert np.array_equal(back.values, grid.values)  # repr round-trip is exact
+    assert np.array_equal(back.values, grid.values)  # 17-digit text round-trips exactly
 
 
 def test_grid_header_errors(tmp_path):
@@ -247,6 +247,30 @@ def test_write_grid_holds_a_row_not_the_grid(tmp_path):
         tracemalloc.stop()
     assert peak < grid.values.nbytes / 4
     assert read_grid(tmp_path / "grid.asc").values.tobytes() == grid.values.tobytes()
+
+
+def test_grid_text_is_17_significant_digits(tmp_path, monkeypatch):
+    """Body values are written %.17g, the header's repr; a one-band map
+    writes its rows as write_grid writes them."""
+    grid = small_grid([[0.1, -0.0, 5e-324, np.inf, np.nan, -9999.0]])
+    write_grid(tmp_path / "grid.asc", grid)
+    lines = (tmp_path / "grid.asc").read_text().splitlines()
+    assert lines[5] == "NODATA_value -9999.0"
+    assert lines[6:] == ["0.10000000000000001 -0 4.9406564584124654e-324 inf nan -9999"]
+
+    layer = small_grid(np.full((1, 6), 100.0 / 3.0))
+    paths = {name: tmp_path / f"{name}.asc" for name in ("sand", "silt", "clay")}
+    for path in paths.values():
+        write_grid(path, layer)
+    product = mapping.MapProduct(mean=dict.fromkeys(MAP_HEADS, grid),
+                                 cv=dict.fromkeys(MAP_HEADS, grid),
+                                 **dict.fromkeys(mapping._COUNTS, 0))
+    monkeypatch.setattr(mapping, "apply_ensemble_map", lambda *args, **kwargs: product)
+    use_cpus(monkeypatch, 1)
+    (tmp_path / "out").mkdir()
+    mapping.map_files(paths, REPLICAS, tmp_path / "out")
+    for name in OUTPUT_NAMES:
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "grid.asc").read_bytes()
 
 
 @st.composite
@@ -498,6 +522,18 @@ def test_grid_shape_validation():
     with pytest.raises(GridFormatError):
         Grid(ncols=2, nrows=2, xllcorner=0.0, yllcorner=0.0, cellsize=-1.0,
              nodata=-9999.0, values=np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["xllcorner", "yllcorner", "cellsize", "nodata"])
+def test_grid_georef_must_be_finite(field, value):
+    """A Grid that write_grid would write as a file read_grid rejects is
+    refused when it is made."""
+    georef = dict(xllcorner=100.0, yllcorner=200.0, cellsize=50.0, nodata=-9999.0)
+    georef[field] = value
+    with pytest.raises(GridFormatError) as err:
+        Grid(ncols=2, nrows=2, values=np.zeros((2, 2)), **georef)
+    assert str(err.value) == f"{field} must be finite, got {value!r}"
 
 
 def test_layer_stack_coregistration():
